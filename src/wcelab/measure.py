@@ -6,6 +6,7 @@ are immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping
 
@@ -153,40 +154,100 @@ def weighted_inner_product(f: MFunction, g: MFunction, sp: FiniteMeasureSpace) -
     return complex(np.sum(f.values * np.conj(g.values) * sp.masses))
 
 
-def support(f: MFunction, tol: float) -> frozenset[int]:
-    """Indices where |f| exceeds tol."""
+def support(f: MFunction, tol: float) -> np.ndarray:
+    """Boolean mask of the points where |f| exceeds tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    return frozenset(np.nonzero(np.abs(f.values) > tol)[0].tolist())
+    return np.abs(f.values) > tol
 
 
 def ess_range(f: MFunction, sp: FiniteMeasureSpace, tol: float) -> list[complex]:
     """Distinct values of f on positive-mass points, merged at tolerance.
 
-    Values closer than tol join one cluster; the representative is the
-    mass-weighted mean of the cluster.  Since every point has positive mass
-    by construction, every point participates.
+    Merge rule: visit the values in lexicographic (real, imag) order; each
+    value joins the lowest-index cluster whose current representative lies
+    within tol of it, or else opens a new cluster.  A representative is the
+    mass-weighted mean of its cluster and moves as values join.  Since every
+    point has positive mass by construction, every point participates.
+
+    Exact duplicates are collapsed first, each distinct value carrying the
+    summed mass of its copies.  This gives the same clusters: copies are
+    adjacent in the visiting order, and a later copy joins the cluster its
+    first copy joined or opened, because that representative only moved
+    toward the value while the clusters before it did not move at all.
+
+    A join moves the representative onto the segment towards the joining
+    value, so it stays within tol of its cluster's latest member, and a
+    value can join only within 2 tol of an earlier value.  A value with no
+    other value that close in real part is therefore a cluster of its own.
+    The other values look representatives up in a grid of square cells of
+    side at least 2 tol, where any representative within tol lies in the
+    3 x 3 block of cells around the value's, even after the division rounds.
+
+    With n points and m distinct values the cost is one O(n log n) sort
+    plus O(m) work, as long as few representatives share a cell.  Raises
+    ValueError if f has a NaN or infinite value, which has no place in the
+    clustering.
     """
     f.check_aligned(sp)
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    bad = int(np.count_nonzero(~np.isfinite(f.values)))
+    if bad:
+        raise ValueError(f"essential range of a function with {bad} non-finite values")
+    values, inverse = np.unique(f.values, return_inverse=True)
+    if tol == 0:
+        return values.tolist()
+    masses = np.bincount(inverse.ravel(), weights=sp.masses, minlength=values.size)
+    # a floor of 2^-48 times the largest value keeps cell indices exact
+    # integers, the rounded division within 1/32 of a cell, and the rounding
+    # of a representative well inside one cell
+    side = max(2.0 * tol, float(np.max(np.abs(values))) * 2.0**-48)
+    far = np.diff(values.real) > 2.0 * side
+    alone = np.concatenate(([True], far)) & np.concatenate((far, [True]))
+    crowd = ~alone
+    cells = np.floor(np.stack([values.real[crowd], values.imag[crowd]], axis=1) / side)
+
     reps: list[complex] = []
     cluster_mass: list[float] = []
-    # visit values in sorted order so clusters accrete deterministically
-    order = np.lexsort((f.values.imag, f.values.real))
-    for i in order:
-        v = complex(f.values[i])
-        m = float(sp.masses[i])
-        for k, rep in enumerate(reps):
-            if abs(v - rep) <= tol:
-                total = cluster_mass[k] + m
-                reps[k] = (rep * cluster_mass[k] + v * m) / total
-                cluster_mass[k] = total
-                break
-        else:
+    rep_cell: list[tuple[int, int]] = []
+    grid: dict[tuple[int, int], list[int]] = {}
+    for v, m, (cx, cy) in zip(
+        values[crowd].tolist(), masses[crowd].tolist(), cells.astype(np.int64).tolist()
+    ):
+        k = -1
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                for j in grid.get((x, y), ()):
+                    if (k < 0 or j < k) and abs(v - reps[j]) <= tol:
+                        k = j
+        if k < 0:
+            grid.setdefault((cx, cy), []).append(len(reps))
             reps.append(v)
             cluster_mass.append(m)
-    return sorted(reps, key=lambda z: (z.real, z.imag))
+            rep_cell.append((cx, cy))
+            continue
+        total = cluster_mass[k] + m
+        rep = (reps[k] * cluster_mass[k] + v * m) / total
+        reps[k] = rep
+        cluster_mass[k] = total
+        cell = (math.floor(rep.real / side), math.floor(rep.imag / side))
+        if cell != rep_cell[k]:
+            grid[rep_cell[k]].remove(k)
+            grid.setdefault(cell, []).append(k)
+            rep_cell[k] = cell
+    return sorted(reps + values[alone].tolist(), key=lambda z: (z.real, z.imag))
+
+
+def tail_cutoff(bound: Callable[[int], float], tol: float) -> int | None:
+    """Smallest N in 1..TRUNCATION_CAP with bound(N) <= tol, or None.
+
+    A linear scan: ``bound`` is called once for each N up to the answer.
+    """
+    for n in range(1, TRUNCATION_CAP + 1):
+        if bound(n) <= tol:
+            return n
+    return None
 
 
 @dataclass(frozen=True)
@@ -235,11 +296,7 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
     bound = spec.weighted_tail_bound if weighted else spec.tail_bound
     if bound is None:
         raise ValueError("spec has no weighted tail bound")
-    size = None
-    for candidate in range(1, TRUNCATION_CAP + 1):
-        if bound(candidate) <= tail_tol:
-            size = candidate
-            break
+    size = tail_cutoff(bound, tail_tol)
     if size is None:
         raise NotSummableError(
             f"tail bound never dropped below {tail_tol} within {TRUNCATION_CAP} indices"

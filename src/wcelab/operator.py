@@ -23,6 +23,7 @@ from .measure import (
     Partition,
     ess_range,
     support,
+    tail_cutoff,
 )
 
 __all__ = [
@@ -148,10 +149,10 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
 
     s_mean = support(T.symbol_mean, tol)
     s_sq = support(T.symbol_sq_mean, tol)
-    if s_mean == s_sq:
+    if np.array_equal(s_mean, s_sq):
         source = "formula"
-        if s_sq:
-            idx = np.fromiter(s_sq, dtype=int)
+        idx = np.flatnonzero(s_sq)
+        if idx.size:
             gap = np.abs(
                 np.conj(T.symbol.values[idx]) * T.symbol_mean.values[idx]
                 - T.symbol_sq_mean.values[idx]
@@ -193,21 +194,19 @@ class PolarParts:
 
     ``modulus_symbol`` w satisfies |T| f = w * E(u f);
     ``isometry_symbol`` v satisfies U f = E(v f).  Both vanish off the
-    support of E(|u|^2).
+    support of E(|u|^2), whose point indices ``support_set`` holds as a
+    sorted integer array.
     """
 
     modulus_symbol: MFunction
     isometry_symbol: MFunction
-    support_set: frozenset[int]
+    support_set: np.ndarray
 
 
 def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s = support(T.symbol_sq_mean, tol)
-    mask = np.zeros(T.n, dtype=bool)
-    if s:
-        mask[np.fromiter(s, dtype=int)] = True
+    mask = support(T.symbol_sq_mean, tol)
     inv_sqrt = np.zeros(T.n, dtype=float)
     inv_sqrt[mask] = 1.0 / np.sqrt(T.symbol_sq_mean.values[mask].real)
     modulus = np.where(mask, inv_sqrt * np.conj(T.symbol.values), 0.0 + 0.0j)
@@ -215,7 +214,7 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     return PolarParts(
         modulus_symbol=MFunction(modulus),
         isometry_symbol=MFunction(isometry),
-        support_set=s,
+        support_set=np.flatnonzero(mask),
     )
 
 
@@ -288,9 +287,9 @@ _DIVERGENCE_TARGETS = (1e3, 1e6, 1e12)
 def _scan_length(spec: CountableSpaceSpec, tail_tol: float) -> int:
     if spec.weighted_tail_bound is None:
         return 0
-    for n in range(1, TRUNCATION_CAP + 1):
-        if spec.weighted_tail_bound(n) <= tail_tol:
-            return n
+    n = tail_cutoff(spec.weighted_tail_bound, tail_tol)
+    if n is not None:
+        return n
     raise UndecidableDomainError(
         f"weighted tail bound never reached {tail_tol} within {TRUNCATION_CAP} indices"
     )
@@ -308,7 +307,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    scan = _scan_length(spec, tail_tol) if spec.weighted_tail_bound else 0
+    scan = _scan_length(spec, tail_tol)
     tail = spec.weighted_tail_bound(scan) if spec.weighted_tail_bound else None
 
     # weighted partial sums and masses per atom over the scanned range
@@ -403,8 +402,7 @@ def _sigma_finite_restriction(spec, per_atom, tail) -> bool:
 
 def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:
     """Minimal c with |E(u)|^4 <= c (1 + |E(u)|^2) at every point."""
-    a = np.abs(T.symbol_mean.values) ** 2
-    return float(np.max(a**2 / (1.0 + a)))
+    return multiplication_domain_min_c(T.symbol_mean)
 
 
 def multiplication_domain_min_c(f: MFunction) -> float:

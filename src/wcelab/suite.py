@@ -122,8 +122,6 @@ def _jsonify(obj):
         return float(obj)
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, frozenset):
-        return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from ess_range_reference import ess_range_reference
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wcelab.measure import (
@@ -17,6 +18,7 @@ from wcelab.measure import (
     truncate,
     weighted_inner_product,
 )
+from wcelab.sampling import random_operator
 
 
 def uniform_space(n):
@@ -113,24 +115,26 @@ def test_inner_product_positive(vals):
     assert abs(q.imag) <= 1e-12
     assert q.real >= -1e-12
     if q.real <= 1e-15:
-        assert not support(f, 1e-7)
+        assert not support(f, 1e-7).any()
 
 
 # -------------------------------------------------------------------- support
 
 
 def test_support_of_zero_is_empty():
-    assert support(MFunction(np.zeros(5)), 0.0) == frozenset()
+    s = support(MFunction(np.zeros(5)), 0.0)
+    assert s.dtype == bool and s.shape == (5,)
+    assert not s.any()
 
 
 def test_support_indicator():
     f = MFunction(np.array([1.0, 0.0, 1.0, 0.0]))
-    assert support(f, 0.0) == frozenset({0, 2})
+    np.testing.assert_array_equal(support(f, 0.0), [True, False, True, False])
 
 
 def test_support_below_tolerance():
     f = MFunction(np.full(6, 1e-14))
-    assert support(f, 1e-12) == frozenset()
+    assert not support(f, 1e-12).any()
 
 
 # ------------------------------------------------------------------ ess_range
@@ -184,6 +188,81 @@ def test_ess_range_cosh_nodes():
     expected = sorted({round(float(np.cosh(xi)), 15) for xi in x})
     assert len(reps) == len(expected)
     assert np.allclose([r.real for r in reps], expected)
+
+
+def test_ess_range_rejects_non_finite_values():
+    f = MFunction(np.array([1.0, np.nan, 2.0, np.inf, complex(0.0, -np.inf)]))
+    with pytest.raises(ValueError, match="3 non-finite"):
+        ess_range(f, uniform_space(5), 1e-12)
+
+
+def same_clusters(got, want, scale):
+    """Same count, representatives within 1e-12 * scale; matched by distance,
+    since representatives an ulp apart in real part can sort either way."""
+    if len(got) != len(want):
+        return False
+    dist = np.abs(np.subtract.outer(np.array(got), np.array(want)))
+    return max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= 1e-12 * scale
+
+
+@st.composite
+def clustering_inputs(draw):
+    """Values on a line at spacings near tol, with exact duplicates."""
+    tol = draw(st.just(0.0) | st.floats(1e-9, 1.0))
+    unit = tol if tol > 0 else 1.0
+    distinct = draw(st.integers(1, 12))
+    steps = draw(st.lists(st.floats(0.5, 2.0), min_size=distinct, max_size=distinct))
+    direction = draw(st.sampled_from([1.0, 1j, (3.0 + 4.0j) / 5.0]))
+    base = complex(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)))
+    line = base + direction * unit * np.cumsum(steps)
+    copies = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=30))
+    values = line[copies]
+    masses = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(values), max_size=len(values)))
+    return MFunction(values), FiniteMeasureSpace(np.array(masses)), tol
+
+
+@given(clustering_inputs())
+@settings(max_examples=300, deadline=None)
+def test_ess_range_matches_reference_loop(inputs):
+    f, sp, tol = inputs
+    got = ess_range(f, sp, tol)
+    if tol == 0:
+        # the reference's running mean of copies of one value can round off
+        # it by an ulp, after which a tol = 0 comparison splits the copies;
+        # the clusters are exactly the distinct values
+        assert got == np.unique(f.values).tolist()
+        return
+    want = ess_range_reference(f, sp, tol)
+    scale = float(np.max(np.abs(f.values)))
+    # a value exactly tol from a representative joins or not by the last bits
+    # of the representative, which collapsing copies may change; such ties
+    # show as reference clusters that change when tol moves by 1e-12 * scale
+    near = 1e-12 * scale
+    assume(all(same_clusters(ess_range_reference(f, sp, tol + d), want, scale) for d in (-near, near)))
+    assert same_clusters(got, want, scale)
+
+
+def test_ess_range_follows_a_drifting_representative():
+    # each value outweighs everything before it, so the representative
+    # trails the latest value and one cluster spans many grid cells
+    tol = 1e-3
+    f = MFunction(1j * tol * 0.8 * np.arange(20))
+    sp = FiniteMeasureSpace(100.0 ** np.arange(20))
+    got = ess_range(f, sp, tol)
+    assert len(got) == 1
+    assert same_clusters(got, ess_range_reference(f, sp, tol), float(np.max(np.abs(f.values))))
+
+
+def test_ess_range_matches_reference_on_random_operators():
+    rng = np.random.default_rng(3)
+    for _ in range(1000):
+        T = random_operator(rng, max_n=24)
+        scale = float(np.max(np.abs(T.symbol.values)))
+        for g in (T.symbol, T.symbol_mean):
+            for tol in (1e-12, 1e-8, 0.3):
+                assert same_clusters(
+                    ess_range(g, T.space, tol), ess_range_reference(g, T.space, tol), scale
+                )
 
 
 def test_ess_range_atom_constant_is_bounded_by_atom_count():

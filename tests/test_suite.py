@@ -1,9 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from claim_ids import EXPECTED_CLAIM_IDS
+from ess_range_reference import ess_range_reference
+from wcelab import operator, suite
+from wcelab.measure import ess_range
 from wcelab.suite import DEFAULT_TOLERANCES, run_claim_suite
 
 # one suite run shared by the whole module; it is the expensive part
@@ -84,3 +88,19 @@ def test_tolerance_override_propagates():
     report = run_claim_suite(tolerances={"identity": 1e-6})
     assert report.tolerances["identity"] == 1e-6
     assert report.tolerances["oracle"] == DEFAULT_TOLERANCES["oracle"]
+
+
+def test_ess_range_matches_reference_loop_on_every_suite_call(monkeypatch):
+    calls = []
+
+    def checked(f, sp, tol):
+        got = ess_range(f, sp, tol)
+        want = ess_range_reference(f, sp, tol)
+        scale = float(np.max(np.abs(f.values)))
+        calls.append(len(got) == len(want) and np.allclose(got, want, rtol=0, atol=1e-12 * scale))
+        return got
+
+    monkeypatch.setattr(operator, "ess_range", checked)
+    monkeypatch.setattr(suite, "ess_range", checked)
+    run_claim_suite()
+    assert calls and all(calls)
