@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .measure import MFunction, NotSummableError
+from .measure import MFunction, NotSummableError, realize
 from .operator import (
     UndecidableDomainError,
     WeightedCondExpOperator,
@@ -32,7 +32,9 @@ from .scenarios import (
     ScenarioParameterError,
     SpaceFileError,
     build_scenario,
+    geometric_blowup_spec,
     load_space_file,
+    poisson_parity_spec,
 )
 from .suite import DEFAULT_TOLERANCES, run_claim_suite
 
@@ -113,22 +115,15 @@ def cmd_polar(args) -> int:
     sc = _resolve_scenario(args)
     T = _operator_of(sc)
     parts = polar(T, args.tol)
-    n = T.n
     # reconstruction residual on the full basis
     M = matrix_of(T)
-    sqrt_m = np.sqrt(T.space.masses)
-    U_mat = np.empty((n, n), dtype=complex)
-    A_mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0 / sqrt_m[i]
-        U_mat[:, i] = apply_isometry(T, parts, MFunction(basis)).values * sqrt_m
-        A_mat[:, i] = apply_modulus(T, parts, MFunction(basis)).values * sqrt_m
+    U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
+    A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
     recon = float(np.linalg.norm(U_mat @ A_mat - M))
     sqrt_err = float(np.linalg.norm(A_mat - psd_sqrt(M.conj().T @ M)))
     norm = float(np.linalg.norm(M))
-    print(f"scenario: {sc.name}  (n={n})")
-    print(f"support size of mean-square symbol: {len(parts.support_set)} of {n}")
+    print(f"scenario: {sc.name}  (n={T.n})")
+    print(f"support size of mean-square symbol: {len(parts.support_set)} of {T.n}")
     print(f"reconstruction residual ||U|T| - T||_F: {recon:.3e}")
     print(f"modulus-vs-psd-sqrt residual:           {sqrt_err:.3e}")
     ok = recon <= 1e-10 * max(norm, 1e-300) and sqrt_err <= 1e-8 * max(norm, 1e-300)
@@ -137,16 +132,10 @@ def cmd_polar(args) -> int:
 
 
 def cmd_domain(args) -> int:
-    sc = build_scenario(args.scenario, {})
-    if sc.countable_spec is None:
-        print(f"scenario {sc.name!r} has no countable description", file=sys.stderr)
-        return USAGE_ERROR
     if args.scenario == "poisson-parity":
-        from .scenarios import poisson_parity_spec
-
         spec = poisson_parity_spec(args.theta)
     else:
-        spec = sc.countable_spec
+        spec = geometric_blowup_spec()
     rep = densely_defined(spec, args.tail_tol)
     print(f"scenario: {args.scenario}")
     print(f"densely defined:            {rep.densely_defined}")
@@ -266,12 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit code 2 for usage errors already
-        raise exc
+    # argparse exits with code 2 on usage errors already
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioParameterError, SpaceFileError) as exc:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import FiniteMeasureSpace, MFunction, Partition
+from .measure import FiniteMeasureSpace, MFunction, Partition, realize
 
 __all__ = [
     "atom_masses",
@@ -46,20 +46,10 @@ def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:
 def projection_matrix(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
     """Matrix of the averaging projection in orthonormal coordinates.
 
-    Coordinates are e_i = delta_i / sqrt(mu_i), so the matrix is Hermitian
-    and idempotent with rank equal to the atom count.  Built by applying the
-    projection to each basis vector.
+    Coordinates are e_i = delta_i / sqrt(mu_i) (see ``measure.realize``), so
+    the matrix is Hermitian and idempotent with rank equal to the atom count.
     """
-    p.check_aligned(sp)
-    n = sp.n
-    sqrt_m = np.sqrt(sp.masses)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0 / sqrt_m[i]
-        col = cond_exp(MFunction(basis), p, sp)
-        mat[:, i] = col.values * sqrt_m
-    return mat
+    return realize(sp, lambda f: cond_exp(f, p, sp))
 
 
 @dataclass(frozen=True)

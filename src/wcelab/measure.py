@@ -22,6 +22,7 @@ __all__ = [
     "Truncation",
     "weighted_inner_product",
     "support",
+    "realize",
     "ess_range",
     "truncate",
 ]
@@ -132,17 +133,22 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: list[list[int]], n: int) -> "Partition":
-        """Build from explicit index blocks; blocks must partition range(n)."""
+        """Block a becomes atom a.  Raises ValueError unless the blocks are
+        nonempty lists of integers that partition range(n)."""
         atom_of = np.full(n, -1, dtype=int)
         for a, block in enumerate(blocks):
+            if len(block) == 0:
+                raise ValueError(f"atom {a} is empty")
             for i in block:
-                if i < 0 or i >= n:
-                    raise ValueError(f"point index {i} out of range")
+                if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+                    raise ValueError(f"point index {i!r} is not an integer")
+                if not 0 <= i < n:
+                    raise ValueError(f"point index {i} out of range 0..{n - 1}")
                 if atom_of[i] != -1:
                     raise ValueError(f"point {i} appears in two atoms")
                 atom_of[i] = a
-        if np.any(atom_of == -1):
-            missing = np.nonzero(atom_of == -1)[0]
+        missing = np.flatnonzero(atom_of == -1)
+        if missing.size:
             raise ValueError(f"points {missing.tolist()} not covered by any atom")
         return cls(atom_of)
 
@@ -152,6 +158,22 @@ def weighted_inner_product(f: MFunction, g: MFunction, sp: FiniteMeasureSpace) -
     f.check_aligned(sp)
     g.check_aligned(sp)
     return complex(np.sum(f.values * np.conj(g.values) * sp.masses))
+
+
+def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) -> np.ndarray:
+    """Matrix of a linear map on L^2(mu) in the orthonormal coordinates
+    e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>.  The
+    action is applied once per basis vector, and only its result is used."""
+    n = sp.n
+    sqrt_m = np.sqrt(sp.masses)
+    mat = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        basis = np.zeros(n, dtype=complex)
+        basis[i] = 1.0 / sqrt_m[i]
+        col = action(MFunction(basis))
+        col.check_aligned(sp)
+        mat[:, i] = col.values * sqrt_m
+    return mat
 
 
 def support(f: MFunction, tol: float) -> np.ndarray:

@@ -84,9 +84,6 @@ class WeightedCondExpOperator:
     def n(self) -> int:
         return self.space.n
 
-    def with_symbol(self, symbol: MFunction) -> "WeightedCondExpOperator":
-        return WeightedCondExpOperator(self.space, self.partition, symbol)
-
 
 def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T f = E(u f)."""

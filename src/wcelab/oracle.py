@@ -1,11 +1,12 @@
 """Dense-matrix ground truth, independent of the closed-form layer.
 
 Operators are realized as matrices in the orthonormal coordinates
-e_i = delta_i / sqrt(mu_i) by applying them to each basis vector; nothing
-here reuses the symbol-average formulas.  Only Hermitian eigenproblems
-are solved; spectra are falsified through minimum-singular-value probes
-rather than a general eigendecomposition.  Matrices are kept at order
-<= 256: the oracle is O(n^3), the formula layer O(n).
+e_i = delta_i / sqrt(mu_i) by ``measure.realize``, which applies an
+operator's action to each basis vector; nothing here reuses the
+symbol-average formulas.  Only Hermitian eigenproblems are solved; spectra
+are falsified through minimum-singular-value probes rather than a general
+eigendecomposition.  Matrices are kept at order <= 256: the oracle is
+O(n^3), the formula layer O(n).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import MFunction
+from .measure import realize
 from .operator import SpectrumReport, WeightedCondExpOperator, apply, apply_adjoint
 
 __all__ = [
@@ -47,26 +48,16 @@ def _check_order(n: int) -> None:
         raise ValueError(f"oracle paths are capped at order {MATRIX_ORDER_CAP}, got {n}")
 
 
-def _realize(T: WeightedCondExpOperator, action) -> np.ndarray:
-    n = T.n
-    _check_order(n)
-    sqrt_m = np.sqrt(T.space.masses)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0 / sqrt_m[i]
-        mat[:, i] = action(T, MFunction(basis)).values * sqrt_m
-    return mat
-
-
 def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     """Matrix with entry (j, i) = <T e_i, e_j> in orthonormal coordinates."""
-    return _realize(T, apply)
+    _check_order(T.n)
+    return realize(T.space, lambda f: apply(T, f))
 
 
 def adjoint_matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     """Matrix of the adjoint, built from its own action (not by transposing)."""
-    return _realize(T, apply_adjoint)
+    _check_order(T.n)
+    return realize(T.space, lambda f: apply_adjoint(T, f))
 
 
 def hermitian_eig(H: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:

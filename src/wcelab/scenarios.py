@@ -300,19 +300,10 @@ def load_space_file(path: str) -> Scenario:
     atoms = doc["atoms"]
     if not isinstance(atoms, list) or not all(isinstance(b, list) for b in atoms):
         raise SpaceFileError("'atoms' must be a list of index lists")
-    atom_of = [-1] * n
-    for a, block in enumerate(atoms):
-        for i in block:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise SpaceFileError(f"atom index {i!r} out of range 0..{n - 1}")
-            if atom_of[i] != -1:
-                raise SpaceFileError(f"point {i} appears in more than one atom")
-            atom_of[i] = a
-    if any(a == -1 for a in atom_of):
-        missing = [i for i, a in enumerate(atom_of) if a == -1]
-        raise SpaceFileError(f"points {missing} not covered by the atom lists")
-    if any(not block for block in atoms):
-        raise SpaceFileError("empty atoms are not allowed")
+    try:
+        partition = Partition.from_blocks(atoms, n)
+    except ValueError as exc:
+        raise SpaceFileError(f"'atoms': {exc}") from exc
 
     spec_u = doc["u"]
     if not isinstance(spec_u, dict) or ("values" in spec_u) == ("builtin" in spec_u):
@@ -345,7 +336,7 @@ def load_space_file(path: str) -> Scenario:
         space=FiniteMeasureSpace(
             np.array(masses), labels=np.array(labels) if have_labels else None
         ),
-        partition=Partition(np.array(atom_of)),
+        partition=partition,
         symbol=MFunction(u),
     )
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from wcelab.cli import main as cli_main
-from wcelab.measure import FiniteMeasureSpace, MFunction, Partition, weighted_inner_product
+from wcelab.measure import FiniteMeasureSpace, MFunction, Partition, realize, weighted_inner_product
 from wcelab.operator import (
     WeightedCondExpOperator,
     apply,
@@ -44,17 +44,6 @@ def report(num, ok, detail):
     line = f"criterion {num}: {'PASS' if ok else 'FAIL'} — {detail}"
     print(line)
     assert ok, line
-
-
-def basis_matrix(T, action):
-    n = T.n
-    sqrt_m = np.sqrt(T.space.masses)
-    mat = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[i] = 1.0 / sqrt_m[i]
-        mat[:, i] = action(MFunction(e)).values * sqrt_m
-    return mat
 
 
 def test_criterion_1_interval_averaging_identities():
@@ -135,8 +124,8 @@ def test_criterion_4_polar_decomposition_suite():
         parts = polar(T, 1e-12)
         M = matrix_of(T)
         norm = max(float(np.linalg.norm(M)), 1e-300)
-        U = basis_matrix(T, lambda f: apply_isometry(T, parts, f))
-        A = basis_matrix(T, lambda f: apply_modulus(T, parts, f))
+        U = realize(T.space, lambda f: apply_isometry(T, parts, f))
+        A = realize(T.space, lambda f: apply_modulus(T, parts, f))
         worst_recon = max(worst_recon, float(np.linalg.norm(U @ A - M)) / norm)
         worst_sqrt = max(
             worst_sqrt, float(np.linalg.norm(A - psd_sqrt(M.conj().T @ M))) / norm

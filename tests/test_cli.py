@@ -60,6 +60,13 @@ def test_domain_poisson(capsys):
     assert "sigma-finite restriction:   True" in out
 
 
+def test_domain_poisson_theta(capsys):
+    code, out, _ = run(capsys, "domain", "--scenario", "poisson-parity", "--theta", "10")
+    assert code == 0
+    assert "verdicts agree:             True" in out
+    assert "atom 'odd': converges, mean-square symbol 110.0" in out  # 2.313 if --theta were ignored
+
+
 def test_domain_geometric_blowup(capsys):
     code, out, _ = run(capsys, "domain", "--scenario", "geometric-blowup")
     assert code == 0  # verdicts agree (both negative)

@@ -14,6 +14,7 @@ from wcelab.measure import (
     NotSummableError,
     Partition,
     ess_range,
+    realize,
     support,
     truncate,
     weighted_inner_product,
@@ -56,6 +57,29 @@ def test_partition_from_blocks_rejects_overlap():
 def test_partition_from_blocks_rejects_gap():
     with pytest.raises(ValueError):
         Partition.from_blocks([[0], [2]], 3)
+
+
+@pytest.mark.parametrize("blocks", [[[0, 1], [2], []], [[0], [], [1, 2]]])
+def test_partition_from_blocks_rejects_empty_block(blocks):
+    with pytest.raises(ValueError, match="atom . is empty"):
+        Partition.from_blocks(blocks, 3)
+
+
+@pytest.mark.parametrize("index", [1.0, "1", True, None])
+def test_partition_from_blocks_rejects_non_integer_index(index):
+    with pytest.raises(ValueError, match="not an integer"):
+        Partition.from_blocks([[0, index], [2]], 3)
+
+
+def test_realize_in_orthonormal_coordinates():
+    sp = FiniteMeasureSpace(np.array([0.1, 0.2, 0.7]))
+    u = np.array([1.0, 2j, -3.0])
+    calls = []
+    mat = realize(sp, lambda f: calls.append(f) or MFunction(u * f.values))
+    assert np.allclose(mat, np.diag(u)) and len(calls) == 3  # one action per basis vector
+    assert np.allclose(realize(sp, lambda f: f), np.eye(3))
+    with pytest.raises(DimensionMismatchError):
+        realize(sp, lambda f: MFunction(f.values[:2]))
 
 
 # -------------------------------------------------------------- inner product

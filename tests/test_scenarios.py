@@ -186,6 +186,8 @@ def test_builtin_symbols(tmp_path):
         lambda d: d["atoms"].__setitem__(0, [0, 1, 2]),  # overlap with atom 1
         lambda d: d["atoms"].__setitem__(1, []),  # empty atom + uncovered point
         lambda d: d["atoms"].__setitem__(1, [5]),  # index out of range
+        lambda d: d["atoms"].__setitem__(1, [2.0]),  # non-integer index
+        lambda d: d["atoms"].append([]),  # trailing empty atom
         lambda d: d["u"].update(builtin="exp_label0"),  # both values and builtin
         lambda d: d["u"]["values"].pop(),  # wrong length
         lambda d: d.update(u={"builtin": "no-such"}),
