@@ -343,7 +343,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
             )
         per_atom[a] = AtomDomainVerdict(
             converges=True,
-            sq_mean=(s + tail) / masses[a] if masses[a] > 0 else 0.0,
+            sq_mean=s / masses[a] if masses[a] > 0 else 0.0,
             partial_sum=s,
             tail_bound=tail,
             terms_used=counts[a],

@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 MATRIX_ORDER_CAP = 256
+_TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
 
 
 class NotHermitianError(ValueError):
@@ -60,27 +61,27 @@ def adjoint_matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     return realize(T.space, lambda f: apply_adjoint(T, f))
 
 
-def hermitian_eig(H: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix; eigenvalues ascending, V unitary.
 
-    Rejects inputs whose anti-Hermitian part exceeds tol * ||H||_F.
+    Rejects inputs whose anti-Hermitian part exceeds 1e-8 * ||H||_F.
     """
     H = np.asarray(H, dtype=complex)
     _check_order(H.shape[0])
     norm = np.linalg.norm(H)
     skew = np.linalg.norm(H - H.conj().T)
-    if skew > tol * max(norm, 1e-300):
+    if skew > _TOL * max(norm, 1e-300):
         raise NotHermitianError(
-            f"anti-Hermitian part {skew:.3e} exceeds {tol:.1e} * ||H|| = {tol * norm:.3e}"
+            f"anti-Hermitian part {skew:.3e} exceeds {_TOL:.1e} * ||H|| = {_TOL * norm:.3e}"
         )
     w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
     return w, v
 
 
-def psd_sqrt(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def psd_sqrt(H: np.ndarray) -> np.ndarray:
     """Positive square root of a Hermitian PSD matrix.
 
-    Eigenvalues in [-tol * ||H||, 0) are clamped to 0; anything more
+    Eigenvalues in [-1e-8 * ||H||, 0) are clamped to 0; anything more
     negative is an error.  Eigenvalues at the eigensolver's noise floor
     (order n * eps * ||H||) are also treated as exact zeros: taking their
     square root would otherwise inflate pure rounding noise on a true
@@ -89,8 +90,8 @@ def psd_sqrt(H: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     H = np.asarray(H, dtype=complex)
     w, v = hermitian_eig(H)
     norm = float(np.linalg.norm(H))
-    if w.size and w[0] < -tol * max(norm, 1e-300):
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{tol:.1e} * ||H||")
+    if w.size and w[0] < -_TOL * max(norm, 1e-300):
+        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{_TOL:.1e} * ||H||")
     noise_floor = H.shape[0] * np.finfo(float).eps * norm
     root = np.sqrt(np.where(w <= noise_floor, 0.0, w))
     return (v * root) @ v.conj().T
@@ -186,15 +187,14 @@ class SpectrumProbeResult:
 def spectrum_probe_check(
     T: WeightedCondExpOperator,
     report: SpectrumReport,
-    n_random_probes: int = 4,
     seed: int = 0,
 ) -> SpectrumProbeResult:
     """Verify a claimed spectrum by minimum-singular-value probing.
 
     Every claimed value must nearly annihilate M - lambda I; probes taken
-    at midpoints between sorted claimed values and at random points outside
-    their convex hull must stay spectrally far, quantified against the
-    probe's distance to the claimed set.
+    at midpoints between sorted claimed values and at four random points
+    outside their convex hull must stay spectrally far, quantified against
+    the probe's distance to the claimed set.
     """
     M = matrix_of(T)
     norm = float(np.linalg.norm(M))
@@ -207,7 +207,7 @@ def spectrum_probe_check(
             probes.append((a + b) / 2.0)
     rng = np.random.default_rng(seed)
     radius = max((abs(v) for v in values), default=0.0)
-    for _ in range(n_random_probes):
+    for _ in range(4):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         r = radius + 1.0 + rng.uniform(0.0, 1.0)
         probes.append(complex(r * np.cos(angle), r * np.sin(angle)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,85 +79,71 @@ def build_full_algebra(n: int, symbol: np.ndarray | None = None) -> Scenario:
     )
 
 
-def build_trivial_algebra(n: int, symbol: np.ndarray | None = None) -> Scenario:
+def build_trivial_algebra(n: int) -> Scenario:
     """One atom: the operator maps f to the constant mean of u*f (rank <= 1)."""
     if n < 1:
         raise ScenarioParameterError("n must be >= 1")
-    u = _default_symbol(n) if symbol is None else np.asarray(symbol, dtype=complex)
     return Scenario(
         name="trivial-algebra",
         parameters={"n": n},
         space=FiniteMeasureSpace(np.full(n, 1.0 / n)),
         partition=Partition(np.zeros(n, dtype=int)),
-        symbol=MFunction(u),
+        symbol=MFunction(_default_symbol(n)),
     )
 
 
-def build_block_partition(
-    n: int,
-    m: int,
-    masses: np.ndarray | None = None,
-    symbol: np.ndarray | None = None,
-) -> Scenario:
-    """m contiguous atoms over n points."""
+def build_block_partition(n: int, m: int) -> Scenario:
+    """m contiguous atoms over n points, uniform masses."""
     if not 1 <= m <= n:
         raise ScenarioParameterError(f"need 1 <= m <= n, got m={m} n={n}")
     bounds = np.linspace(0, n, m + 1).astype(int)
     atom_of = np.empty(n, dtype=int)
     for a in range(m):
         atom_of[bounds[a] : bounds[a + 1]] = a
-    w = np.full(n, 1.0 / n) if masses is None else np.asarray(masses, dtype=float)
-    u = _default_symbol(n) if symbol is None else np.asarray(symbol, dtype=complex)
     return Scenario(
         name="block-partition",
         parameters={"n": n, "m": m},
-        space=FiniteMeasureSpace(w),
+        space=FiniteMeasureSpace(np.full(n, 1.0 / n)),
         partition=Partition(atom_of),
-        symbol=MFunction(u),
+        symbol=MFunction(_default_symbol(n)),
     )
 
 
-def build_product_grid(
-    m: int, symbol_fn: Callable[[float, float], complex] | None = None
-) -> Scenario:
+def build_product_grid(m: int) -> Scenario:
     """m x m midpoint grid on the unit square, mass 1/m^2 per point.
 
     Atoms are the rows of constant first coordinate, so averaging
     integrates out the second coordinate (exactly, for symbols linear in it).
-    Default symbol: u(x, y) = y.
+    Symbol: u(x, y) = y.
     """
     if m < 2:
         raise ScenarioParameterError("m must be >= 2")
-    fn = symbol_fn if symbol_fn is not None else (lambda x, y: y)
     xs = (np.arange(m) + 0.5) / m
     labels = np.array([(x, y) for x in xs for y in xs])
     atom_of = np.repeat(np.arange(m), m)
-    u = np.array([fn(x, y) for x, y in labels], dtype=complex)
     return Scenario(
         name="product-grid",
         parameters={"m": m},
         space=FiniteMeasureSpace(np.full(m * m, 1.0 / (m * m)), labels=labels),
         partition=Partition(atom_of),
-        symbol=MFunction(u),
+        symbol=MFunction(labels[:, 1].astype(complex)),
     )
 
 
-def build_symmetric_interval(
-    N: int, symbol_fn: Callable[[float], complex] | None = None
-) -> Scenario:
+def build_symmetric_interval(N: int) -> Scenario:
     """N symmetric midpoint nodes on [-1, 1] with mass 1/N each.
 
     Atoms pair each node with its mirror image, so averaging is exactly
     (f(x) + f(-x)) / 2 at the nodes.  N must be even (a node at 0 would
-    break the mirror pairing).  Default symbol: exp(x).
+    break the mirror pairing).  Symbol: exp(x).
     """
     if N < 2 or N % 2:
         raise ScenarioParameterError("N must be even and >= 2")
-    fn = symbol_fn if symbol_fn is not None else (lambda x: math.exp(x))
     k = np.arange(N)
     x = -1.0 + (k + 0.5) * 2.0 / N
     atom_of = np.minimum(k, N - 1 - k)
-    u = np.array([fn(xi) for xi in x], dtype=complex)
+    # math.exp per node: np.exp may differ from it in the last bit
+    u = np.array([math.exp(xi) for xi in x], dtype=complex)
     return Scenario(
         name="symmetric-interval",
         parameters={"N": N},
@@ -239,8 +226,9 @@ def geometric_blowup_spec() -> CountableSpaceSpec:
     )
 
 
-def build_geometric_blowup(tail_tol: float = 2.0**-10) -> Scenario:
+def build_geometric_blowup() -> Scenario:
     spec = geometric_blowup_spec()
+    tail_tol = 2.0**-10
     trunc = truncate(spec, tail_tol)
     return Scenario(
         name="geometric-blowup",
@@ -255,11 +243,17 @@ def build_geometric_blowup(tail_tol: float = 2.0**-10) -> Scenario:
 _BUILTIN_SYMBOLS = ("exp_label0", "identity_label0", "sign_alternating")
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number that is not a boolean and converts to a finite float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def load_space_file(path: str) -> Scenario:
     """Read a space-description file (JSON).
 
-    Schema: top-level keys ``points`` (records with positive ``weight`` and
-    optional ``label`` list), ``atoms`` (lists of zero-based point indices
+    Schema: top-level keys ``points`` (records with a positive finite
+    ``weight`` and an optional ``label``, a list of numbers of one length
+    for all points), ``atoms`` (lists of zero-based point indices
     that must partition the index range), ``u`` (either ``values``: list of
     [re, im] pairs, or ``builtin``: one of exp_label0 / identity_label0 /
     sign_alternating), optional ``name``.
@@ -285,8 +279,8 @@ def load_space_file(path: str) -> Scenario:
         if not isinstance(rec, dict) or "weight" not in rec:
             raise SpaceFileError("each point needs a 'weight'")
         w = rec["weight"]
-        if not isinstance(w, (int, float)) or w <= 0:
-            raise SpaceFileError(f"point weight must be positive, got {w!r}")
+        if not _is_finite_number(w) or w <= 0:
+            raise SpaceFileError(f"point weight must be a positive finite number, got {w!r}")
         masses.append(float(w))
         has = "label" in rec
         if have_labels is None:
@@ -294,7 +288,12 @@ def load_space_file(path: str) -> Scenario:
         elif have_labels != has:
             raise SpaceFileError("either all points carry labels or none do")
         if has:
-            labels.append([float(v) for v in rec["label"]])
+            lab = rec["label"]
+            if not isinstance(lab, list) or not all(_is_finite_number(v) for v in lab):
+                raise SpaceFileError(f"point label must be a list of numbers, got {lab!r}")
+            if labels and len(lab) != len(labels[0]):
+                raise SpaceFileError("all point labels must have the same length")
+            labels.append([float(v) for v in lab])
     n = len(masses)
 
     atoms = doc["atoms"]
@@ -310,12 +309,13 @@ def load_space_file(path: str) -> Scenario:
         raise SpaceFileError("'u' must carry exactly one of 'values' or 'builtin'")
     if "values" in spec_u:
         vals = spec_u["values"]
+        if not isinstance(vals, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(map(_is_finite_number, p)) for p in vals
+        ):
+            raise SpaceFileError("'u.values' must be a list of [re, im] number pairs")
         if len(vals) != n:
             raise SpaceFileError(f"'u.values' has {len(vals)} entries for {n} points")
-        try:
-            u = np.array([complex(re, im) for re, im in vals])
-        except (TypeError, ValueError) as exc:
-            raise SpaceFileError(f"'u.values' entries must be [re, im] pairs: {exc}")
+        u = np.array([complex(re, im) for re, im in vals])
     else:
         builtin = spec_u["builtin"]
         if builtin not in _BUILTIN_SYMBOLS:
@@ -325,8 +325,8 @@ def load_space_file(path: str) -> Scenario:
         if builtin == "sign_alternating":
             u = np.array([(-1.0) ** i for i in range(n)], dtype=complex)
         else:
-            if not have_labels:
-                raise SpaceFileError(f"builtin {builtin!r} needs point labels")
+            if not have_labels or not labels[0]:
+                raise SpaceFileError(f"builtin {builtin!r} needs nonempty point labels")
             first = np.array([lab[0] for lab in labels])
             u = np.exp(first).astype(complex) if builtin == "exp_label0" else first.astype(complex)
 

@@ -151,8 +151,8 @@ def _spectrum_entry(
     reference: str,
     T: WeightedCondExpOperator,
     expected_values: list[complex],
-    provenance: str,
     tols: dict[str, float],
+    provenance: str = "published",
     note: str = "",
 ) -> ClaimEntry:
     rep = spectrum_formula(T, tols["identity"])
@@ -179,18 +179,68 @@ def _spectrum_entry(
     )
 
 
-def _bounded_entry(claim_id: str, reference: str, T, tols) -> ClaimEntry:
-    """Closedness claims reduce to boundedness on a finite space."""
-    norm = float(np.linalg.norm(matrix_of(T)))
+def _finite_entry(
+    claim_id: str, reference: str, computed: dict, value: float, note: str = ""
+) -> ClaimEntry:
+    """A published claim that holds iff ``value`` is finite."""
     return ClaimEntry(
         claim_id=claim_id,
         reference=reference,
-        computed={"frobenius_norm": norm},
+        computed=computed,
         expected={"finite": True},
         provenance="published",
-        status="pass" if math.isfinite(norm) else "fail",
-        tolerances={},
-        note="finite discretization: bounded, hence closed",
+        status="pass" if math.isfinite(value) else "fail",
+        note=note,
+    )
+
+
+def _bounded_entry(claim_id: str, reference: str, T) -> ClaimEntry:
+    """Closedness claims reduce to boundedness on a finite space."""
+    norm = float(np.linalg.norm(matrix_of(T)))
+    note = "finite discretization: bounded, hence closed"
+    return _finite_entry(claim_id, reference, {"frobenius_norm": norm}, norm, note)
+
+
+def _iff_entry(claim_id: str, reference: str, verdict: str, yes, no, tols) -> ClaimEntry:
+    """A published "<verdict> iff <condition>" claim, shown on one symbol that
+    meets the condition and one that violates it.  ``yes`` and ``no`` are
+    ``(name, _classification_agrees(...))`` pairs.
+
+    The verdict must hold on the yes case and fail on the no case, with the
+    oracle agreeing on both.  The self-adjointness conditions are stated for
+    normal operators, so a self-adjointness claim's no case must be normal:
+    otherwise it would fail for a reason other than the one the claim names.
+    """
+    (yes_name, (yes_comp, yes_agree)), (no_name, (no_comp, no_agree)) = yes, no
+    ok = yes_agree and no_agree and yes_comp[verdict] and not no_comp[verdict]
+    if verdict == "self_adjoint":
+        ok = ok and no_comp["normal"]
+    return ClaimEntry(
+        claim_id=claim_id,
+        reference=reference,
+        computed={yes_name: yes_comp, no_name: no_comp},
+        expected={yes_name: True, no_name: False},
+        provenance="published",
+        status="pass" if ok else "fail",
+        tolerances={"oracle": tols["oracle"]},
+    )
+
+
+def _fails_entry(
+    claim_id: str, reference: str, verdict: str, result, tols, provenance="published", note=""
+) -> ClaimEntry:
+    """A "not <verdict>" claim: the verdict fails and the oracle agrees.
+    ``result`` is a ``_classification_agrees`` pair."""
+    comp, agree = result
+    return ClaimEntry(
+        claim_id=claim_id,
+        reference=reference,
+        computed=comp,
+        expected={verdict: False},
+        provenance=provenance,
+        status="pass" if (not comp[verdict] and agree) else "fail",
+        tolerances={"oracle": tols["oracle"]},
+        note=note,
     )
 
 
@@ -204,119 +254,81 @@ def _case1_entries(tols) -> list[ClaimEntry]:
     u = np.array([1 + 1j, 2.0, -0.5 + 0.25j, 3.0, 0.7 - 2j, 1.5])
     sc = build_full_algebra(6, symbol=u)
     T = _op(sc)
-    out = []
+    tol = tols["oracle"]
     sq_max = float(np.max(np.abs(u) ** 2))
-    out.append(
-        ClaimEntry(
-            claim_id="full-algebra.densely-defined",
-            reference="example (i) case 1, claim (a)",
-            computed={"max_sq_symbol": sq_max, "finite": math.isfinite(sq_max)},
-            expected={"finite": True},
-            provenance="published",
-            status="pass" if math.isfinite(sq_max) else "fail",
-        )
-    )
     real = _op(sc, np.array([1.0, -2.0, 0.5, 3.0, 0.0, 4.0]))
-    comp_r, ok_r = _classification_agrees(real, tols["oracle"])
-    comp_c, ok_c = _classification_agrees(T, tols["oracle"])
-    ok = ok_r and ok_c and comp_r["self_adjoint"] and not comp_c["self_adjoint"]
-    out.append(
-        ClaimEntry(
-            claim_id="full-algebra.self-adjoint-iff-real",
-            reference="example (i) case 1, claim (b)1",
-            computed={"real_symbol": comp_r, "complex_symbol": comp_c},
-            expected={"real_symbol": True, "complex_symbol": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(
-        _bounded_entry("full-algebra.closed", "example (i) case 1, claim (b)2", T, tols)
-    )
-    out.append(
+    return [
+        _finite_entry(
+            "full-algebra.densely-defined",
+            "example (i) case 1, claim (a)",
+            {"max_sq_symbol": sq_max, "finite": math.isfinite(sq_max)},
+            sq_max,
+        ),
+        _iff_entry(
+            "full-algebra.self-adjoint-iff-real",
+            "example (i) case 1, claim (b)1",
+            "self_adjoint",
+            ("real_symbol", _classification_agrees(real, tol)),
+            ("complex_symbol", _classification_agrees(T, tol)),
+            tols,
+        ),
+        _bounded_entry("full-algebra.closed", "example (i) case 1, claim (b)2", T),
         _spectrum_entry(
             "full-algebra.spectrum-is-range",
             "example (i) case 1, claim (b)3",
             T,
             ess_range(T.symbol, T.space, tols["identity"]),
-            provenance="published",
             tols=tols,
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _case2_entries(tols) -> list[ClaimEntry]:
     sc = build_trivial_algebra(4)  # symbol (1, 2, 3, 4), uniform masses
     T = _op(sc)
-    out = []
+    tol = tols["oracle"]
     sq_mean = float(T.symbol_sq_mean.values[0].real)
-    out.append(
-        ClaimEntry(
-            claim_id="trivial-algebra.densely-defined",
-            reference="example (i) case 2, claim (a)",
-            computed={"mean_sq_symbol": sq_mean},
-            expected={"finite": True},
-            provenance="published",
-            status="pass" if math.isfinite(sq_mean) else "fail",
-        )
-    )
-    comp_var, ok_var = _classification_agrees(T, tols["oracle"])
-    comp_const, ok_const = _classification_agrees(_op(sc, np.full(4, 2.0)), tols["oracle"])
-    ok = ok_var and ok_const and comp_const["normal"] and not comp_var["normal"]
-    out.append(
-        ClaimEntry(
-            claim_id="trivial-algebra.normal-iff-constant",
-            reference="example (i) case 2, claim (b)1",
-            computed={"constant_symbol": comp_const, "varying_symbol": comp_var},
-            expected={"constant_symbol": True, "varying_symbol": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    comp_imag, ok_imag = _classification_agrees(_op(sc, np.full(4, 2.0j)), tols["oracle"])
-    ok = (
-        ok_const
-        and ok_imag
-        and comp_const["self_adjoint"]
-        and comp_imag["normal"]
-        and not comp_imag["self_adjoint"]
-    )
-    out.append(
-        ClaimEntry(
-            claim_id="trivial-algebra.self-adjoint-iff-real-constant",
-            reference="example (i) case 2, claim (b)2",
-            computed={"real_constant": comp_const, "imaginary_constant": comp_imag},
-            expected={"real_constant": True, "imaginary_constant": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(
-        _bounded_entry("trivial-algebra.closed", "example (i) case 2, claim (b)3", T, tols)
-    )
-    out.append(
+    const = _classification_agrees(_op(sc, np.full(4, 2.0)), tol)
+    return [
+        _finite_entry(
+            "trivial-algebra.densely-defined",
+            "example (i) case 2, claim (a)",
+            {"mean_sq_symbol": sq_mean},
+            sq_mean,
+        ),
+        _iff_entry(
+            "trivial-algebra.normal-iff-constant",
+            "example (i) case 2, claim (b)1",
+            "normal",
+            ("constant_symbol", const),
+            ("varying_symbol", _classification_agrees(T, tol)),
+            tols,
+        ),
+        _iff_entry(
+            "trivial-algebra.self-adjoint-iff-real-constant",
+            "example (i) case 2, claim (b)2",
+            "self_adjoint",
+            ("real_constant", const),
+            ("imaginary_constant", _classification_agrees(_op(sc, np.full(4, 2.0j)), tol)),
+            tols,
+        ),
+        _bounded_entry("trivial-algebra.closed", "example (i) case 2, claim (b)3", T),
         _spectrum_entry(
             "trivial-algebra.spectrum",
             "example (i) case 2, claim (b)4",
             T,
             [0.0, 2.5],
-            provenance="published",
             tols=tols,
             note=ZERO_NOTE + "; published value is the mean 2.5 alone",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _case3_entries(tols) -> list[ClaimEntry]:
     sc = build_block_partition(8, 3)
     u = np.array([0.4 + 1j, -1.0, 2.5, 0.3 - 0.7j, 1.1, -2.0 + 0.5j, 0.9, 1.7])
     T = _op(sc, u)
-    out = []
+    tol = tols["oracle"]
     # per-atom beta values by independent direct summation
     beta_direct = []
     for a in range(sc.partition.atom_count):
@@ -328,7 +340,13 @@ def _case3_entries(tols) -> list[ClaimEntry]:
         MFunction(np.abs(u) ** 2), sc.partition, sc.space
     ).real
     err = float(np.max(np.abs(sq_mean_atoms - np.array(beta_direct))))
-    out.append(
+    atom_const = np.array([1 + 1j, 2.0, -1.0])[sc.partition.atom_of]
+    atom_const_real = np.array([1.0, 2.0, -1.0])[sc.partition.atom_of]
+    complex_const = _classification_agrees(_op(sc, atom_const), tol)
+    # indicator-style symbol: atom means and atom mean-squares coincide, so
+    # the published value set and the mean-based rule agree on this instance
+    indicator = np.array([0.0, 1.0, 1.0])[sc.partition.atom_of]
+    return [
         ClaimEntry(
             claim_id="block-partition.sq-mean-per-atom",
             reference="example (i) case 3, claim (a)",
@@ -337,66 +355,44 @@ def _case3_entries(tols) -> list[ClaimEntry]:
             provenance="derived",
             status="pass" if err <= tols["exact"] else "fail",
             tolerances={"exact": tols["exact"]},
-        )
-    )
-    atom_const = np.array([1 + 1j, 2.0, -1.0])[sc.partition.atom_of]
-    comp_ac, ok_ac = _classification_agrees(_op(sc, atom_const), tols["oracle"])
-    comp_gen, ok_gen = _classification_agrees(T, tols["oracle"])
-    ok = ok_ac and ok_gen and comp_ac["normal"] and not comp_gen["normal"]
-    out.append(
-        ClaimEntry(
-            claim_id="block-partition.normal-iff-atom-constant",
-            reference="example (i) case 3, claim (b)1",
-            computed={"atom_constant": comp_ac, "generic": comp_gen},
-            expected={"atom_constant": True, "generic": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    atom_const_real = np.array([1.0, 2.0, -1.0])[sc.partition.atom_of]
-    comp_acr, ok_acr = _classification_agrees(_op(sc, atom_const_real), tols["oracle"])
-    ok = ok_acr and ok_ac and comp_acr["self_adjoint"] and not comp_ac["self_adjoint"]
-    out.append(
-        ClaimEntry(
-            claim_id="block-partition.self-adjoint-iff-real-atom-constant",
-            reference="example (i) case 3, claim (b)2",
-            computed={"real_atom_constant": comp_acr, "complex_atom_constant": comp_ac},
-            expected={"real_atom_constant": True, "complex_atom_constant": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(
-        _bounded_entry("block-partition.closed", "example (i) case 3, claim (b)3", T, tols)
-    )
-    # indicator-style symbol: atom means and atom mean-squares coincide, so
-    # the published value set and the mean-based rule agree on this instance
-    indicator = np.array([0.0, 1.0, 1.0])[sc.partition.atom_of]
-    out.append(
+        ),
+        _iff_entry(
+            "block-partition.normal-iff-atom-constant",
+            "example (i) case 3, claim (b)1",
+            "normal",
+            ("atom_constant", complex_const),
+            ("generic", _classification_agrees(T, tol)),
+            tols,
+        ),
+        _iff_entry(
+            "block-partition.self-adjoint-iff-real-atom-constant",
+            "example (i) case 3, claim (b)2",
+            "self_adjoint",
+            ("real_atom_constant", _classification_agrees(_op(sc, atom_const_real), tol)),
+            ("complex_atom_constant", complex_const),
+            tols,
+        ),
+        _bounded_entry("block-partition.closed", "example (i) case 3, claim (b)3", T),
         _spectrum_entry(
             "block-partition.spectrum",
             "example (i) case 3, claim (b)4",
             _op(sc, indicator),
             [0.0, 1.0],
-            provenance="published",
             tols=tols,
             note=(
                 "published set uses the atom averages of |u|^2; for general "
                 "symbols the spectrum follows the atom averages of u (plus 0), "
                 "which this indicator instance makes identical"
             ),
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _product_grid_entries(tols) -> list[ClaimEntry]:
     m = 8
     sc = build_product_grid(m)  # u(x, y) = y
     T = _op(sc)
-    out = []
+    tol = tols["oracle"]
     # averaging integrates out the second coordinate; midpoint sums are the
     # independent oracle
     f = MFunction(
@@ -408,7 +404,10 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
     err = float(np.max(np.abs(ef.values - row_means)))
     mean_u_err = float(np.max(np.abs(T.symbol_mean.values - 0.5)))
     ok = err <= tols["exact"] and mean_u_err <= tols["exact"]
-    out.append(
+    sq = float(np.max(T.symbol_sq_mean.values.real))
+    g_of_x = np.array([1.0 + x for x, _ in sc.space.labels], dtype=complex)
+    row = _classification_agrees(_op(sc, g_of_x), tol)
+    return [
         ClaimEntry(
             claim_id="product-grid.averaging",
             reference="example (ii), averaging formula",
@@ -417,77 +416,50 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
             provenance="derived",
             status="pass" if ok else "fail",
             tolerances={"exact": tols["exact"]},
-        )
-    )
-    sq = float(np.max(T.symbol_sq_mean.values.real))
-    out.append(
-        ClaimEntry(
-            claim_id="product-grid.densely-defined",
-            reference="example (ii), claim (a)",
-            computed={"max_sq_mean": sq},
-            expected={"finite": True},
-            provenance="published",
-            status="pass" if math.isfinite(sq) else "fail",
-        )
-    )
-    g_of_x = np.array([1.0 + x for x, _ in sc.space.labels], dtype=complex)
-    comp_row, ok_row = _classification_agrees(_op(sc, g_of_x), tols["oracle"])
-    comp_y, ok_y = _classification_agrees(T, tols["oracle"])
-    ok = ok_row and ok_y and comp_row["normal"] and not comp_y["normal"]
-    out.append(
-        ClaimEntry(
-            claim_id="product-grid.normal-iff-first-coordinate-only",
-            reference="example (ii), claim (b)1",
-            computed={"row_symbol": comp_row, "second_coordinate_symbol": comp_y},
-            expected={"row_symbol": True, "second_coordinate_symbol": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    comp_imag, ok_imag = _classification_agrees(_op(sc, 1j * g_of_x), tols["oracle"])
-    ok = (
-        ok_row
-        and ok_imag
-        and comp_row["self_adjoint"]
-        and comp_imag["normal"]
-        and not comp_imag["self_adjoint"]
-    )
-    out.append(
-        ClaimEntry(
-            claim_id="product-grid.self-adjoint-iff-real-row-symbol",
-            reference="example (ii), claim (b)2",
-            computed={"real_row_symbol": comp_row, "imaginary_row_symbol": comp_imag},
-            expected={"real_row_symbol": True, "imaginary_row_symbol": False},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(_bounded_entry("product-grid.closed", "example (ii), claim (b)3", T, tols))
-    out.append(
+        ),
+        _finite_entry(
+            "product-grid.densely-defined", "example (ii), claim (a)", {"max_sq_mean": sq}, sq
+        ),
+        _iff_entry(
+            "product-grid.normal-iff-first-coordinate-only",
+            "example (ii), claim (b)1",
+            "normal",
+            ("row_symbol", row),
+            ("second_coordinate_symbol", _classification_agrees(T, tol)),
+            tols,
+        ),
+        _iff_entry(
+            "product-grid.self-adjoint-iff-real-row-symbol",
+            "example (ii), claim (b)2",
+            "self_adjoint",
+            ("real_row_symbol", row),
+            ("imaginary_row_symbol", _classification_agrees(_op(sc, 1j * g_of_x), tol)),
+            tols,
+        ),
+        _bounded_entry("product-grid.closed", "example (ii), claim (b)3", T),
         _spectrum_entry(
             "product-grid.spectrum",
             "example (ii), claim (b)4",
             T,
             [0.0, 0.5],
-            provenance="published",
             tols=tols,
             note=ZERO_NOTE + "; published set is the row integrals {1/2}",
-        )
-    )
-    return out
+        ),
+    ]
 
 
-def _symmetric_interval_entries(tols, N=32) -> list[ClaimEntry]:
+def _symmetric_interval_entries(tols) -> list[ClaimEntry]:
+    N = 32
     sc = build_symmetric_interval(N)
     T = _op(sc)
     x = sc.space.labels[:, 0]
-    out = []
     err_sq = float(np.max(np.abs(T.symbol_sq_mean.values - np.cosh(2 * x))))
     err_mean = float(np.max(np.abs(T.symbol_mean.values - np.cosh(x))))
     ok = err_sq <= tols["exact"] and err_mean <= tols["exact"]
-    out.append(
+    sq = float(np.max(T.symbol_sq_mean.values.real))
+    comp = _classification_agrees(T, tols["oracle"])
+    expected = sorted({complex(np.cosh(xi)) for xi in x[: N // 2]}, key=lambda z: z.real)
+    return [
         ClaimEntry(
             claim_id="symmetric-interval.hyperbolic-identities",
             reference="example (iii), averaging identities",
@@ -496,57 +468,33 @@ def _symmetric_interval_entries(tols, N=32) -> list[ClaimEntry]:
             provenance="published",
             status="pass" if ok else "fail",
             tolerances={"exact": tols["exact"]},
-        )
-    )
-    out.append(
-        ClaimEntry(
-            claim_id="symmetric-interval.densely-defined",
-            reference="example (iii), claim (a)",
-            computed={"max_sq_mean": float(np.max(T.symbol_sq_mean.values.real))},
-            expected={"finite": True},
-            provenance="published",
-            status="pass",
-        )
-    )
-    comp, agree = _classification_agrees(T, tols["oracle"])
-    out.append(
-        ClaimEntry(
-            claim_id="symmetric-interval.not-normal",
-            reference="example (iii), claim (b)",
-            computed=comp,
-            expected={"normal": False},
-            provenance="published",
-            status="pass" if (not comp["normal"] and agree) else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(
-        ClaimEntry(
-            claim_id="symmetric-interval.not-self-adjoint",
-            reference="example (iii), claim (c)",
-            computed=comp,
-            expected={"self_adjoint": False},
-            provenance="published",
-            status="pass" if (not comp["self_adjoint"] and agree) else "fail",
-            tolerances={"oracle": tols["oracle"]},
-        )
-    )
-    out.append(
-        _bounded_entry("symmetric-interval.closed", "example (iii), claim (d)", T, tols)
-    )
-    expected = sorted({complex(np.cosh(xi)) for xi in x[: N // 2]}, key=lambda z: z.real)
-    out.append(
+        ),
+        _finite_entry(
+            "symmetric-interval.densely-defined",
+            "example (iii), claim (a)",
+            {"max_sq_mean": sq},
+            sq,
+        ),
+        _fails_entry(
+            "symmetric-interval.not-normal", "example (iii), claim (b)", "normal", comp, tols
+        ),
+        _fails_entry(
+            "symmetric-interval.not-self-adjoint",
+            "example (iii), claim (c)",
+            "self_adjoint",
+            comp,
+            tols,
+        ),
+        _bounded_entry("symmetric-interval.closed", "example (iii), claim (d)", T),
         _spectrum_entry(
             "symmetric-interval.spectrum",
             "example (iii), claim (e)",
             T,
             [0.0] + expected,
-            provenance="published",
             tols=tols,
             note=ZERO_NOTE + "; published set is the cosh range over the interval",
-        )
-    )
-    return out
+        ),
+    ]
 
 
 def _poisson_series_mean(theta: float, start: int, terms: int = 300) -> float:
@@ -560,45 +508,11 @@ def _poisson_series_mean(theta: float, start: int, terms: int = 300) -> float:
     return num / den
 
 
-def _poisson_entries(tols, theta=1.0, tail_tol=1e-12) -> list[ClaimEntry]:
+def _poisson_entries(tols) -> list[ClaimEntry]:
+    theta, tail_tol = 1.0, 1e-12
     sc = build_poisson_parity(theta, tail_tol)
     T = _op(sc)
-    out = []
     dom = densely_defined(sc.countable_spec, tail_tol)
-    ok = dom.densely_defined and dom.verdicts_agree
-    out.append(
-        ClaimEntry(
-            claim_id="poisson-parity.densely-defined",
-            reference="example (iv), claim (a)",
-            computed={
-                "densely_defined": dom.densely_defined,
-                "sigma_finite_restriction": dom.sigma_finite_restriction,
-            },
-            expected={"densely_defined": True},
-            provenance="published",
-            status="pass" if ok else "fail",
-            tolerances={"tail": tail_tol},
-        )
-    )
-    comp, agree = _classification_agrees(T, tols["oracle"])
-    out.append(
-        ClaimEntry(
-            claim_id="poisson-parity.not-normal",
-            reference="example (iv), claim (b)",
-            computed=comp,
-            expected={"normal": False},
-            provenance="derived",
-            status="pass" if (not comp["normal"] and agree) else "fail",
-            tolerances={"oracle": tols["oracle"]},
-            note=(
-                "verdict via atom-constancy of the symbol; the published "
-                "condition mixes the distribution parameter with the points "
-                "and is not implemented as stated"
-            ),
-        )
-    )
-    out.append(_bounded_entry("poisson-parity.closed", "example (iv), claim (c)", T, tols))
-
     atom_vals = {
         aid: float(v.real)
         for aid, v in zip(
@@ -608,22 +522,46 @@ def _poisson_entries(tols, theta=1.0, tail_tol=1e-12) -> list[ClaimEntry]:
     }
     odd_published = theta / math.tanh(theta)
     odd_series = _poisson_series_mean(theta, 1)
-    err = abs(atom_vals["odd"] - odd_published)
-    out.append(
+    odd_err = abs(atom_vals["odd"] - odd_published)
+    even_published = (math.cosh(theta) - 1.0) / math.cosh(theta)
+    even_series = _poisson_series_mean(theta, 2)
+    even_closed = theta * math.sinh(theta) / (math.cosh(theta) - 1.0)
+    return [
+        ClaimEntry(
+            claim_id="poisson-parity.densely-defined",
+            reference="example (iv), claim (a)",
+            computed={
+                "densely_defined": dom.densely_defined,
+                "sigma_finite_restriction": dom.sigma_finite_restriction,
+            },
+            expected={"densely_defined": True},
+            provenance="published",
+            status="pass" if dom.densely_defined and dom.verdicts_agree else "fail",
+            tolerances={"tail": tail_tol},
+        ),
+        _fails_entry(
+            "poisson-parity.not-normal",
+            "example (iv), claim (b)",
+            "normal",
+            _classification_agrees(T, tols["oracle"]),
+            tols,
+            provenance="derived",
+            note=(
+                "verdict via atom-constancy of the symbol; the published "
+                "condition mixes the distribution parameter with the points "
+                "and is not implemented as stated"
+            ),
+        ),
+        _bounded_entry("poisson-parity.closed", "example (iv), claim (c)", T),
         ClaimEntry(
             claim_id="poisson-parity.mean-symbol-odd-atom",
             reference="example (iv), mean-symbol formula on the odd atom",
             computed={"value": atom_vals["odd"], "series_oracle": odd_series},
             expected={"value": odd_published},
             provenance="published",
-            status="pass" if err <= tols["identity"] else "fail",
+            status="pass" if odd_err <= tols["identity"] else "fail",
             tolerances={"identity": tols["identity"]},
-        )
-    )
-    even_published = (math.cosh(theta) - 1.0) / math.cosh(theta)
-    even_series = _poisson_series_mean(theta, 2)
-    even_closed = theta * math.sinh(theta) / (math.cosh(theta) - 1.0)
-    out.append(
+        ),
         ClaimEntry(
             claim_id="poisson-parity.mean-symbol-even-atom",
             reference="example (iv), mean-symbol formula on the even atom",
@@ -641,9 +579,7 @@ def _poisson_entries(tols, theta=1.0, tail_tol=1e-12) -> list[ClaimEntry]:
                 "form; both values are reported and neither is asserted as "
                 "ground truth"
             ),
-        )
-    )
-    out.append(
+        ),
         _spectrum_entry(
             "poisson-parity.spectrum",
             "example (iv), claim (d)",
@@ -656,17 +592,11 @@ def _poisson_entries(tols, theta=1.0, tail_tol=1e-12) -> list[ClaimEntry]:
                 "even-atom value is covered by the mean-symbol-even-atom "
                 "discrepancy entry"
             ),
-        )
-    )
-    return out
+        ),
+    ]
 
 
-def run_claim_suite(
-    tolerances: dict[str, float] | None = None,
-    theta: float = 1.0,
-    tail_tol: float = 1e-12,
-    interval_nodes: int = 32,
-) -> SuiteReport:
+def run_claim_suite(tolerances: dict[str, float] | None = None) -> SuiteReport:
     tols = dict(DEFAULT_TOLERANCES)
     tols.update(tolerances or {})
     entries: list[ClaimEntry] = []
@@ -674,6 +604,6 @@ def run_claim_suite(
     entries += _case2_entries(tols)
     entries += _case3_entries(tols)
     entries += _product_grid_entries(tols)
-    entries += _symmetric_interval_entries(tols, N=interval_nodes)
-    entries += _poisson_entries(tols, theta=theta, tail_tol=tail_tol)
+    entries += _symmetric_interval_entries(tols)
+    entries += _poisson_entries(tols)
     return SuiteReport(entries=tuple(entries), tolerances=tols)

@@ -258,6 +258,14 @@ def test_poisson_atom_means_match_series():
     assert rep.per_atom["odd"].sq_mean == pytest.approx(num / den, abs=1e-9)
 
 
+@pytest.mark.parametrize("theta", [1.0, 10.0, 100.0, 700.0, 1000.0])
+def test_poisson_zero_atom_sq_mean_is_zero(theta):
+    # u = 0 on the atom {0}: the tail bound, which covers all atoms together,
+    # must not be charged to its mean square
+    rep = densely_defined(poisson_parity_spec(theta), 1e-12)
+    assert rep.per_atom["zero"].sq_mean == 0.0
+
+
 def test_geometric_blowup_not_densely_defined():
     rep = densely_defined(geometric_blowup_spec(), 1e-12)
     assert not rep.densely_defined

@@ -191,6 +191,19 @@ def test_builtin_symbols(tmp_path):
         lambda d: d["u"].update(builtin="exp_label0"),  # both values and builtin
         lambda d: d["u"]["values"].pop(),  # wrong length
         lambda d: d.update(u={"builtin": "no-such"}),
+        lambda d: d["points"][0].update(label=5),  # label not a list
+        lambda d: d["points"][0].update(label=[0.0, 1.0]),  # labels of unequal length
+        lambda d: d["points"][0].update(label=["a"]),  # non-numeric label
+        lambda d: (  # empty labels for a builtin that reads label[0]
+            [p.update(label=[]) for p in d["points"]],
+            d.update(u={"builtin": "exp_label0"}),
+        ),
+        lambda d: d["points"][0].update(weight=True),  # boolean weight
+        lambda d: d["points"][0].update(weight=float("inf")),
+        lambda d: d.update(u={"values": 5}),  # values not a list
+        lambda d: d["points"][0].update(weight=10**400),  # beyond float range
+        lambda d: d["u"]["values"].__setitem__(0, [float("inf"), 0.0]),
+        lambda d: d["u"]["values"].__setitem__(0, [1.0]),  # not a pair
     ],
 )
 def test_invalid_space_files_rejected(tmp_path, mutate):

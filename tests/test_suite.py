@@ -104,3 +104,67 @@ def test_ess_range_matches_reference_loop_on_every_suite_call(monkeypatch):
     monkeypatch.setattr(suite, "ess_range", checked)
     run_claim_suite()
     assert calls and all(calls)
+
+
+# ------------------------------------------------------- claim-kind helpers
+
+TOLS = dict(DEFAULT_TOLERANCES)
+
+
+def verdicts(self_adjoint, normal, agree=True):
+    """A stand-in for suite._classification_agrees output."""
+    comp = {
+        "self_adjoint": self_adjoint,
+        "normal": normal,
+        "quasinormal": normal,
+        "oracle_agrees": agree,
+    }
+    return comp, agree
+
+
+@pytest.mark.parametrize("value, status", [(1.0, "pass"), (math.inf, "fail"), (math.nan, "fail")])
+def test_finite_entry_fails_on_non_finite_value(value, status):
+    e = suite._finite_entry("x.densely-defined", "ref", {"value": value}, value)
+    assert e.status == status
+
+
+@pytest.mark.parametrize(
+    "verdict, yes, no, status",
+    [
+        ("normal", verdicts(False, True), verdicts(False, False), "pass"),
+        ("normal", verdicts(False, False), verdicts(False, False), "fail"),  # yes case fails
+        ("normal", verdicts(False, True), verdicts(False, True), "fail"),  # no case holds
+        ("normal", verdicts(False, True, agree=False), verdicts(False, False), "fail"),
+        ("normal", verdicts(False, True), verdicts(False, False, agree=False), "fail"),
+        ("self_adjoint", verdicts(True, True), verdicts(False, True), "pass"),
+        ("self_adjoint", verdicts(False, True), verdicts(False, True), "fail"),
+        ("self_adjoint", verdicts(True, True), verdicts(True, True), "fail"),
+        ("self_adjoint", verdicts(True, True, agree=False), verdicts(False, True), "fail"),
+        ("self_adjoint", verdicts(True, True), verdicts(False, True, agree=False), "fail"),
+        # not self-adjoint only because not normal: not the reason the claim names
+        ("self_adjoint", verdicts(True, True), verdicts(False, False), "fail"),
+    ],
+)
+def test_iff_entry_fails_for_the_reason_it_names(verdict, yes, no, status):
+    e = suite._iff_entry("x.iff", "ref", verdict, ("yes", yes), ("no", no), TOLS)
+    assert e.status == status
+    assert e.expected == {"yes": True, "no": False}
+
+
+@pytest.mark.parametrize(
+    "verdict, result, status",
+    [
+        ("normal", verdicts(False, False), "pass"),
+        ("normal", verdicts(False, True), "fail"),  # the verdict holds
+        ("normal", verdicts(False, False, agree=False), "fail"),  # the oracle disagrees
+        ("self_adjoint", verdicts(False, True), "pass"),
+        ("self_adjoint", verdicts(True, True), "fail"),
+        ("self_adjoint", verdicts(False, True, agree=False), "fail"),
+    ],
+)
+def test_fails_entry_fails_when_the_verdict_holds_or_the_oracle_disagrees(
+    verdict, result, status
+):
+    e = suite._fails_entry("x.not", "ref", verdict, result, TOLS)
+    assert e.status == status
+    assert e.expected == {verdict: False}
