@@ -1,13 +1,14 @@
 """Command-line interface.
 
-Exit codes: 0 all checks pass, 1 any check fails, 2 usage or parse error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 usage or parse error,
+a number out of range, or an oracle request above order MATRIX_ORDER_CAP.
 Discrepancy entries never affect the exit code; they are counted in the
 summary line instead.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
 
 import numpy as np
@@ -24,7 +25,14 @@ from .operator import (
     polar,
     spectrum_formula,
 )
-from .oracle import matrix_of, psd_sqrt, residuals, spectrum_probe_check
+from .oracle import (
+    MATRIX_ORDER_CAP,
+    OrderCapError,
+    matrix_of,
+    psd_sqrt,
+    residuals,
+    spectrum_probe_check,
+)
 from .sampling import random_operator
 from .scenarios import (
     SCENARIO_BUILDERS,
@@ -36,9 +44,30 @@ from .scenarios import (
     load_space_file,
     poisson_parity_spec,
 )
-from .suite import DEFAULT_TOLERANCES, run_claim_suite
+from .suite import run_claim_suite
 
 USAGE_ERROR = 2
+
+
+def _number(kind, ok, need: str):
+    """argparse type: a ``kind`` value for which ``ok`` holds; ``need`` says which."""
+
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+
+    return parse
+
+
+_tolerance = _number(float, lambda v: 0 < v < math.inf, "a positive finite number")
+_seed_count = _number(int, lambda v: v >= 0, "an integer >= 0")
+_matrix_order = _number(
+    int, lambda v: 2 <= v <= MATRIX_ORDER_CAP, f"an integer in 2..{MATRIX_ORDER_CAP}"
+)
 
 
 def _parse_params(items: list[str]) -> dict[str, float]:
@@ -157,14 +186,8 @@ def cmd_domain(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    tols = dict(DEFAULT_TOLERANCES)
-    if args.tol is not None:
-        tols["identity"] = args.tol
-    if args.tol_oracle is not None:
-        tols["oracle"] = args.tol_oracle
-    if args.tol_exact is not None:
-        tols["exact"] = args.tol_exact
-    report = run_claim_suite(tolerances=tols)
+    given = {"identity": args.tol, "oracle": args.tol_oracle, "exact": args.tol_exact}
+    report = run_claim_suite(tolerances={k: v for k, v in given.items() if v is not None})
     if args.format == "json":
         print(report.to_json())
     else:
@@ -213,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", choices=sorted(SCENARIO_BUILDERS))
         p.add_argument("--params", nargs="*", metavar="k=v")
         p.add_argument("--space-file", dest="space_file", metavar="PATH")
-        p.add_argument("--tol", type=float, default=tol_default)
+        p.add_argument("--tol", type=_tolerance, default=tol_default)
 
     p = sub.add_parser("classify", help="self-adjoint / normal / quasinormal verdicts")
     add_scenario_opts(p)
@@ -235,20 +258,20 @@ def build_parser() -> argparse.ArgumentParser:
         default="poisson-parity",
     )
     p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-12)
+    p.add_argument("--tail-tol", dest="tail_tol", type=_tolerance, default=1e-12)
     p.set_defaults(func=cmd_domain)
 
     p = sub.add_parser("suite", help="run the full claims verification suite")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--tol", type=float, default=None, help="identity tolerance")
-    p.add_argument("--tol-oracle", dest="tol_oracle", type=float, default=None)
-    p.add_argument("--tol-exact", dest="tol_exact", type=float, default=None)
+    p.add_argument("--tol", type=_tolerance, default=None, help="identity tolerance")
+    p.add_argument("--tol-oracle", dest="tol_oracle", type=_tolerance, default=None)
+    p.add_argument("--tol-exact", dest="tol_exact", type=_tolerance, default=None)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("oracle-check", help="randomized formula-vs-oracle cross-validation")
-    p.add_argument("--seeds", type=int, default=100)
-    p.add_argument("--max-n", dest="max_n", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--seeds", type=_seed_count, default=100)
+    p.add_argument("--max-n", dest="max_n", type=_matrix_order, default=64)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -259,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioParameterError, SpaceFileError) as exc:
+    except (ScenarioParameterError, SpaceFileError, OrderCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (NotSummableError, UndecidableDomainError) as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "support",
     "realize",
     "ess_range",
+    "read_points",
     "truncate",
 ]
 
@@ -305,6 +306,22 @@ class Truncation:
     atom_ids: tuple[Hashable, ...]  # original atom identifier per atom index
 
 
+def read_points(
+    spec: CountableSpaceSpec, size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[Hashable, ...]]:
+    """The first ``size`` points of a countable space: their masses, their
+    symbol values, the atom index of each point, and the atom identifiers
+    in order of first appearance (atom index k is ``atom_ids[k]``).
+
+    Each of ``mass_at``, ``symbol_at`` and ``atom_of`` is called once per point.
+    """
+    masses = np.array([spec.mass_at(i) for i in range(size)], dtype=float)
+    symbol = np.array([spec.symbol_at(i) for i in range(size)], dtype=complex)
+    seen: dict[Hashable, int] = {}
+    atom_of = [seen.setdefault(spec.atom_of(i), len(seen)) for i in range(size)]
+    return masses, symbol, np.array(atom_of, dtype=int), tuple(seen)
+
+
 def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = False) -> Truncation:
     """Keep the first N points, N smallest with tail_bound(N) <= tail_tol,
     so the discarded mass is provably below tail_tol.
@@ -323,18 +340,12 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
         raise NotSummableError(
             f"tail bound never dropped below {tail_tol} within {TRUNCATION_CAP} indices"
         )
-    masses = np.array([spec.mass_at(i) for i in range(size)], dtype=float)
-    symbol = np.array([spec.symbol_at(i) for i in range(size)], dtype=complex)
-    raw_atoms = [spec.atom_of(i) for i in range(size)]
-    seen: dict[Hashable, int] = {}
-    atom_of = np.empty(size, dtype=int)
-    for i, a in enumerate(raw_atoms):
-        atom_of[i] = seen.setdefault(a, len(seen))
+    masses, symbol, atom_of, atom_ids = read_points(spec, size)
     return Truncation(
         space=FiniteMeasureSpace(masses),
         partition=Partition(atom_of),
         symbol=MFunction(symbol),
         size=size,
         discarded_mass_bound=float(bound(size)),
-        atom_ids=tuple(seen),
+        atom_ids=atom_ids,
     )

@@ -22,6 +22,7 @@ from .measure import (
     MFunction,
     Partition,
     ess_range,
+    read_points,
     support,
     tail_cutoff,
 )
@@ -232,7 +233,6 @@ def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) 
 class SpectrumReport:
     values: tuple[complex, ...]
     includes_zero: bool
-    source: str  # "formula" or "oracle"
 
 
 def spectrum_formula(T: WeightedCondExpOperator, tol: float) -> SpectrumReport:
@@ -252,9 +252,7 @@ def spectrum_formula(T: WeightedCondExpOperator, tol: float) -> SpectrumReport:
         if not any(abs(v) <= tol for v in values):
             values = sorted(values + [0.0 + 0.0j], key=lambda z: (z.real, z.imag))
         includes_zero = True
-    return SpectrumReport(
-        values=tuple(values), includes_zero=includes_zero, source="formula"
-    )
+    return SpectrumReport(values=tuple(values), includes_zero=includes_zero)
 
 
 @dataclass(frozen=True)
@@ -271,7 +269,6 @@ class DomainReport:
     densely_defined: bool
     per_atom: dict[Hashable, AtomDomainVerdict]
     sigma_finite_restriction: bool
-    tail_tol: float
 
     @property
     def verdicts_agree(self) -> bool:
@@ -281,120 +278,93 @@ class DomainReport:
 _DIVERGENCE_TARGETS = (1e3, 1e6, 1e12)
 
 
-def _scan_length(spec: CountableSpaceSpec, tail_tol: float) -> int:
-    if spec.weighted_tail_bound is None:
-        return 0
-    n = tail_cutoff(spec.weighted_tail_bound, tail_tol)
-    if n is not None:
-        return n
-    raise UndecidableDomainError(
-        f"weighted tail bound never reached {tail_tol} within {TRUNCATION_CAP} indices"
-    )
-
-
 def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
     """Decide whether f -> E(u f) is densely defined on a countable space.
 
     Per atom, convergence of sum mu_i |u_i|^2 is certified by the spec's
     weighted tail bound; divergence must come with an explicit witness
-    (partial sums provably exceeding escalating targets).  Atoms with
-    neither certificate are an error, never a guess.  The sigma-finiteness
+    (partial sums provably exceeding escalating targets).  A spec with
+    neither certificate is an error, never a guess.  The sigma-finiteness
     of the measure with density E(|u|^2) restricted to the sub-algebra is
-    decided independently from the per-atom masses.
+    read off the same per-atom verdicts.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
-    scan = _scan_length(spec, tail_tol)
-    tail = spec.weighted_tail_bound(scan) if spec.weighted_tail_bound else None
-
-    # weighted partial sums and masses per atom over the scanned range
-    sums: dict[Hashable, float] = {}
-    masses: dict[Hashable, float] = {}
-    counts: dict[Hashable, int] = {}
-    for i in range(scan):
-        a = spec.atom_of(i)
-        term = spec.mass_at(i) * abs(spec.symbol_at(i)) ** 2
-        sums[a] = sums.get(a, 0.0) + term
-        masses[a] = masses.get(a, 0.0) + spec.mass_at(i)
-        counts[a] = counts.get(a, 0) + 1
-
-    per_atom: dict[Hashable, AtomDomainVerdict] = {}
-    for a, witness in spec.divergent_atoms.items():
-        partial, used = _verify_divergence(spec, a, witness)
-        per_atom[a] = AtomDomainVerdict(
-            converges=False,
-            sq_mean=None,
-            partial_sum=partial,
-            tail_bound=None,
-            terms_used=used,
-        )
-
-    if spec.weighted_tail_bound is None and not per_atom:
+    bound = spec.weighted_tail_bound
+    if bound is None and not spec.divergent_atoms:
         raise UndecidableDomainError(
             "spec carries neither a weighted tail bound nor divergence witnesses"
         )
+    per_atom = {a: _verify_divergence(spec, a, w) for a, w in spec.divergent_atoms.items()}
 
-    for a, s in sums.items():
-        if a in per_atom:
-            continue
-        if spec.weighted_tail_bound is None:
+    tail = None
+    if bound is not None:
+        scan = tail_cutoff(bound, tail_tol)
+        if scan is None:
             raise UndecidableDomainError(
-                f"atom {a!r} has no convergence or divergence certificate"
+                f"weighted tail bound never reached {tail_tol} within {TRUNCATION_CAP} indices"
             )
-        per_atom[a] = AtomDomainVerdict(
-            converges=True,
-            sq_mean=s / masses[a] if masses[a] > 0 else 0.0,
-            partial_sum=s,
-            tail_bound=tail,
-            terms_used=counts[a],
-        )
+        tail = bound(scan)
+        masses, symbol, atom_of, atom_ids = read_points(spec, scan)
+        # bincount adds each atom's terms in index order
+        sums = np.bincount(atom_of, weights=masses * np.abs(symbol) ** 2)
+        atom_mass = np.bincount(atom_of, weights=masses)
+        counts = np.bincount(atom_of)
+        for a, s, m, c in zip(atom_ids, sums.tolist(), atom_mass.tolist(), counts.tolist()):
+            if a not in per_atom:
+                per_atom[a] = AtomDomainVerdict(
+                    converges=True,
+                    # an atom whose mass underflows to 0 carries no weighted mass
+                    sq_mean=s / m if m > 0 else 0.0,
+                    partial_sum=s,
+                    tail_bound=tail,
+                    terms_used=c,
+                )
 
-    dense = all(v.converges for v in per_atom.values())
-    sigma_finite = _sigma_finite_restriction(spec, per_atom, tail)
     return DomainReport(
-        densely_defined=dense,
+        densely_defined=all(v.converges for v in per_atom.values()),
         per_atom=per_atom,
-        sigma_finite_restriction=sigma_finite,
-        tail_tol=tail_tol,
+        sigma_finite_restriction=_sigma_finite_restriction(per_atom, tail),
     )
 
 
-def _verify_divergence(spec, atom, witness) -> tuple[float, int]:
-    """Check a divergence witness by direct summation; returns last partial sum."""
-    partial = 0.0
-    done = 0
-    for target in _DIVERGENCE_TARGETS:
-        upto = witness(target)
-        if upto > TRUNCATION_CAP:
-            raise UndecidableDomainError(
-                f"divergence witness for atom {atom!r} exceeds iteration cap"
-            )
-        for i in range(done, upto + 1):
-            if spec.atom_of(i) == atom:
-                partial += spec.mass_at(i) * abs(spec.symbol_at(i)) ** 2
-        done = upto + 1
-        if partial < target:
+def _verify_divergence(spec, atom, witness) -> AtomDomainVerdict:
+    """Check a divergence witness by direct summation: the atom's weighted
+    partial sum through each witnessed index must reach its target."""
+    ends = [witness(target) for target in _DIVERGENCE_TARGETS]
+    if not all(0 <= end <= TRUNCATION_CAP for end in ends):
+        raise UndecidableDomainError(
+            f"divergence witness for atom {atom!r} names an index outside 0..{TRUNCATION_CAP}"
+        )
+    masses, symbol, atom_of, atom_ids = read_points(spec, max(ends) + 1)
+    in_atom = atom_of == (atom_ids.index(atom) if atom in atom_ids else -1)
+    partial = np.cumsum(np.where(in_atom, masses * np.abs(symbol) ** 2, 0.0))
+    for target, end in zip(_DIVERGENCE_TARGETS, ends):
+        if partial[end] < target:
             raise UndecidableDomainError(
                 f"divergence witness for atom {atom!r} failed: partial sum "
-                f"{partial} below target {target}"
+                f"{partial[end]} below target {target}"
             )
-    return partial, done
+    return AtomDomainVerdict(
+        converges=False,
+        sq_mean=None,
+        partial_sum=float(partial[-1]),
+        tail_bound=None,
+        terms_used=partial.size,
+    )
 
 
-def _sigma_finite_restriction(spec, per_atom, tail) -> bool:
+def _sigma_finite_restriction(per_atom, tail) -> bool:
     """Sigma-finiteness of the E(|u|^2)-density measure on the sub-algebra.
 
     The minimal sub-algebra sets are the atoms, so an exhaustion by sets of
     finite measure exists iff every atom carries finite weighted mass:
     an atom of infinite mass can never be covered.
     """
-    for verdict in per_atom.values():
-        if not verdict.converges:
-            return False
-        # finite weighted mass of the atom: bounded partial sum plus tail
-        if tail is not None and not np.isfinite(verdict.partial_sum + tail):
-            return False
-    return True
+    return all(
+        v.converges and (tail is None or np.isfinite(v.partial_sum + tail))
+        for v in per_atom.values()
+    )
 
 
 def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:

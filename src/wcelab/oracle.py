@@ -19,6 +19,7 @@ from .operator import SpectrumReport, WeightedCondExpOperator, apply, apply_adjo
 
 __all__ = [
     "MATRIX_ORDER_CAP",
+    "OrderCapError",
     "NotHermitianError",
     "NotPSDError",
     "matrix_of",
@@ -36,6 +37,10 @@ MATRIX_ORDER_CAP = 256
 _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
 
 
+class OrderCapError(ValueError):
+    """A dense-matrix path was asked for an order above MATRIX_ORDER_CAP."""
+
+
 class NotHermitianError(ValueError):
     """Input to a Hermitian-only routine was not Hermitian."""
 
@@ -46,7 +51,7 @@ class NotPSDError(ValueError):
 
 def _check_order(n: int) -> None:
     if n > MATRIX_ORDER_CAP:
-        raise ValueError(f"oracle paths are capped at order {MATRIX_ORDER_CAP}, got {n}")
+        raise OrderCapError(f"oracle paths are capped at order {MATRIX_ORDER_CAP}, got {n}")
 
 
 def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:

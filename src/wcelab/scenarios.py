@@ -164,8 +164,8 @@ def poisson_parity_spec(theta: float) -> CountableSpaceSpec:
     sum_{x >= N}: for x >= N the term ratio of mu_x is at most
     theta / (N + 1), and of x^2 mu_x at most theta (N + 1) / N^2.
     """
-    if theta <= 0:
-        raise ScenarioParameterError("theta must be positive")
+    if not (math.isfinite(theta) and theta > 0):
+        raise ScenarioParameterError(f"theta must be positive and finite, got {theta}")
 
     def tail_bound(N: int) -> float:
         r = theta / (N + 1)
@@ -368,5 +368,7 @@ def build_scenario(name: str, overrides: dict[str, float | int] | None = None) -
     # integer parameters stay integers after CLI parsing
     for key, default in defaults.items():
         if isinstance(default, int):
+            if not float(params[key]).is_integer():
+                raise ScenarioParameterError(f"{key} must be an integer, got {params[key]}")
             params[key] = int(params[key])
     return builder(**params)

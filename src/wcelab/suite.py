@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -80,19 +80,7 @@ class SuiteReport:
         doc = {
             "tolerances": self.tolerances,
             "summary": self.counts(),
-            "entries": [
-                {
-                    "claim_id": e.claim_id,
-                    "reference": e.reference,
-                    "computed": e.computed,
-                    "expected": e.expected,
-                    "provenance": e.provenance,
-                    "status": e.status,
-                    "tolerances": e.tolerances,
-                    "note": e.note,
-                }
-                for e in self.entries
-            ],
+            "entries": [asdict(e) for e in self.entries],
         }
         return json.dumps(doc, indent=2, default=_jsonify)
 

@@ -119,3 +119,42 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+FULL = ["--scenario", "full-algebra"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(
+            [cmd, *FULL, "--tol", tol]
+            for cmd in ("classify", "spectrum", "polar")
+            for tol in ("0", "-1")
+        ),
+        ["suite", "--tol", "0"],
+        ["suite", "--tol", "-1"],
+        ["domain", "--tail-tol", "0"],
+        ["classify", *FULL, "--tol", "nan"],
+        ["classify", *FULL, "--tol", "inf"],
+        ["oracle-check", "--max-n", "1"],
+        ["oracle-check", "--max-n", "300"],
+        ["oracle-check", "--seeds", "-1"],
+        ["classify", *FULL, "--params", "n=2.5"],
+        ["classify", *FULL, "--params", "n=nan"],
+        ["classify", *FULL, "--params", "n=inf"],
+        ["domain", "--theta", "nan"],
+        # above the oracle's order cap of 256
+        ["classify", *FULL, "--params", "n=300"],
+        ["polar", *FULL, "--params", "n=300"],
+        ["spectrum", "--oracle", *FULL, "--params", "n=300"],
+    ],
+    ids=" ".join,
+)
+def test_bad_numbers_exit_2(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value before any command runs
+        code = exc.code
+    assert code == 2
+    assert "error: " in capsys.readouterr().err

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcelab.condexp import atom_averages
 from wcelab.measure import (
     CountableSpaceSpec,
     FiniteMeasureSpace,
     MFunction,
     Partition,
+    truncate,
     weighted_inner_product,
 )
 from wcelab.operator import (
@@ -299,6 +301,81 @@ def test_false_divergence_witness_rejected():
     )
     with pytest.raises(UndecidableDomainError):
         densely_defined(spec, 1e-10)
+
+
+def test_densely_defined_reads_each_point_once():
+    calls = {"mass_at": 0, "symbol_at": 0, "atom_of": 0}
+
+    def counted(name, fn):
+        def call(i):
+            calls[name] += 1
+            return fn(i)
+
+        return call
+
+    r = 0.5
+    spec = CountableSpaceSpec(
+        mass_at=counted("mass_at", lambda i: (1 - r) * r**i),
+        tail_bound=lambda N: r**N,
+        atom_of=counted("atom_of", lambda i: i % 3),
+        symbol_at=counted("symbol_at", lambda i: 1.0 + i % 3),
+        weighted_tail_bound=lambda N: 9.0 * r**N,
+    )
+    rep = densely_defined(spec, 1e-9)
+    scanned = sum(v.terms_used for v in rep.per_atom.values())
+    assert scanned == math.ceil(math.log2(9e9))
+    assert calls == {"mass_at": scanned, "symbol_at": scanned, "atom_of": scanned}
+
+
+@pytest.mark.parametrize("theta", [1.0, 10.0, 100.0])
+def test_poisson_sq_means_match_the_truncated_space(theta):
+    spec = poisson_parity_spec(theta)
+    rep = densely_defined(spec, 1e-12)
+    tr = truncate(spec, 1e-12, weighted=True)
+    sq = MFunction(np.abs(tr.symbol.values) ** 2)
+    expected = atom_averages(sq, tr.partition, tr.space).real
+    sizes = np.bincount(tr.partition.atom_of)
+    assert set(rep.per_atom) == set(tr.atom_ids)
+    for k, a in enumerate(tr.atom_ids):
+        assert rep.per_atom[a].sq_mean == pytest.approx(expected[k], rel=1e-12, abs=0.0)
+        assert rep.per_atom[a].terms_used == sizes[k]
+
+
+def _interleaved_spec(witness):
+    # atom 0 holds the even points, with weighted terms i^2; every odd point
+    # (atom 1) carries a weighted term of 1e18, enough to pass any target if
+    # it were counted towards atom 0
+    return CountableSpaceSpec(
+        mass_at=lambda i: 1.0,
+        tail_bound=lambda N: math.inf,
+        atom_of=lambda i: i % 2,
+        symbol_at=lambda i: complex(i if i % 2 == 0 else 1e9),
+        divergent_atoms={0: witness},
+    )
+
+
+def _even_index_reaching(target):
+    """Smallest even index through which the atom-0 sum of i^2 reaches target."""
+    i, total = 0, 0.0
+    while total + i * i < target:
+        total += i * i
+        i += 2
+    return i
+
+
+def test_interleaved_divergence_witness_is_checked_on_its_own_atom():
+    rep = densely_defined(_interleaved_spec(_even_index_reaching), 1e-12)
+    verdict = rep.per_atom[0]
+    assert not rep.densely_defined and not verdict.converges
+    assert verdict.partial_sum >= 1e12
+    assert verdict.terms_used == _even_index_reaching(1e12) + 1
+
+    # reaches 1e3 and 1e6, but stops short of 1e12
+    def false_witness(target):
+        return _even_index_reaching(min(target, 1e6)) + (100 if target > 1e6 else 0)
+
+    with pytest.raises(UndecidableDomainError, match="below target 1000000000000.0"):
+        densely_defined(_interleaved_spec(false_witness), 1e-12)
 
 
 # ----------------------------------------------------- domain-invariance bound

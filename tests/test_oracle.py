@@ -176,7 +176,6 @@ def test_probe_check_rejects_bogus_value():
     bogus = type(rep)(
         values=rep.values + (100.0 + 100.0j,),
         includes_zero=rep.includes_zero,
-        source=rep.source,
     )
     probe = spectrum_probe_check(T, bogus)
     assert not probe.candidates_ok(1e-8)
