@@ -330,7 +330,7 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
     used instead, which is the right cut when the symbol grows.  At least
     one point is always kept.
     """
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     bound = spec.weighted_tail_bound if weighted else spec.tail_bound
     if bound is None:

@@ -288,7 +288,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
     of the measure with density E(|u|^2) restricted to the sub-algebra is
     read off the same per-atom verdicts.
     """
-    if tail_tol <= 0:
+    if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
     bound = spec.weighted_tail_bound
     if bound is None and not spec.divergent_atoms:

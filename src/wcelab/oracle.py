@@ -4,9 +4,9 @@ Operators are realized as matrices in the orthonormal coordinates
 e_i = delta_i / sqrt(mu_i) by ``measure.realize``, which applies an
 operator's action to each basis vector; nothing here reuses the
 symbol-average formulas.  Only Hermitian eigenproblems are solved; spectra
-are falsified through minimum-singular-value probes rather than a general
-eigendecomposition.  Matrices are kept at order <= 256: the oracle is
-O(n^3), the formula layer O(n).
+are falsified through minimum-singular-value probes, each sigma_min taken
+from one SVD, rather than a general eigendecomposition.  Matrices are kept
+at order <= 256: the oracle is O(n^3), the formula layer O(n).
 """
 from __future__ import annotations
 
@@ -103,16 +103,10 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
 
 
 def min_singular_value(M: np.ndarray, lam: complex = 0.0) -> float:
-    """Smallest singular value of M - lam * I, via the Hermitian Gram matrix.
-
-    The value is recovered as ||A v|| with v the bottom Gram eigenvector
-    rather than as sqrt(lambda_min), which would lose half the working
-    precision near an exact spectral point.
-    """
+    """Smallest singular value of M - lam * I."""
     M = np.asarray(M, dtype=complex)
-    A = M - lam * np.eye(M.shape[0])
-    _, v = hermitian_eig(A.conj().T @ A)
-    return float(np.linalg.norm(A @ v[:, 0]))
+    _check_order(M.shape[0])
+    return float(np.linalg.svd(M - lam * np.eye(M.shape[0]), compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)

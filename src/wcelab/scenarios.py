@@ -365,10 +365,13 @@ def build_scenario(name: str, overrides: dict[str, float | int] | None = None) -
                 f"scenario {name!r} takes parameters {sorted(defaults)}, not {key!r}"
             )
         params[key] = value
-    # integer parameters stay integers after CLI parsing
+    # integer parameters stay integers after CLI parsing; float ones must
+    # be positive and finite
     for key, default in defaults.items():
         if isinstance(default, int):
             if not float(params[key]).is_integer():
                 raise ScenarioParameterError(f"{key} must be an integer, got {params[key]}")
             params[key] = int(params[key])
+        elif not (math.isfinite(params[key]) and params[key] > 0):
+            raise ScenarioParameterError(f"{key} must be positive and finite, got {params[key]}")
     return builder(**params)

@@ -144,6 +144,10 @@ FULL = ["--scenario", "full-algebra"]
         ["classify", *FULL, "--params", "n=nan"],
         ["classify", *FULL, "--params", "n=inf"],
         ["domain", "--theta", "nan"],
+        *(
+            ["classify", "--scenario", "poisson-parity", "--params", f"tail_tol={v}"]
+            for v in ("0", "-1", "nan", "inf")
+        ),
         # above the oracle's order cap of 256
         ["classify", *FULL, "--params", "n=300"],
         ["polar", *FULL, "--params", "n=300"],

@@ -268,6 +268,16 @@ def test_poisson_zero_atom_sq_mean_is_zero(theta):
     assert rep.per_atom["zero"].sq_mean == 0.0
 
 
+@pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan])
+def test_tail_tol_must_be_positive(tail_tol):
+    # rejected before any point is read, NaN included
+    spec = poisson_parity_spec(1.0)
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        truncate(spec, tail_tol)
+    with pytest.raises(ValueError, match="tail_tol must be positive"):
+        densely_defined(spec, tail_tol)
+
+
 def test_geometric_blowup_not_densely_defined():
     rep = densely_defined(geometric_blowup_spec(), 1e-12)
     assert not rep.densely_defined

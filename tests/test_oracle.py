@@ -22,6 +22,7 @@ from wcelab.oracle import (
     spectrum_probe_check,
 )
 from wcelab.sampling import random_operator
+from wcelab.scenarios import build_symmetric_interval
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -103,23 +104,51 @@ def test_psd_sqrt_clamps_tiny_negatives():
 
 
 def test_min_singular_value_matches_svd():
+    # for a normal A = Q D Q^H the singular values of A - lam I are exactly
+    # |d_i - lam|, so no SVD is needed for the reference
     rng = np.random.default_rng(3)
     for _ in range(10):
-        A = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        d = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        A = (Q * d) @ Q.conj().T
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        ours = min_singular_value(A, lam)
-        ref = np.linalg.svd(A - lam * np.eye(8), compute_uv=False)[-1]
-        assert ours == pytest.approx(ref, rel=1e-8, abs=1e-12)
+        ref = float(np.min(np.abs(d - lam)))
+        assert min_singular_value(A, lam) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+
+def test_min_singular_value_of_non_normal_2x2():
+    # the squared singular values of a 2x2 matrix B are the roots of
+    # s^2 - F s + |det B|^2 with F = ||B||_F^2, so
+    # sigma_min^2 = (F - sqrt(F^2 - 4 |det B|^2)) / 2
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        A = np.array([[1.0, 5.0], [0.0, 2.0]]) + 0.5 * (
+            rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        )
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        B = A - lam * np.eye(2)
+        F = float(np.sum(np.abs(B) ** 2))
+        det = abs(B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
+        ref = np.sqrt((F - np.sqrt(F**2 - 4.0 * det**2)) / 2.0)
+        assert min_singular_value(A, lam) == pytest.approx(ref, rel=1e-8)
 
 
 def test_min_singular_value_near_exact_eigenvalue_is_tiny():
-    # at an exact eigenvalue the value must reach ~1e-14, not the ~1e-8
-    # floor a sqrt(lambda_min) recovery would impose
+    # at an exact eigenvalue the value must reach rounding level
     rng = np.random.default_rng(4)
     D = np.diag([1.0, 2.0, 3.0]).astype(complex)
     Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     A = Q @ D @ Q.conj().T
     assert min_singular_value(A, 2.0) < 1e-13
+
+
+def test_interval_candidates_reach_rounding_level():
+    # symmetric-interval N=64: every claimed spectral value annihilates
+    # M - lambda I to within rounding of ||M||
+    sc = build_symmetric_interval(64)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-10))
+    assert max(probe.candidate_sigmas) <= 1e-15 * probe.matrix_norm
 
 
 # ------------------------------------------------------------------ residuals
