@@ -164,6 +164,7 @@ class SpectrumProbeResult:
     probe_distances: tuple[float, ...]  # distance of each probe to the claimed set
     probe_sigmas: tuple[float, ...]
     matrix_norm: float
+    normal_rel: float  # ||M*M - MM*||_F / ||M||_F^2, as in OracleResiduals
 
     def candidates_ok(self, tol: float = 1e-8) -> bool:
         # a matrix with norm below tol is the zero operator up to
@@ -174,8 +175,15 @@ class SpectrumProbeResult:
         bound = tol * self.matrix_norm
         return all(s <= bound for s in self.candidate_sigmas)
 
+    def floor_applies(self, slack: float = 1e-8) -> bool:
+        """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 is
+        a theorem for normal M only: for non-normal M the pseudospectrum
+        reaches beyond the spectrum."""
+        return self.normal_rel <= slack
+
     def probes_ok(self, slack: float = 1e-8) -> bool:
-        if self.matrix_norm <= slack:
+        """The floor at every probe, where it applies; vacuously True elsewhere."""
+        if self.matrix_norm <= slack or not self.floor_applies(slack):
             return True
         return all(
             s >= d / 2.0 - slack
@@ -193,9 +201,11 @@ def spectrum_probe_check(
     Every claimed value must nearly annihilate M - lambda I; probes taken
     at midpoints between sorted claimed values and at four random points
     outside their convex hull must stay spectrally far, quantified against
-    the probe's distance to the claimed set.
+    the probe's distance to the claimed set.  That floor is applied only
+    when M is normal (``SpectrumProbeResult.floor_applies``).
     """
     M = matrix_of(T)
+    Mh = M.conj().T
     norm = float(np.linalg.norm(M))
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
     cand_sigmas = tuple(min_singular_value(M, v) for v in values)
@@ -219,4 +229,5 @@ def spectrum_probe_check(
         probe_distances=dists,
         probe_sigmas=probe_sigmas,
         matrix_norm=norm,
+        normal_rel=float(np.linalg.norm(Mh @ M - M @ Mh)) / max(norm**2, 1e-300),
     )

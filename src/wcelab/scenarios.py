@@ -53,43 +53,37 @@ class SpaceFileError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    parameters: dict[str, float | int]
     space: FiniteMeasureSpace
     partition: Partition
     symbol: MFunction
     countable_spec: CountableSpaceSpec | None = field(default=None, repr=False)
 
 
-def _default_symbol(n: int) -> np.ndarray:
-    return np.arange(1, n + 1, dtype=complex)
+def _uniform(name: str, atom_of, symbol=None, labels=None) -> Scenario:
+    """Mass 1/n on each of the n points of ``atom_of``; the symbol defaults
+    to 1, 2, ..., n."""
+    n = len(atom_of)
+    return Scenario(
+        name=name,
+        space=FiniteMeasureSpace(np.full(n, 1.0 / n), labels=labels),
+        partition=Partition(atom_of),
+        symbol=MFunction(np.arange(1, n + 1) if symbol is None else symbol),
+    )
 
 
-def build_full_algebra(n: int, symbol: np.ndarray | None = None) -> Scenario:
+def build_full_algebra(n: int) -> Scenario:
     """Singleton atoms: the averaging projection is the identity and the
     operator is plain multiplication by the symbol."""
     if n < 1:
         raise ScenarioParameterError("n must be >= 1")
-    u = _default_symbol(n) if symbol is None else np.asarray(symbol, dtype=complex)
-    return Scenario(
-        name="full-algebra",
-        parameters={"n": n},
-        space=FiniteMeasureSpace(np.full(n, 1.0 / n)),
-        partition=Partition(np.arange(n)),
-        symbol=MFunction(u),
-    )
+    return _uniform("full-algebra", np.arange(n))
 
 
 def build_trivial_algebra(n: int) -> Scenario:
     """One atom: the operator maps f to the constant mean of u*f (rank <= 1)."""
     if n < 1:
         raise ScenarioParameterError("n must be >= 1")
-    return Scenario(
-        name="trivial-algebra",
-        parameters={"n": n},
-        space=FiniteMeasureSpace(np.full(n, 1.0 / n)),
-        partition=Partition(np.zeros(n, dtype=int)),
-        symbol=MFunction(_default_symbol(n)),
-    )
+    return _uniform("trivial-algebra", np.zeros(n, dtype=int))
 
 
 def build_block_partition(n: int, m: int) -> Scenario:
@@ -97,16 +91,7 @@ def build_block_partition(n: int, m: int) -> Scenario:
     if not 1 <= m <= n:
         raise ScenarioParameterError(f"need 1 <= m <= n, got m={m} n={n}")
     bounds = np.linspace(0, n, m + 1).astype(int)
-    atom_of = np.empty(n, dtype=int)
-    for a in range(m):
-        atom_of[bounds[a] : bounds[a + 1]] = a
-    return Scenario(
-        name="block-partition",
-        parameters={"n": n, "m": m},
-        space=FiniteMeasureSpace(np.full(n, 1.0 / n)),
-        partition=Partition(atom_of),
-        symbol=MFunction(_default_symbol(n)),
-    )
+    return _uniform("block-partition", np.repeat(np.arange(m), np.diff(bounds)))
 
 
 def build_product_grid(m: int) -> Scenario:
@@ -120,14 +105,7 @@ def build_product_grid(m: int) -> Scenario:
         raise ScenarioParameterError("m must be >= 2")
     xs = (np.arange(m) + 0.5) / m
     labels = np.array([(x, y) for x in xs for y in xs])
-    atom_of = np.repeat(np.arange(m), m)
-    return Scenario(
-        name="product-grid",
-        parameters={"m": m},
-        space=FiniteMeasureSpace(np.full(m * m, 1.0 / (m * m)), labels=labels),
-        partition=Partition(atom_of),
-        symbol=MFunction(labels[:, 1].astype(complex)),
-    )
+    return _uniform("product-grid", np.repeat(np.arange(m), m), labels[:, 1], labels)
 
 
 def build_symmetric_interval(N: int) -> Scenario:
@@ -141,16 +119,16 @@ def build_symmetric_interval(N: int) -> Scenario:
         raise ScenarioParameterError("N must be even and >= 2")
     k = np.arange(N)
     x = -1.0 + (k + 0.5) * 2.0 / N
-    atom_of = np.minimum(k, N - 1 - k)
     # math.exp per node: np.exp may differ from it in the last bit
-    u = np.array([math.exp(xi) for xi in x], dtype=complex)
-    return Scenario(
-        name="symmetric-interval",
-        parameters={"N": N},
-        space=FiniteMeasureSpace(np.full(N, 1.0 / N), labels=x.reshape(-1, 1)),
-        partition=Partition(atom_of),
-        symbol=MFunction(u),
-    )
+    u = [math.exp(xi) for xi in x]
+    return _uniform("symmetric-interval", np.minimum(k, N - 1 - k), u, x.reshape(-1, 1))
+
+
+def _truncated(name: str, spec: CountableSpaceSpec, tail_tol: float, weighted: bool) -> Scenario:
+    """The first points of a countable space, cut where the (weighted) tail
+    bound drops below tail_tol; the spec rides along for domain questions."""
+    trunc = truncate(spec, tail_tol, weighted=weighted)
+    return Scenario(name, trunc.space, trunc.partition, trunc.symbol, countable_spec=spec)
 
 
 def _poisson_mass(theta: float, x: int) -> float:
@@ -196,16 +174,7 @@ def build_poisson_parity(theta: float, tail_tol: float) -> Scenario:
     The cut uses the weighted tail bound on sum mu_i |u_i|^2 (the symbol
     grows), so the densely-defined evidence survives truncation.
     """
-    spec = poisson_parity_spec(theta)
-    trunc = truncate(spec, tail_tol, weighted=True)
-    return Scenario(
-        name="poisson-parity",
-        parameters={"theta": theta, "tail_tol": tail_tol},
-        space=trunc.space,
-        partition=trunc.partition,
-        symbol=trunc.symbol,
-        countable_spec=spec,
-    )
+    return _truncated("poisson-parity", poisson_parity_spec(theta), tail_tol, weighted=True)
 
 
 def geometric_blowup_spec() -> CountableSpaceSpec:
@@ -227,17 +196,7 @@ def geometric_blowup_spec() -> CountableSpaceSpec:
 
 
 def build_geometric_blowup() -> Scenario:
-    spec = geometric_blowup_spec()
-    tail_tol = 2.0**-10
-    trunc = truncate(spec, tail_tol)
-    return Scenario(
-        name="geometric-blowup",
-        parameters={"tail_tol": tail_tol},
-        space=trunc.space,
-        partition=trunc.partition,
-        symbol=trunc.symbol,
-        countable_spec=spec,
-    )
+    return _truncated("geometric-blowup", geometric_blowup_spec(), 2.0**-10, weighted=False)
 
 
 _BUILTIN_SYMBOLS = ("exp_label0", "identity_label0", "sign_alternating")
@@ -332,7 +291,6 @@ def load_space_file(path: str) -> Scenario:
 
     return Scenario(
         name=str(doc.get("name", "space-file")),
-        parameters={"n": n},
         space=FiniteMeasureSpace(
             np.array(masses), labels=np.array(labels) if have_labels else None
         ),

@@ -240,8 +240,8 @@ ZERO_NOTE = (
 
 def _case1_entries(tols) -> list[ClaimEntry]:
     u = np.array([1 + 1j, 2.0, -0.5 + 0.25j, 3.0, 0.7 - 2j, 1.5])
-    sc = build_full_algebra(6, symbol=u)
-    T = _op(sc)
+    sc = build_full_algebra(6)
+    T = _op(sc, u)
     tol = tols["oracle"]
     sq_max = float(np.max(np.abs(u) ** 2))
     real = _op(sc, np.array([1.0, -2.0, 0.5, 3.0, 0.0, 4.0]))

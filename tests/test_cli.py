@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from wcelab.cli import main
+from wcelab.cli import _check_polar, main
+from wcelab.operator import WeightedCondExpOperator, polar
+from wcelab.scenarios import SCENARIO_BUILDERS, build_block_partition
 
 
 def run(capsys, *argv):
@@ -51,6 +53,50 @@ def test_polar_command(capsys):
     code, out, _ = run(capsys, "polar", "--scenario", "block-partition")
     assert code == 0
     assert "verdict: pass" in out
+
+
+@pytest.mark.parametrize("cmd", [["classify"], ["polar"], ["spectrum", "--oracle"]], ids=" ".join)
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_BUILDERS))
+def test_builtin_scenarios_pass(capsys, cmd, scenario):
+    code, out, _ = run(capsys, *cmd, "--scenario", scenario)
+    assert code == 0, out
+
+
+def test_spectrum_floor_not_claimed_on_non_normal(capsys):
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "geometric-blowup")
+    assert code == 0
+    assert "probe floor n/a (non-normal)" in out
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "full-algebra")
+    assert "probe floor ok" in out
+
+
+def test_polar_tiny_atom_below_tol(tmp_path, capsys):
+    # E(|u|^2) = 1.6e-9 <= tol on the atom {0}: the factors vanish there, so
+    # U|T| equals T only off that atom
+    doc = {
+        "points": [{"weight": 1 / 3}] * 3,
+        "atoms": [[0], [1, 2]],
+        "u": {"values": [[4e-5, 0.0], [1.0, 0.0], [2.0, 0.0]]},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "polar", "--space-file", str(path))
+    assert "support size of mean-square symbol: 2 of 3" in out
+    assert "verdict: pass" in out
+    assert code == 0
+
+
+def test_polar_check_rejects_factors_cut_too_high():
+    # block-partition (n=8, m=3, u = 1..8) has atom means of |u|^2 of 2.5,
+    # 16.7 and 49.7; factors cut at 10 drop the first atom, which a check
+    # at tol 1e-8 must reject even though U|T| = P_S T holds
+    sc = build_block_partition(8, 3)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    recon, sqrt_err, ok = _check_polar(T, polar(T, 10.0), 1e-8)
+    assert recon <= 1e-12 and sqrt_err <= 1e-12
+    assert not ok
+    assert _check_polar(T, polar(T, 10.0), 10.0)[2]
+    assert _check_polar(T, polar(T, 1e-8), 1e-8)[2]
 
 
 def test_domain_poisson(capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from wcelab.measure import FiniteMeasureSpace, MFunction, Partition
 from wcelab.operator import (
+    SpectrumReport,
     WeightedCondExpOperator,
     classify,
     spectrum_formula,
@@ -22,7 +23,7 @@ from wcelab.oracle import (
     spectrum_probe_check,
 )
 from wcelab.sampling import random_operator
-from wcelab.scenarios import build_symmetric_interval
+from wcelab.scenarios import build_geometric_blowup, build_symmetric_interval
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -218,3 +219,29 @@ def test_probe_check_is_deterministic_per_seed():
     b = spectrum_probe_check(T, rep, seed=3)
     assert a.probe_points == b.probe_points
     assert a.probe_sigmas == b.probe_sigmas
+
+
+def test_probe_floor_rejects_missing_value_on_normal_operator():
+    # multiplication by u = (1, 2, 3) is normal with spectrum {1, 2, 3};
+    # the claim {1, 3} leaves 2 out, and the midpoint probe at 2 has
+    # sigma_min 0 < dist / 2 = 0.5
+    sp = FiniteMeasureSpace(np.full(3, 1.0 / 3))
+    T = WeightedCondExpOperator(sp, Partition(np.arange(3)), MFunction(np.array([1.0, 2.0, 3.0])))
+    claim = SpectrumReport(values=(1.0 + 0j, 3.0 + 0j), includes_zero=False)
+    probe = spectrum_probe_check(T, claim)
+    assert probe.candidates_ok(1e-8)
+    assert probe.floor_applies(1e-8)
+    assert not probe.probes_ok(1e-8)
+
+
+def test_probe_floor_skipped_on_non_normal_operator():
+    # geometric-blowup is one atom with a non-constant symbol, hence not
+    # normal, and its pseudospectrum breaks the d/2 floor at some probe
+    # although the claimed spectrum is right
+    sc = build_geometric_blowup()
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-8))
+    assert any(s < d / 2.0 - 1e-8 for s, d in zip(probe.probe_sigmas, probe.probe_distances))
+    assert probe.normal_rel == pytest.approx(residuals(T).normal_rel, rel=1e-12)
+    assert not probe.floor_applies(1e-8)
+    assert probe.probes_ok(1e-8)
