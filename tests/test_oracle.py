@@ -181,6 +181,17 @@ def test_residual_verdicts_match_formula_classification(seed):
     assert (rep.self_adjoint, rep.normal, rep.quasinormal) == residuals(T).verdicts(1e-8)
 
 
+@given(seeds)
+@settings(max_examples=80, deadline=None)
+def test_oracle_normal_and_quasinormal_verdicts_coincide(seed):
+    # on a partition-generated algebra T is quasinormal iff u is constant
+    # on every atom, which is also the condition for normality; the dense
+    # residuals check that with no closed form
+    T = random_operator(np.random.default_rng(seed), max_n=32)
+    _, normal, quasinormal = residuals(T).verdicts(1e-8)
+    assert normal == quasinormal
+
+
 # ---------------------------------------------------------------- probe check
 
 
@@ -215,8 +226,9 @@ def test_probe_check_is_deterministic_per_seed():
     rng = np.random.default_rng(7)
     T = random_operator(rng, max_n=16)
     rep = spectrum_formula(T, 1e-10)
-    a = spectrum_probe_check(T, rep, seed=3)
-    b = spectrum_probe_check(T, rep, seed=3)
+    # the outer probes come from a fixed seed, so two calls probe alike
+    a = spectrum_probe_check(T, rep)
+    b = spectrum_probe_check(T, rep)
     assert a.probe_points == b.probe_points
     assert a.probe_sigmas == b.probe_sigmas
 
