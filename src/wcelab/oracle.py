@@ -4,13 +4,18 @@ Operators are realized as matrices in the orthonormal coordinates
 e_i = delta_i / sqrt(mu_i) by ``measure.realize``, which applies an
 operator's action to each basis vector; nothing here reuses the
 symbol-average formulas.  Only Hermitian eigenproblems are solved; spectra
-are falsified through minimum-singular-value probes, each sigma_min taken
-from one SVD, rather than a general eigendecomposition.  Matrices are kept
-at order <= 256: the oracle is O(n^3), the formula layer O(n).
+are falsified through minimum-singular-value bounds rather than a general
+eigendecomposition.  A claimed spectral value is certified by a witness
+vector x, since sigma_min(M - lambda I) <= ||(M - lambda I) x|| for any unit
+x, with one SVD as the fallback when no witness is small enough; the
+sigma_min at a probe point is taken from one SVD, and only where the probe
+floor applies.  Matrices are kept at order <= 256: the oracle is O(n^3), the
+formula layer O(n).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +40,8 @@ __all__ = [
 
 MATRIX_ORDER_CAP = 256
 _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
+_WITNESS_SHIFT = 1e-13  # inverse-iteration shift off a claimed value, relative to ||M||_F
+_WITNESS_ACCEPT = 1e-12  # largest witness residual reported without an SVD, relative to ||M||_F
 
 
 class OrderCapError(ValueError):
@@ -157,14 +164,51 @@ def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     )
 
 
+def _candidate_sigma(M: np.ndarray, lam: complex, norm: float) -> float:
+    """An upper bound on sigma_min(M - lam * I), at rounding level when lam
+    is an eigenvalue.
+
+    Two steps of inverse iteration, shifted just off lam so that the solve
+    stays regular, give a unit witness x; its residual ||(M - lam I) x||
+    with the unshifted matrix bounds sigma_min from above.  A residual
+    above _WITNESS_ACCEPT * norm, a zero matrix or a singular solve falls
+    back to the SVD, so a value is never reported above the SVD's by more
+    than that bound, and never below sigma_min by more than rounding.
+    """
+    if norm > 0.0:
+        n = M.shape[0]
+        shifted = M.astype(complex)  # a copy
+        shifted[np.diag_indices(n)] -= lam + _WITNESS_SHIFT * norm
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        try:
+            for _ in range(2):
+                x = np.linalg.solve(shifted, x)
+                x = x / np.linalg.norm(x)
+        except np.linalg.LinAlgError:
+            r = np.inf
+        else:
+            r = float(np.linalg.norm(M @ x - lam * x))
+        if r <= _WITNESS_ACCEPT * norm:  # False for a NaN residual too
+            return r
+    return min_singular_value(M, lam)
+
+
 @dataclass(frozen=True)
 class SpectrumProbeResult:
-    candidate_sigmas: tuple[float, ...]  # sigma_min at each claimed spectral value
+    # an upper bound on sigma_min at each claimed spectral value, from a
+    # witness vector (see _candidate_sigma)
+    candidate_sigmas: tuple[float, ...]
     probe_points: tuple[complex, ...]
     probe_distances: tuple[float, ...]  # distance of each probe to the claimed set
-    probe_sigmas: tuple[float, ...]
     matrix_norm: float
     normal_rel: float  # ||M*M - MM*||_F / ||M||_F^2, as in OracleResiduals
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def probe_sigmas(self) -> tuple[float, ...]:
+        """sigma_min at each probe point, one SVD each, computed on first read."""
+        return tuple(min_singular_value(self.matrix, p) for p in self.probe_points)
 
     def candidates_ok(self, tol: float = 1e-8) -> bool:
         # a matrix with norm below tol is the zero operator up to
@@ -182,7 +226,8 @@ class SpectrumProbeResult:
         return self.normal_rel <= slack
 
     def probes_ok(self, slack: float = 1e-8) -> bool:
-        """The floor at every probe, where it applies; vacuously True elsewhere."""
+        """The floor at every probe, where it applies; vacuously True elsewhere,
+        and then no probe sigma_min is computed."""
         if self.matrix_norm <= slack or not self.floor_applies(slack):
             return True
         return all(
@@ -194,18 +239,20 @@ class SpectrumProbeResult:
 def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> SpectrumProbeResult:
     """Verify a claimed spectrum by minimum-singular-value probing.
 
-    Every claimed value must nearly annihilate M - lambda I; probes taken
+    Every claimed value must nearly annihilate M - lambda I, shown by a
+    witness vector (``_candidate_sigma``); probes taken
     at midpoints between sorted claimed values and at four random points
     outside their convex hull must stay spectrally far, quantified against
     the probe's distance to the claimed set.  The random points come from
     seed 0, so every call on the same input probes alike.  That floor is
-    applied only when M is normal (``SpectrumProbeResult.floor_applies``).
+    applied only when M is normal (``SpectrumProbeResult.floor_applies``),
+    and the probes' sigma_min are computed only then.
     """
     M = matrix_of(T)
     Mh = M.conj().T
     norm = float(np.linalg.norm(M))
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
-    cand_sigmas = tuple(min_singular_value(M, v) for v in values)
+    cand_sigmas = tuple(_candidate_sigma(M, v, norm) for v in values)
 
     probes: list[complex] = []
     for a, b in zip(values, values[1:]):
@@ -219,12 +266,11 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
         probes.append(complex(r * np.cos(angle), r * np.sin(angle)))
 
     dists = tuple(min(abs(p - v) for v in values) if values else abs(p) for p in probes)
-    probe_sigmas = tuple(min_singular_value(M, p) for p in probes)
     return SpectrumProbeResult(
         candidate_sigmas=cand_sigmas,
         probe_points=tuple(probes),
         probe_distances=dists,
-        probe_sigmas=probe_sigmas,
         matrix_norm=norm,
         normal_rel=float(np.linalg.norm(Mh @ M - M @ Mh)) / max(norm**2, 1e-300),
+        matrix=M,
     )

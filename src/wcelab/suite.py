@@ -158,6 +158,7 @@ def _spectrum_entry(
             "includes_zero": rep.includes_zero,
             "max_candidate_sigma_min": max(probe.candidate_sigmas),
             "probe_floor_ok": probe.probes_ok(tols["oracle"]),
+            "probe_floor_applies": probe.floor_applies(tols["oracle"]),
         },
         expected={"spectrum": sorted(expected_values, key=lambda z: (z.real, z.imag))},
         provenance=provenance,

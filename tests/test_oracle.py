@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wcelab import oracle
 from wcelab.measure import FiniteMeasureSpace, MFunction, Partition
 from wcelab.operator import (
     SpectrumReport,
@@ -23,7 +24,7 @@ from wcelab.oracle import (
     spectrum_probe_check,
 )
 from wcelab.sampling import random_operator
-from wcelab.scenarios import build_geometric_blowup, build_symmetric_interval
+from wcelab.scenarios import build_full_algebra, build_geometric_blowup, build_symmetric_interval
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -257,3 +258,102 @@ def test_probe_floor_skipped_on_non_normal_operator():
     assert probe.normal_rel == pytest.approx(residuals(T).normal_rel, rel=1e-12)
     assert not probe.floor_applies(1e-8)
     assert probe.probes_ok(1e-8)
+
+
+def _reference_verdicts(T, claim, probe, tol):
+    """candidates_ok and probes_ok at tol, recomputed from one SVD per point."""
+    M = matrix_of(T)
+    norm = np.linalg.norm(M)
+    if norm <= tol:
+        return True, True
+    cand = all(min_singular_value(M, v) <= tol * norm for v in claim.values)
+    if residuals(T).normal_rel > tol:
+        return cand, True
+    floor = all(
+        min_singular_value(M, p) >= d / 2.0 - tol
+        for p, d in zip(probe.probe_points, probe.probe_distances)
+    )
+    return cand, floor
+
+
+@given(seeds)
+@settings(max_examples=60, deadline=None)
+def test_probe_check_verdicts_match_svd_reference(seed):
+    # a candidate value is a witness residual, an upper bound on sigma_min
+    # reported only when it is below 1e-12 ||M||, else the SVD itself; so
+    # every verdict at tol >= 1e-12 is the one the SVD alone gives, on the
+    # true claim and on one with a value off the spectrum
+    rng = np.random.default_rng(seed)
+    T = random_operator(rng, max_n=32)
+    rep = spectrum_formula(T, 1e-10)
+    off = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+    M = matrix_of(T)
+    norm = np.linalg.norm(M)
+    for claim in (rep, SpectrumReport(values=rep.values + (off,), includes_zero=rep.includes_zero)):
+        probe = spectrum_probe_check(T, claim)
+        for tol in (1e-12, 1e-8, 1e-4):
+            assert (probe.candidates_ok(tol), probe.probes_ok(tol)) == _reference_verdicts(
+                T, claim, probe, tol
+            )
+        values = sorted(claim.values, key=lambda z: (z.real, z.imag))
+        for v, s in zip(values, probe.candidate_sigmas):
+            ref = min_singular_value(M, v)
+            assert ref - 1e-13 * norm <= s <= max(ref, 1e-12 * norm)
+        assert probe.probe_sigmas == tuple(min_singular_value(M, p) for p in probe.probe_points)
+
+
+def test_probe_check_on_the_zero_operator():
+    # zero-mean symbol on singletons: u = 0 exactly, so M = 0, where no
+    # witness can be solved for and the SVD answers
+    n = 5
+    sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
+    T = WeightedCondExpOperator(sp, Partition(np.arange(n)), MFunction(np.zeros(n, dtype=complex)))
+    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-8))
+    assert probe.matrix_norm == 0.0
+    assert probe.candidate_sigmas == (0.0,)
+    assert probe.candidates_ok(1e-8)
+    assert probe.probes_ok(1e-8)
+
+
+def test_bogus_value_reports_the_svd():
+    # no witness certifies 100+100j, so its value is the SVD's, exactly
+    rng = np.random.default_rng(6)
+    T = random_operator(rng, max_n=24)
+    rep = spectrum_formula(T, 1e-10)
+    bogus = 100.0 + 100.0j
+    claim = SpectrumReport(values=rep.values + (bogus,), includes_zero=rep.includes_zero)
+    probe = spectrum_probe_check(T, claim)
+    values = sorted(claim.values, key=lambda z: (z.real, z.imag))
+    assert probe.candidate_sigmas[values.index(bogus)] == min_singular_value(matrix_of(T), bogus)
+
+
+def _count_probe_svds(monkeypatch, scenario, slack):
+    """probes_ok(slack) on a built-in scenario's own spectrum, the number of
+    min_singular_value calls made by spectrum_probe_check and that verdict,
+    the probe result and the operator."""
+    T = WeightedCondExpOperator(scenario.space, scenario.partition, scenario.symbol)
+    rep = spectrum_formula(T, 1e-10)
+    calls = []
+    svd = oracle.min_singular_value
+    monkeypatch.setattr(oracle, "min_singular_value", lambda M, lam=0.0: calls.append(lam) or svd(M, lam))
+    probe = spectrum_probe_check(T, rep)
+    ok = probe.probes_ok(slack)
+    monkeypatch.undo()
+    return ok, len(calls), probe, T
+
+
+def test_probe_sigmas_are_computed_only_where_the_floor_applies(monkeypatch):
+    # symmetric-interval is not normal: its witnesses certify every
+    # candidate and the floor does not apply, so no SVD runs at all
+    ok, calls, probe, _ = _count_probe_svds(monkeypatch, build_symmetric_interval(64), 1e-8)
+    assert ok and not probe.floor_applies(1e-8)
+    assert calls == 0
+    # full-algebra is normal: one SVD per probe, none for the candidates
+    ok, calls, probe, _ = _count_probe_svds(monkeypatch, build_full_algebra(8), 1e-8)
+    assert ok and probe.floor_applies(1e-8)
+    assert calls == len(probe.probe_points)
+    # at slack 1 the floor applies to symmetric-interval too, and is evaluated
+    ok, calls, probe, T = _count_probe_svds(monkeypatch, build_symmetric_interval(64), 1.0)
+    assert probe.floor_applies(1.0)
+    assert calls == len(probe.probe_points)
+    assert ok == _reference_verdicts(T, spectrum_formula(T, 1e-10), probe, 1.0)[1]

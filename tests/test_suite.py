@@ -60,6 +60,17 @@ def test_spectrum_entries_record_probe_evidence():
             assert e.computed["probe_floor_ok"] is True
 
 
+def test_spectrum_entries_say_whether_the_probe_floor_applies():
+    # the floor is a theorem for normal operators only: multiplication by
+    # u on singletons is normal, symmetric-interval is not
+    assert entry("full-algebra.spectrum-is-range").computed["probe_floor_applies"] is True
+    assert entry("symmetric-interval.spectrum").computed["probe_floor_applies"] is False
+    doc = json.loads(REPORT.to_json())
+    for e in doc["entries"]:
+        if "probe_floor_ok" in e["computed"]:
+            assert isinstance(e["computed"]["probe_floor_applies"], bool)
+
+
 def test_zero_inclusion_noted_not_failed():
     for cid in ("trivial-algebra.spectrum", "product-grid.spectrum", "symmetric-interval.spectrum"):
         e = entry(cid)
