@@ -11,6 +11,11 @@ x, with one SVD as the fallback when no witness is small enough; the
 sigma_min at a probe point is taken from one SVD, and only where the probe
 floor applies.  Matrices are kept at order <= 256: the oracle is O(n^3), the
 formula layer O(n).
+
+Every formula-vs-oracle verdict is decided here: ``polar_check``,
+``OracleResiduals.agrees`` and ``SpectrumProbeResult.ok``.  Each takes the
+formula layer's output (polar factors, a classification, a claimed
+spectrum) as the claim under test, never as truth.
 """
 from __future__ import annotations
 
@@ -20,7 +25,8 @@ from functools import cached_property
 import numpy as np
 
 from .measure import realize
-from .operator import SpectrumReport, WeightedCondExpOperator, apply, apply_adjoint
+from .operator import ClassificationReport, PolarParts, SpectrumReport, WeightedCondExpOperator
+from .operator import apply, apply_adjoint, apply_isometry, apply_modulus
 
 __all__ = [
     "MATRIX_ORDER_CAP",
@@ -34,6 +40,7 @@ __all__ = [
     "min_singular_value",
     "residuals",
     "OracleResiduals",
+    "polar_check",
     "spectrum_probe_check",
     "SpectrumProbeResult",
 ]
@@ -150,6 +157,10 @@ class OracleResiduals:
             self.quasinormal_rel <= tol,
         )
 
+    def agrees(self, report: ClassificationReport, tol: float) -> bool:
+        """Whether a formula-layer classification matches these verdicts at tol."""
+        return (report.self_adjoint, report.normal, report.quasinormal) == self.verdicts(tol)
+
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     """Commutator-style residuals backing each classification verdict."""
@@ -162,6 +173,32 @@ def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
         quasinormal=float(np.linalg.norm(M @ G - G @ M)),
         matrix_norm=float(np.linalg.norm(M)),
     )
+
+
+def polar_check(
+    T: WeightedCondExpOperator, parts: PolarParts, tol: float
+) -> tuple[float, float, bool]:
+    """Dense check of polar factors cut at tolerance tol.
+
+    The factors vanish off S = supp E(|u|^2) > tol, so U|T| = P_S M and
+    |T| = P_S sqrt(M*M) with P_S the projection onto S.  Each atom a off S
+    adds exactly E_a(|u|^2) to ||(I - P_S) M||_F^2, so that is at most tol
+    per atom off S; this fails when the factors were cut too high.
+    Returns the two residuals and the verdict.
+    """
+    M = matrix_of(T)
+    on = np.zeros(T.n, dtype=bool)
+    on[parts.support_set] = True
+    P_S = on[:, None]
+    U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
+    A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
+    recon = float(np.linalg.norm(U_mat @ A_mat - np.where(P_S, M, 0)))
+    sqrt_err = float(np.linalg.norm(A_mat - np.where(P_S, psd_sqrt(M.conj().T @ M), 0)))
+    off_sq = float(np.linalg.norm(M[~on]) ** 2)
+    atoms_off = np.unique(T.partition.atom_of[~on]).size
+    norm = max(float(np.linalg.norm(M)), 1e-300)
+    ok = recon <= 1e-10 * norm and sqrt_err <= 1e-8 * norm and off_sq <= tol * atoms_off
+    return recon, sqrt_err, ok
 
 
 def _candidate_sigma(M: np.ndarray, lam: complex, norm: float) -> float:
@@ -234,6 +271,10 @@ class SpectrumProbeResult:
             s >= d / 2.0 - slack
             for s, d in zip(self.probe_sigmas, self.probe_distances)
         )
+
+    def ok(self, tol: float = 1e-8) -> bool:
+        """The spectrum verdict: every claimed value checks out, and so does the floor."""
+        return self.candidates_ok(tol) and self.probes_ok(tol)
 
 
 def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> SpectrumProbeResult:

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from wcelab.cli import _check_polar, main
-from wcelab.operator import WeightedCondExpOperator, polar
-from wcelab.scenarios import SCENARIO_BUILDERS, build_block_partition
+from wcelab import cli
+from wcelab.cli import main
+from wcelab.operator import SpectrumReport, classify, polar, spectrum_formula
+from wcelab.scenarios import SCENARIO_BUILDERS
 
 
 def run(capsys, *argv):
@@ -84,19 +86,6 @@ def test_polar_tiny_atom_below_tol(tmp_path, capsys):
     assert "support size of mean-square symbol: 2 of 3" in out
     assert "verdict: pass" in out
     assert code == 0
-
-
-def test_polar_check_rejects_factors_cut_too_high():
-    # block-partition (n=8, m=3, u = 1..8) has atom means of |u|^2 of 2.5,
-    # 16.7 and 49.7; factors cut at 10 drop the first atom, which a check
-    # at tol 1e-8 must reject even though U|T| = P_S T holds
-    sc = build_block_partition(8, 3)
-    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    recon, sqrt_err, ok = _check_polar(T, polar(T, 10.0), 1e-8)
-    assert recon <= 1e-12 and sqrt_err <= 1e-12
-    assert not ok
-    assert _check_polar(T, polar(T, 10.0), 10.0)[2]
-    assert _check_polar(T, polar(T, 1e-8), 1e-8)[2]
 
 
 def test_domain_poisson(capsys):
@@ -195,7 +184,6 @@ FULL = ["--scenario", "full-algebra"]
             for v in ("0", "-1", "nan", "inf")
         ),
         # above the oracle's order cap of 256
-        ["classify", *FULL, "--params", "n=300"],
         ["polar", *FULL, "--params", "n=300"],
         ["spectrum", "--oracle", *FULL, "--params", "n=300"],
     ],
@@ -208,3 +196,64 @@ def test_bad_numbers_exit_2(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, verdict", [("full-algebra", "True"), ("trivial-algebra", "False")])
+def test_classify_above_the_order_cap(capsys, scenario, verdict):
+    # the verdicts come from the formula layer alone; only the informational
+    # oracle residuals need the dense matrix
+    code, out, _ = run(capsys, "classify", "--scenario", scenario, "--params", "n=300")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[1:4]] == [verdict] * 3
+    assert "  oracle residuals: n/a (n > 256)" in out
+
+
+# Each patch makes the formula layer's claim wrong in the way one dense check
+# names: a spectral value 100+100j that no operator here has, polar factors
+# cut at 10 (which drops atoms the check at tol 1e-8 must keep), or a
+# classification with normality flipped.
+def _spectrum_gains_bogus_value(T, tol):
+    rep = spectrum_formula(T, tol)
+    return SpectrumReport(values=rep.values + (100.0 + 100.0j,), includes_zero=rep.includes_zero)
+
+
+def _polar_cut_at_10(T, tol):
+    return polar(T, 10.0)
+
+
+def _classify_normality_flipped(T, tol):
+    rep = classify(T, tol)
+    return dataclasses.replace(
+        rep, self_adjoint=False, normal=not rep.normal, quasinormal=not rep.normal
+    )
+
+
+def test_spectrum_oracle_fails_on_an_off_spectrum_claim(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "spectrum_formula", _spectrum_gains_bogus_value)
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "block-partition")
+    assert "oracle verdict: FAIL" in out
+    assert code == 1
+
+
+def test_polar_fails_on_factors_cut_too_high(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "polar", _polar_cut_at_10)
+    code, out, _ = run(capsys, "polar", "--scenario", "block-partition")
+    assert "verdict: FAIL" in out
+    assert code == 1
+
+
+@pytest.mark.parametrize(
+    "name, patch, reason",
+    [
+        ("spectrum_formula", _spectrum_gains_bogus_value, "spectrum_ok=False"),
+        ("polar", _polar_cut_at_10, "polar_ok=False"),
+        ("classify", _classify_normality_flipped, "polar_ok=True spectrum_ok=True"),
+    ],
+    ids=["spectrum_formula", "polar", "classify"],
+)
+def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, name, patch, reason):
+    monkeypatch.setattr(cli, name, patch)
+    code, out, _ = run(capsys, "oracle-check", "--seeds", "5")
+    mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
+    assert mismatches and all(reason in line for line in mismatches)
+    assert code == 1

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from wcelab.operator import (
     SpectrumReport,
     WeightedCondExpOperator,
     classify,
+    polar,
     spectrum_formula,
 )
 from wcelab.oracle import (
@@ -19,12 +22,18 @@ from wcelab.oracle import (
     hermitian_eig,
     matrix_of,
     min_singular_value,
+    polar_check,
     psd_sqrt,
     residuals,
     spectrum_probe_check,
 )
 from wcelab.sampling import random_operator
-from wcelab.scenarios import build_full_algebra, build_geometric_blowup, build_symmetric_interval
+from wcelab.scenarios import (
+    build_block_partition,
+    build_full_algebra,
+    build_geometric_blowup,
+    build_symmetric_interval,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -182,6 +191,16 @@ def test_residual_verdicts_match_formula_classification(seed):
     assert (rep.self_adjoint, rep.normal, rep.quasinormal) == residuals(T).verdicts(1e-8)
 
 
+def test_agrees_compares_every_verdict():
+    T = random_operator(np.random.default_rng(3), max_n=16)
+    rep, res = classify(T, 1e-8), residuals(T)
+    assert res.agrees(rep, 1e-8)
+    flipped = dataclasses.replace(
+        rep, self_adjoint=False, normal=not rep.normal, quasinormal=not rep.normal
+    )
+    assert not res.agrees(flipped, 1e-8)
+
+
 @given(seeds)
 @settings(max_examples=80, deadline=None)
 def test_oracle_normal_and_quasinormal_verdicts_coincide(seed):
@@ -191,6 +210,22 @@ def test_oracle_normal_and_quasinormal_verdicts_coincide(seed):
     T = random_operator(np.random.default_rng(seed), max_n=32)
     _, normal, quasinormal = residuals(T).verdicts(1e-8)
     assert normal == quasinormal
+
+
+# ---------------------------------------------------------------- polar check
+
+
+def test_polar_check_rejects_factors_cut_too_high():
+    # block-partition (n=8, m=3, u = 1..8) has atom means of |u|^2 of 2.5,
+    # 16.7 and 49.7; factors cut at 10 drop the first atom, which a check
+    # at tol 1e-8 must reject even though U|T| = P_S T holds
+    sc = build_block_partition(8, 3)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    recon, sqrt_err, ok = polar_check(T, polar(T, 10.0), 1e-8)
+    assert recon <= 1e-12 and sqrt_err <= 1e-12
+    assert not ok
+    assert polar_check(T, polar(T, 10.0), 10.0)[2]
+    assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
 
 
 # ---------------------------------------------------------------- probe check
@@ -221,6 +256,7 @@ def test_probe_check_rejects_bogus_value():
     )
     probe = spectrum_probe_check(T, bogus)
     assert not probe.candidates_ok(1e-8)
+    assert not probe.ok(1e-8)
 
 
 def test_probe_check_is_deterministic_per_seed():
@@ -245,6 +281,7 @@ def test_probe_floor_rejects_missing_value_on_normal_operator():
     assert probe.candidates_ok(1e-8)
     assert probe.floor_applies(1e-8)
     assert not probe.probes_ok(1e-8)
+    assert not probe.ok(1e-8)
 
 
 def test_probe_floor_skipped_on_non_normal_operator():

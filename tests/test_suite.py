@@ -96,7 +96,7 @@ def test_text_format_has_summary_line():
 
 
 def test_tolerance_override_propagates():
-    report = run_claim_suite(tolerances={"identity": 1e-6})
+    report = run_claim_suite(identity_tol=1e-6)
     assert report.tolerances["identity"] == 1e-6
     assert report.tolerances["oracle"] == DEFAULT_TOLERANCES["oracle"]
 
