@@ -3,14 +3,14 @@
 Operators are realized as matrices in the orthonormal coordinates
 e_i = delta_i / sqrt(mu_i) by ``measure.realize``, which applies an
 operator's action to each basis vector; nothing here reuses the
-symbol-average formulas.  Only Hermitian eigenproblems are solved; spectra
-are falsified through minimum-singular-value bounds rather than a general
-eigendecomposition.  A claimed spectral value is certified by a witness
-vector x, since sigma_min(M - lambda I) <= ||(M - lambda I) x|| for any unit
-x, with one SVD as the fallback when no witness is small enough; the
-sigma_min at a probe point is taken from one SVD, and only where the probe
-floor applies.  Matrices are kept at order <= 256: the oracle is O(n^3), the
-formula layer O(n).
+symbol-average formulas.  No computed eigenvalue is taken on trust.  A
+claimed spectral value is certified by a witness vector x, since
+sigma_min(M - lambda I) <= ||(M - lambda I) x|| for any unit x: one general
+eigendecomposition per check proposes the trial vectors, the residuals are
+computed here, and one SVD is the fallback when no witness is small
+enough.  The sigma_min at a probe point is taken from one SVD, and only
+where the probe floor applies.  Matrices are kept at order <= 256: the
+oracle is O(n^3), the formula layer O(n).
 
 Every formula-vs-oracle verdict is decided here: ``polar_check``,
 ``OracleResiduals.agrees`` and ``SpectrumProbeResult.ok``.  Each takes the
@@ -47,7 +47,6 @@ __all__ = [
 
 MATRIX_ORDER_CAP = 256
 _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
-_WITNESS_SHIFT = 1e-13  # inverse-iteration shift off a claimed value, relative to ||M||_F
 _WITNESS_ACCEPT = 1e-12  # largest witness residual reported without an SVD, relative to ||M||_F
 
 
@@ -164,7 +163,10 @@ class OracleResiduals:
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     """Commutator-style residuals backing each classification verdict."""
-    M = matrix_of(T)
+    return _residuals(matrix_of(T))
+
+
+def _residuals(M: np.ndarray) -> OracleResiduals:
     Mh = M.conj().T
     G = Mh @ M  # |M|^2, no square root needed
     return OracleResiduals(
@@ -201,45 +203,39 @@ def polar_check(
     return recon, sqrt_err, ok
 
 
-def _candidate_sigma(M: np.ndarray, lam: complex, norm: float) -> float:
-    """An upper bound on sigma_min(M - lam * I), at rounding level when lam
-    is an eigenvalue.
+def _candidate_sigmas(M: np.ndarray, values: list[complex], norm: float) -> tuple[float, ...]:
+    """An upper bound on sigma_min(M - lam * I) for each lam in values, at
+    rounding level when lam is an eigenvalue.
 
-    Two steps of inverse iteration, shifted just off lam so that the solve
-    stays regular, give a unit witness x; its residual ||(M - lam I) x||
-    with the unshifted matrix bounds sigma_min from above.  A residual
-    above _WITNESS_ACCEPT * norm, a zero matrix or a singular solve falls
+    The unit eigenvector of the computed eigenvalue nearest lam is a
+    witness x; its residual ||(M - lam I) x|| bounds sigma_min from above.
+    A residual above _WITNESS_ACCEPT * norm, or a failed eigensolve, falls
     back to the SVD, so a value is never reported above the SVD's by more
     than that bound, and never below sigma_min by more than rounding.
     """
-    if norm > 0.0:
-        n = M.shape[0]
-        shifted = M.astype(complex)  # a copy
-        shifted[np.diag_indices(n)] -= lam + _WITNESS_SHIFT * norm
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        try:
-            for _ in range(2):
-                x = np.linalg.solve(shifted, x)
-                x = x / np.linalg.norm(x)
-        except np.linalg.LinAlgError:
-            r = np.inf
-        else:
-            r = float(np.linalg.norm(M @ x - lam * x))
-        if r <= _WITNESS_ACCEPT * norm:  # False for a NaN residual too
-            return r
-    return min_singular_value(M, lam)
+    lams = np.asarray(values, dtype=complex)
+    try:
+        w, V = np.linalg.eig(M)
+    except np.linalg.LinAlgError:
+        r = np.full(lams.size, np.inf)
+    else:
+        X = V[:, np.abs(lams[:, None] - w[None, :]).argmin(axis=1)]
+        r = np.linalg.norm(M @ X - X * lams, axis=0)
+    return tuple(
+        float(s) if s <= _WITNESS_ACCEPT * norm else min_singular_value(M, lam)  # False for NaN too
+        for s, lam in zip(r, values)
+    )
 
 
 @dataclass(frozen=True)
 class SpectrumProbeResult:
-    # an upper bound on sigma_min at each claimed spectral value, from a
-    # witness vector (see _candidate_sigma)
+    # an upper bound on sigma_min at each claimed spectral value, from an
+    # eigenvector witness or the SVD (see _candidate_sigmas)
     candidate_sigmas: tuple[float, ...]
     probe_points: tuple[complex, ...]
     probe_distances: tuple[float, ...]  # distance of each probe to the claimed set
     matrix_norm: float
-    normal_rel: float  # ||M*M - MM*||_F / ||M||_F^2, as in OracleResiduals
+    normal_rel: float  # ||M*M - MM*||_F / ||M||_F^2, OracleResiduals.normal_rel
     matrix: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
@@ -280,8 +276,9 @@ class SpectrumProbeResult:
 def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> SpectrumProbeResult:
     """Verify a claimed spectrum by minimum-singular-value probing.
 
-    Every claimed value must nearly annihilate M - lambda I, shown by a
-    witness vector (``_candidate_sigma``); probes taken
+    Every claimed value must nearly annihilate M - lambda I, shown by an
+    eigenvector witness from one eigendecomposition of M
+    (``_candidate_sigmas``); probes taken
     at midpoints between sorted claimed values and at four random points
     outside their convex hull must stay spectrally far, quantified against
     the probe's distance to the claimed set.  The random points come from
@@ -290,10 +287,9 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
     and the probes' sigma_min are computed only then.
     """
     M = matrix_of(T)
-    Mh = M.conj().T
-    norm = float(np.linalg.norm(M))
+    res = _residuals(M)
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
-    cand_sigmas = tuple(_candidate_sigma(M, v, norm) for v in values)
+    cand_sigmas = _candidate_sigmas(M, values, res.matrix_norm)
 
     probes: list[complex] = []
     for a, b in zip(values, values[1:]):
@@ -311,7 +307,7 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
         candidate_sigmas=cand_sigmas,
         probe_points=tuple(probes),
         probe_distances=dists,
-        matrix_norm=norm,
-        normal_rel=float(np.linalg.norm(Mh @ M - M @ Mh)) / max(norm**2, 1e-300),
+        matrix_norm=res.matrix_norm,
+        normal_rel=res.normal_rel,
         matrix=M,
     )

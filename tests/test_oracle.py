@@ -27,7 +27,7 @@ from wcelab.oracle import (
     residuals,
     spectrum_probe_check,
 )
-from wcelab.sampling import random_operator
+from wcelab.sampling import SPECIAL_KINDS, random_operator
 from wcelab.scenarios import (
     build_block_partition,
     build_full_algebra,
@@ -292,7 +292,7 @@ def test_probe_floor_skipped_on_non_normal_operator():
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
     probe = spectrum_probe_check(T, spectrum_formula(T, 1e-8))
     assert any(s < d / 2.0 - 1e-8 for s, d in zip(probe.probe_sigmas, probe.probe_distances))
-    assert probe.normal_rel == pytest.approx(residuals(T).normal_rel, rel=1e-12)
+    assert probe.normal_rel == residuals(T).normal_rel
     assert not probe.floor_applies(1e-8)
     assert probe.probes_ok(1e-8)
 
@@ -313,15 +313,16 @@ def _reference_verdicts(T, claim, probe, tol):
     return cand, floor
 
 
-@given(seeds)
+@given(seeds, st.sampled_from(SPECIAL_KINDS))
 @settings(max_examples=60, deadline=None)
-def test_probe_check_verdicts_match_svd_reference(seed):
+def test_probe_check_verdicts_match_svd_reference(seed, kind):
     # a candidate value is a witness residual, an upper bound on sigma_min
     # reported only when it is below 1e-12 ||M||, else the SVD itself; so
     # every verdict at tol >= 1e-12 is the one the SVD alone gives, on the
-    # true claim and on one with a value off the spectrum
+    # true claim and on one with a value off the spectrum.  Every kind is
+    # drawn: zero_mean makes 0 a defective eigenvalue (2x2 Jordan blocks)
     rng = np.random.default_rng(seed)
-    T = random_operator(rng, max_n=32)
+    T = random_operator(rng, max_n=32, kind=kind)
     rep = spectrum_formula(T, 1e-10)
     off = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
     M = matrix_of(T)
@@ -340,8 +341,8 @@ def test_probe_check_verdicts_match_svd_reference(seed):
 
 
 def test_probe_check_on_the_zero_operator():
-    # zero-mean symbol on singletons: u = 0 exactly, so M = 0, where no
-    # witness can be solved for and the SVD answers
+    # zero-mean symbol on singletons: u = 0 exactly, so M = 0, where every
+    # eigenvector is a witness with residual 0, the SVD's value
     n = 5
     sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
     T = WeightedCondExpOperator(sp, Partition(np.arange(n)), MFunction(np.zeros(n, dtype=complex)))
@@ -353,15 +354,43 @@ def test_probe_check_on_the_zero_operator():
 
 
 def test_bogus_value_reports_the_svd():
-    # no witness certifies 100+100j, so its value is the SVD's, exactly
+    # no witness certifies 100+100j, so its value is the SVD's, exactly.
+    # A value 1e-3 off the most isolated true one takes that value's
+    # eigenvector as its witness, whose residual of about 1e-3 is too large
+    # to report, so it gets the SVD too while the true value keeps its witness
     rng = np.random.default_rng(6)
     T = random_operator(rng, max_n=24)
+    M = matrix_of(T)
     rep = spectrum_formula(T, 1e-10)
+    true = max(rep.values, key=lambda v: min(abs(v - w) for w in rep.values if w != v))
+    near = true + 1e-3
+    w = np.linalg.eigvals(M)
+    assert np.abs(w - true).argmin() == np.abs(w - near).argmin()
     bogus = 100.0 + 100.0j
-    claim = SpectrumReport(values=rep.values + (bogus,), includes_zero=rep.includes_zero)
+    claim = SpectrumReport(values=rep.values + (bogus, near), includes_zero=rep.includes_zero)
     probe = spectrum_probe_check(T, claim)
     values = sorted(claim.values, key=lambda z: (z.real, z.imag))
-    assert probe.candidate_sigmas[values.index(bogus)] == min_singular_value(matrix_of(T), bogus)
+    for v in (bogus, near):
+        assert probe.candidate_sigmas[values.index(v)] == min_singular_value(M, v)
+    assert probe.candidate_sigmas[values.index(true)] <= 1e-12 * probe.matrix_norm
+
+
+def test_failed_eigensolve_reports_the_svd(monkeypatch):
+    # without an eigendecomposition there is no witness, and every
+    # candidate is the SVD's value
+    T = random_operator(np.random.default_rng(6), max_n=24)
+    rep = spectrum_formula(T, 1e-10)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eig", fail)
+    probe = spectrum_probe_check(T, rep)
+    monkeypatch.undo()
+    M = matrix_of(T)
+    values = sorted(rep.values, key=lambda z: (z.real, z.imag))
+    assert probe.candidate_sigmas == tuple(min_singular_value(M, v) for v in values)
+    assert probe.candidates_ok(1e-8)
 
 
 def _count_probe_svds(monkeypatch, scenario, slack):
