@@ -34,7 +34,7 @@ from .scenarios import (
     load_space_file,
     poisson_parity_spec,
 )
-from .suite import DEFAULT_TOLERANCES, run_claim_suite
+from .suite import run_claim_suite
 
 USAGE_ERROR = 2
 
@@ -174,7 +174,7 @@ def cmd_domain(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    report = run_claim_suite(args.tol)
+    report = run_claim_suite()
     if args.format == "json":
         print(report.to_json())
     else:
@@ -210,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_scenario_opts(p, tol_default=1e-8):
+    def add_scenario_opts(p):
         p.add_argument("--scenario", choices=sorted(SCENARIO_BUILDERS))
         p.add_argument("--params", nargs="*", metavar="k=v")
         p.add_argument("--space-file", dest="space_file", metavar="PATH")
-        p.add_argument("--tol", type=_tolerance, default=tol_default)
+        p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("classify", help="self-adjoint / normal / quasinormal verdicts")
     add_scenario_opts(p)
@@ -241,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="run the full claims verification suite")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument(
-        "--tol", type=_tolerance, default=DEFAULT_TOLERANCES["identity"], help="identity tolerance"
-    )
     p.set_defaults(func=cmd_suite)
 
     p = sub.add_parser("oracle-check", help="randomized formula-vs-oracle cross-validation")

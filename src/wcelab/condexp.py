@@ -29,13 +29,20 @@ def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
 
 
 def atom_averages(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
-    """Mass-weighted mean of f per atom, shape (atom_count,) complex."""
+    """Mass-weighted mean of f per atom, shape (atom_count,) complex.
+
+    The real and imaginary sums are divided by the atom masses in real
+    arithmetic: complex division by a subnormal mass overflows to NaN, and
+    real division is correctly rounded.
+    """
     f.check_aligned(sp)
     p.check_aligned(sp)
-    w = sp.masses
-    num_re = np.bincount(p.atom_of, weights=w * f.values.real, minlength=p.atom_count)
-    num_im = np.bincount(p.atom_of, weights=w * f.values.imag, minlength=p.atom_count)
-    return (num_re + 1j * num_im) / atom_masses(p, sp)
+    w, m = sp.masses, p.atom_count
+    mass = atom_masses(p, sp)
+    out = np.empty(m, dtype=complex)
+    np.divide(np.bincount(p.atom_of, weights=w * f.values.real, minlength=m), mass, out=out.real)
+    np.divide(np.bincount(p.atom_of, weights=w * f.values.imag, minlength=m), mass, out=out.imag)
+    return out
 
 
 def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:

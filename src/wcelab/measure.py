@@ -104,6 +104,7 @@ class Partition:
     """
 
     atom_of: np.ndarray
+    atom_count: int = field(init=False)
 
     def __post_init__(self):
         atom_of = np.asarray(self.atom_of, dtype=int)
@@ -113,14 +114,11 @@ class Partition:
         m = int(atom_of.max()) + 1
         if atom_of.min() < 0 or len(np.unique(atom_of)) != m:
             raise ValueError("atom indices must cover 0..m-1 with no gaps")
+        object.__setattr__(self, "atom_count", m)
 
     @property
     def n(self) -> int:
         return self.atom_of.size
-
-    @property
-    def atom_count(self) -> int:
-        return int(self.atom_of.max()) + 1
 
     @property
     def is_singletons(self) -> bool:

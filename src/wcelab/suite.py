@@ -34,9 +34,9 @@ from .scenarios import (
     build_trivial_algebra,
 )
 
-__all__ = ["ClaimEntry", "SuiteReport", "run_claim_suite", "DEFAULT_TOLERANCES"]
+__all__ = ["ClaimEntry", "SuiteReport", "run_claim_suite", "TOLERANCES"]
 
-DEFAULT_TOLERANCES = {
+TOLERANCES = {
     "identity": 1e-10,  # closed-form identities
     "oracle": 1e-8,  # formula-vs-dense-matrix comparisons
     "exact": 1e-12,  # exact-by-construction checks
@@ -64,7 +64,6 @@ class ClaimEntry:
 @dataclass(frozen=True)
 class SuiteReport:
     entries: tuple[ClaimEntry, ...]
-    tolerances: dict[str, float]
 
     def counts(self) -> dict[str, int]:
         out = {s: 0 for s in STATUSES}
@@ -78,7 +77,7 @@ class SuiteReport:
 
     def to_json(self) -> str:
         doc = {
-            "tolerances": self.tolerances,
+            "tolerances": TOLERANCES,
             "summary": self.counts(),
             "entries": [asdict(e) for e in self.entries],
         }
@@ -118,19 +117,16 @@ def _op(sc: Scenario, symbol: np.ndarray | None = None) -> WeightedCondExpOperat
     return WeightedCondExpOperator(sc.space, sc.partition, sym)
 
 
-def _classification_agrees(T: WeightedCondExpOperator, tol: float) -> tuple[dict, bool]:
+def _classification_agrees(T: WeightedCondExpOperator) -> dict:
     """Formula-layer verdicts with the dense residual cross-check."""
+    tol = TOLERANCES["oracle"]
     rep = classify(T, tol)
-    agree = residuals(T).agrees(rep, tol)
-    return (
-        {
-            "self_adjoint": rep.self_adjoint,
-            "normal": rep.normal,
-            "quasinormal": rep.quasinormal,
-            "oracle_agrees": agree,
-        },
-        agree,
-    )
+    return {
+        "self_adjoint": rep.self_adjoint,
+        "normal": rep.normal,
+        "quasinormal": rep.quasinormal,
+        "oracle_agrees": residuals(T).agrees(rep, tol),
+    }
 
 
 def _spectrum_entry(
@@ -138,17 +134,16 @@ def _spectrum_entry(
     reference: str,
     T: WeightedCondExpOperator,
     expected_values: list[complex],
-    tols: dict[str, float],
     provenance: str = "published",
     note: str = "",
 ) -> ClaimEntry:
-    rep = spectrum_formula(T, tols["identity"])
+    rep = spectrum_formula(T, TOLERANCES["identity"])
     probe = spectrum_probe_check(T, rep)
     match = len(rep.values) == len(expected_values) and all(
-        abs(a - b) <= tols["identity"]
+        abs(a - b) <= TOLERANCES["identity"]
         for a, b in zip(rep.values, sorted(expected_values, key=lambda z: (z.real, z.imag)))
     )
-    ok = match and probe.ok(tols["oracle"])
+    ok = match and probe.ok(TOLERANCES["oracle"])
     return ClaimEntry(
         claim_id=claim_id,
         reference=reference,
@@ -156,13 +151,13 @@ def _spectrum_entry(
             "spectrum": list(rep.values),
             "includes_zero": rep.includes_zero,
             "max_candidate_sigma_min": max(probe.candidate_sigmas),
-            "probe_floor_ok": probe.probes_ok(tols["oracle"]),
-            "probe_floor_applies": probe.floor_applies(tols["oracle"]),
+            "probe_floor_ok": probe.probes_ok(TOLERANCES["oracle"]),
+            "probe_floor_applies": probe.floor_applies(TOLERANCES["oracle"]),
         },
         expected={"spectrum": sorted(expected_values, key=lambda z: (z.real, z.imag))},
         provenance=provenance,
         status="pass" if ok else "fail",
-        tolerances={"identity": tols["identity"], "oracle": tols["oracle"]},
+        tolerances={"identity": TOLERANCES["identity"], "oracle": TOLERANCES["oracle"]},
         note=note,
     )
 
@@ -189,7 +184,7 @@ def _bounded_entry(claim_id: str, reference: str, T) -> ClaimEntry:
     return _finite_entry(claim_id, reference, {"frobenius_norm": norm}, norm, note)
 
 
-def _iff_entry(claim_id: str, reference: str, verdict: str, yes, no, tols) -> ClaimEntry:
+def _iff_entry(claim_id: str, reference: str, verdict: str, yes, no) -> ClaimEntry:
     """A published "<verdict> iff <condition>" claim, shown on one symbol that
     meets the condition and one that violates it.  ``yes`` and ``no`` are
     ``(name, _classification_agrees(...))`` pairs.
@@ -199,8 +194,9 @@ def _iff_entry(claim_id: str, reference: str, verdict: str, yes, no, tols) -> Cl
     normal operators, so a self-adjointness claim's no case must be normal:
     otherwise it would fail for a reason other than the one the claim names.
     """
-    (yes_name, (yes_comp, yes_agree)), (no_name, (no_comp, no_agree)) = yes, no
-    ok = yes_agree and no_agree and yes_comp[verdict] and not no_comp[verdict]
+    (yes_name, yes_comp), (no_name, no_comp) = yes, no
+    ok = yes_comp["oracle_agrees"] and no_comp["oracle_agrees"]
+    ok = ok and yes_comp[verdict] and not no_comp[verdict]
     if verdict == "self_adjoint":
         ok = ok and no_comp["normal"]
     return ClaimEntry(
@@ -210,24 +206,23 @@ def _iff_entry(claim_id: str, reference: str, verdict: str, yes, no, tols) -> Cl
         expected={yes_name: True, no_name: False},
         provenance="published",
         status="pass" if ok else "fail",
-        tolerances={"oracle": tols["oracle"]},
+        tolerances={"oracle": TOLERANCES["oracle"]},
     )
 
 
 def _fails_entry(
-    claim_id: str, reference: str, verdict: str, result, tols, provenance="published", note=""
+    claim_id: str, reference: str, verdict: str, comp, provenance="published", note=""
 ) -> ClaimEntry:
     """A "not <verdict>" claim: the verdict fails and the oracle agrees.
-    ``result`` is a ``_classification_agrees`` pair."""
-    comp, agree = result
+    ``comp`` is a ``_classification_agrees`` verdict dict."""
     return ClaimEntry(
         claim_id=claim_id,
         reference=reference,
         computed=comp,
         expected={verdict: False},
         provenance=provenance,
-        status="pass" if (not comp[verdict] and agree) else "fail",
-        tolerances={"oracle": tols["oracle"]},
+        status="pass" if (not comp[verdict] and comp["oracle_agrees"]) else "fail",
+        tolerances={"oracle": TOLERANCES["oracle"]},
         note=note,
     )
 
@@ -238,11 +233,10 @@ ZERO_NOTE = (
 )
 
 
-def _case1_entries(tols) -> list[ClaimEntry]:
+def _case1_entries() -> list[ClaimEntry]:
     u = np.array([1 + 1j, 2.0, -0.5 + 0.25j, 3.0, 0.7 - 2j, 1.5])
     sc = build_full_algebra(6)
     T = _op(sc, u)
-    tol = tols["oracle"]
     sq_max = float(np.max(np.abs(u) ** 2))
     real = _op(sc, np.array([1.0, -2.0, 0.5, 3.0, 0.0, 4.0]))
     return [
@@ -256,27 +250,24 @@ def _case1_entries(tols) -> list[ClaimEntry]:
             "full-algebra.self-adjoint-iff-real",
             "example (i) case 1, claim (b)1",
             "self_adjoint",
-            ("real_symbol", _classification_agrees(real, tol)),
-            ("complex_symbol", _classification_agrees(T, tol)),
-            tols,
+            ("real_symbol", _classification_agrees(real)),
+            ("complex_symbol", _classification_agrees(T)),
         ),
         _bounded_entry("full-algebra.closed", "example (i) case 1, claim (b)2", T),
         _spectrum_entry(
             "full-algebra.spectrum-is-range",
             "example (i) case 1, claim (b)3",
             T,
-            ess_range(T.symbol, T.space, tols["identity"]),
-            tols=tols,
+            ess_range(T.symbol, T.space, TOLERANCES["identity"]),
         ),
     ]
 
 
-def _case2_entries(tols) -> list[ClaimEntry]:
+def _case2_entries() -> list[ClaimEntry]:
     sc = build_trivial_algebra(4)  # symbol (1, 2, 3, 4), uniform masses
     T = _op(sc)
-    tol = tols["oracle"]
     sq_mean = float(T.symbol_sq_mean.values[0].real)
-    const = _classification_agrees(_op(sc, np.full(4, 2.0)), tol)
+    const = _classification_agrees(_op(sc, np.full(4, 2.0)))
     return [
         _finite_entry(
             "trivial-algebra.densely-defined",
@@ -289,16 +280,14 @@ def _case2_entries(tols) -> list[ClaimEntry]:
             "example (i) case 2, claim (b)1",
             "normal",
             ("constant_symbol", const),
-            ("varying_symbol", _classification_agrees(T, tol)),
-            tols,
+            ("varying_symbol", _classification_agrees(T)),
         ),
         _iff_entry(
             "trivial-algebra.self-adjoint-iff-real-constant",
             "example (i) case 2, claim (b)2",
             "self_adjoint",
             ("real_constant", const),
-            ("imaginary_constant", _classification_agrees(_op(sc, np.full(4, 2.0j)), tol)),
-            tols,
+            ("imaginary_constant", _classification_agrees(_op(sc, np.full(4, 2.0j)))),
         ),
         _bounded_entry("trivial-algebra.closed", "example (i) case 2, claim (b)3", T),
         _spectrum_entry(
@@ -306,17 +295,15 @@ def _case2_entries(tols) -> list[ClaimEntry]:
             "example (i) case 2, claim (b)4",
             T,
             [0.0, 2.5],
-            tols=tols,
             note=ZERO_NOTE + "; published value is the mean 2.5 alone",
         ),
     ]
 
 
-def _case3_entries(tols) -> list[ClaimEntry]:
+def _case3_entries() -> list[ClaimEntry]:
     sc = build_block_partition(8, 3)
     u = np.array([0.4 + 1j, -1.0, 2.5, 0.3 - 0.7j, 1.1, -2.0 + 0.5j, 0.9, 1.7])
     T = _op(sc, u)
-    tol = tols["oracle"]
     # per-atom beta values by independent direct summation
     beta_direct = []
     for a in range(sc.partition.atom_count):
@@ -330,7 +317,7 @@ def _case3_entries(tols) -> list[ClaimEntry]:
     err = float(np.max(np.abs(sq_mean_atoms - np.array(beta_direct))))
     atom_const = np.array([1 + 1j, 2.0, -1.0])[sc.partition.atom_of]
     atom_const_real = np.array([1.0, 2.0, -1.0])[sc.partition.atom_of]
-    complex_const = _classification_agrees(_op(sc, atom_const), tol)
+    complex_const = _classification_agrees(_op(sc, atom_const))
     # indicator-style symbol: atom means and atom mean-squares coincide, so
     # the published value set and the mean-based rule agree on this instance
     indicator = np.array([0.0, 1.0, 1.0])[sc.partition.atom_of]
@@ -341,24 +328,22 @@ def _case3_entries(tols) -> list[ClaimEntry]:
             computed={"atom_values": sq_mean_atoms.tolist(), "max_error": err},
             expected={"atom_values": beta_direct},
             provenance="derived",
-            status="pass" if err <= tols["exact"] else "fail",
-            tolerances={"exact": tols["exact"]},
+            status="pass" if err <= TOLERANCES["exact"] else "fail",
+            tolerances={"exact": TOLERANCES["exact"]},
         ),
         _iff_entry(
             "block-partition.normal-iff-atom-constant",
             "example (i) case 3, claim (b)1",
             "normal",
             ("atom_constant", complex_const),
-            ("generic", _classification_agrees(T, tol)),
-            tols,
+            ("generic", _classification_agrees(T)),
         ),
         _iff_entry(
             "block-partition.self-adjoint-iff-real-atom-constant",
             "example (i) case 3, claim (b)2",
             "self_adjoint",
-            ("real_atom_constant", _classification_agrees(_op(sc, atom_const_real), tol)),
+            ("real_atom_constant", _classification_agrees(_op(sc, atom_const_real))),
             ("complex_atom_constant", complex_const),
-            tols,
         ),
         _bounded_entry("block-partition.closed", "example (i) case 3, claim (b)3", T),
         _spectrum_entry(
@@ -366,7 +351,6 @@ def _case3_entries(tols) -> list[ClaimEntry]:
             "example (i) case 3, claim (b)4",
             _op(sc, indicator),
             [0.0, 1.0],
-            tols=tols,
             note=(
                 "published set uses the atom averages of |u|^2; for general "
                 "symbols the spectrum follows the atom averages of u (plus 0), "
@@ -376,11 +360,10 @@ def _case3_entries(tols) -> list[ClaimEntry]:
     ]
 
 
-def _product_grid_entries(tols) -> list[ClaimEntry]:
+def _product_grid_entries() -> list[ClaimEntry]:
     m = 8
     sc = build_product_grid(m)  # u(x, y) = y
     T = _op(sc)
-    tol = tols["oracle"]
     # averaging integrates out the second coordinate; midpoint sums are the
     # independent oracle
     f = MFunction(
@@ -391,10 +374,10 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
     row_means = np.array([x * np.mean(ys**2) for x, _ in sc.space.labels])
     err = float(np.max(np.abs(ef.values - row_means)))
     mean_u_err = float(np.max(np.abs(T.symbol_mean.values - 0.5)))
-    ok = err <= tols["exact"] and mean_u_err <= tols["exact"]
+    ok = err <= TOLERANCES["exact"] and mean_u_err <= TOLERANCES["exact"]
     sq = float(np.max(T.symbol_sq_mean.values.real))
     g_of_x = np.array([1.0 + x for x, _ in sc.space.labels], dtype=complex)
-    row = _classification_agrees(_op(sc, g_of_x), tol)
+    row = _classification_agrees(_op(sc, g_of_x))
     return [
         ClaimEntry(
             claim_id="product-grid.averaging",
@@ -403,7 +386,7 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
             expected={"row_average": "direct midpoint sums", "mean_symbol": 0.5},
             provenance="derived",
             status="pass" if ok else "fail",
-            tolerances={"exact": tols["exact"]},
+            tolerances={"exact": TOLERANCES["exact"]},
         ),
         _finite_entry(
             "product-grid.densely-defined", "example (ii), claim (a)", {"max_sq_mean": sq}, sq
@@ -413,16 +396,14 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
             "example (ii), claim (b)1",
             "normal",
             ("row_symbol", row),
-            ("second_coordinate_symbol", _classification_agrees(T, tol)),
-            tols,
+            ("second_coordinate_symbol", _classification_agrees(T)),
         ),
         _iff_entry(
             "product-grid.self-adjoint-iff-real-row-symbol",
             "example (ii), claim (b)2",
             "self_adjoint",
             ("real_row_symbol", row),
-            ("imaginary_row_symbol", _classification_agrees(_op(sc, 1j * g_of_x), tol)),
-            tols,
+            ("imaginary_row_symbol", _classification_agrees(_op(sc, 1j * g_of_x))),
         ),
         _bounded_entry("product-grid.closed", "example (ii), claim (b)3", T),
         _spectrum_entry(
@@ -430,22 +411,21 @@ def _product_grid_entries(tols) -> list[ClaimEntry]:
             "example (ii), claim (b)4",
             T,
             [0.0, 0.5],
-            tols=tols,
             note=ZERO_NOTE + "; published set is the row integrals {1/2}",
         ),
     ]
 
 
-def _symmetric_interval_entries(tols) -> list[ClaimEntry]:
+def _symmetric_interval_entries() -> list[ClaimEntry]:
     N = 32
     sc = build_symmetric_interval(N)
     T = _op(sc)
     x = sc.space.labels[:, 0]
     err_sq = float(np.max(np.abs(T.symbol_sq_mean.values - np.cosh(2 * x))))
     err_mean = float(np.max(np.abs(T.symbol_mean.values - np.cosh(x))))
-    ok = err_sq <= tols["exact"] and err_mean <= tols["exact"]
+    ok = err_sq <= TOLERANCES["exact"] and err_mean <= TOLERANCES["exact"]
     sq = float(np.max(T.symbol_sq_mean.values.real))
-    comp = _classification_agrees(T, tols["oracle"])
+    comp = _classification_agrees(T)
     expected = sorted({complex(np.cosh(xi)) for xi in x[: N // 2]}, key=lambda z: z.real)
     return [
         ClaimEntry(
@@ -455,7 +435,7 @@ def _symmetric_interval_entries(tols) -> list[ClaimEntry]:
             expected={"sq_mean": "cosh(2x) at nodes", "mean": "cosh(x) at nodes"},
             provenance="published",
             status="pass" if ok else "fail",
-            tolerances={"exact": tols["exact"]},
+            tolerances={"exact": TOLERANCES["exact"]},
         ),
         _finite_entry(
             "symmetric-interval.densely-defined",
@@ -464,14 +444,13 @@ def _symmetric_interval_entries(tols) -> list[ClaimEntry]:
             sq,
         ),
         _fails_entry(
-            "symmetric-interval.not-normal", "example (iii), claim (b)", "normal", comp, tols
+            "symmetric-interval.not-normal", "example (iii), claim (b)", "normal", comp
         ),
         _fails_entry(
             "symmetric-interval.not-self-adjoint",
             "example (iii), claim (c)",
             "self_adjoint",
             comp,
-            tols,
         ),
         _bounded_entry("symmetric-interval.closed", "example (iii), claim (d)", T),
         _spectrum_entry(
@@ -479,7 +458,6 @@ def _symmetric_interval_entries(tols) -> list[ClaimEntry]:
             "example (iii), claim (e)",
             T,
             [0.0] + expected,
-            tols=tols,
             note=ZERO_NOTE + "; published set is the cosh range over the interval",
         ),
     ]
@@ -496,7 +474,7 @@ def _poisson_series_mean(theta: float, start: int, terms: int = 300) -> float:
     return num / den
 
 
-def _poisson_entries(tols) -> list[ClaimEntry]:
+def _poisson_entries() -> list[ClaimEntry]:
     theta, tail_tol = 1.0, 1e-12
     sc = build_poisson_parity(theta, tail_tol)
     T = _op(sc)
@@ -531,8 +509,7 @@ def _poisson_entries(tols) -> list[ClaimEntry]:
             "poisson-parity.not-normal",
             "example (iv), claim (b)",
             "normal",
-            _classification_agrees(T, tols["oracle"]),
-            tols,
+            _classification_agrees(T),
             provenance="derived",
             note=(
                 "verdict via atom-constancy of the symbol; the published "
@@ -547,8 +524,8 @@ def _poisson_entries(tols) -> list[ClaimEntry]:
             computed={"value": atom_vals["odd"], "series_oracle": odd_series},
             expected={"value": odd_published},
             provenance="published",
-            status="pass" if odd_err <= tols["identity"] else "fail",
-            tolerances={"identity": tols["identity"]},
+            status="pass" if odd_err <= TOLERANCES["identity"] else "fail",
+            tolerances={"identity": TOLERANCES["identity"]},
         ),
         ClaimEntry(
             claim_id="poisson-parity.mean-symbol-even-atom",
@@ -561,7 +538,7 @@ def _poisson_entries(tols) -> list[ClaimEntry]:
             expected={"published": even_published, "derived": even_series},
             provenance="published",
             status="discrepancy",
-            tolerances={"identity": tols["identity"]},
+            tolerances={"identity": TOLERANCES["identity"]},
             note=(
                 "direct series evaluation contradicts the published closed "
                 "form; both values are reported and neither is asserted as "
@@ -574,7 +551,6 @@ def _poisson_entries(tols) -> list[ClaimEntry]:
             T,
             [0.0, odd_series, even_series],
             provenance="derived",
-            tols=tols,
             note=(
                 "expected values from the series oracle; the published "
                 "even-atom value is covered by the mean-symbol-even-atom "
@@ -584,13 +560,12 @@ def _poisson_entries(tols) -> list[ClaimEntry]:
     ]
 
 
-def run_claim_suite(identity_tol: float = DEFAULT_TOLERANCES["identity"]) -> SuiteReport:
-    tols = {**DEFAULT_TOLERANCES, "identity": identity_tol}
+def run_claim_suite() -> SuiteReport:
     entries: list[ClaimEntry] = []
-    entries += _case1_entries(tols)
-    entries += _case2_entries(tols)
-    entries += _case3_entries(tols)
-    entries += _product_grid_entries(tols)
-    entries += _symmetric_interval_entries(tols)
-    entries += _poisson_entries(tols)
-    return SuiteReport(entries=tuple(entries), tolerances=tols)
+    entries += _case1_entries()
+    entries += _case2_entries()
+    entries += _case3_entries()
+    entries += _product_grid_entries()
+    entries += _symmetric_interval_entries()
+    entries += _poisson_entries()
+    return SuiteReport(entries=tuple(entries))

@@ -93,9 +93,9 @@ def test_criterion_2_interval_spectrum_with_probes():
 
 def test_criterion_3_parity_atom_means():
     t0 = time.perf_counter()
-    from wcelab.suite import DEFAULT_TOLERANCES, _poisson_entries
+    from wcelab.suite import _poisson_entries
 
-    entries = {e.claim_id: e for e in _poisson_entries(dict(DEFAULT_TOLERANCES))}
+    entries = {e.claim_id: e for e in _poisson_entries()}
     odd = entries["poisson-parity.mean-symbol-odd-atom"]
     even = entries["poisson-parity.mean-symbol-even-atom"]
     odd_ok = odd.status == "pass" and abs(odd.computed["value"] - 1.3130352855) <= 1e-10

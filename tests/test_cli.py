@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import math
+import re
+import warnings
 
 import pytest
 
@@ -70,6 +73,18 @@ def test_spectrum_floor_not_claimed_on_non_normal(capsys):
     assert "probe floor n/a (non-normal)" in out
     code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "full-algebra")
     assert "probe floor ok" in out
+
+
+@pytest.mark.parametrize("cmd", ["classify", "spectrum"])
+def test_poisson_parity_with_a_subnormal_atom_mass(capsys, cmd):
+    # at theta = 720 the atom {0} has mass exp(-720) = 2.0e-313, a subnormal
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, cmd, "--scenario", "poisson-parity", "--params", "theta=720")
+    assert code == 0
+    # classify's residual lines and spectrum's value lines
+    numbers = re.findall(r"^ +(?:residual \w+: )?(\S+)$", out, flags=re.MULTILINE)
+    assert numbers and all(math.isfinite(float(v)) for v in numbers)
 
 
 def test_polar_tiny_atom_below_tol(tmp_path, capsys):
@@ -167,8 +182,6 @@ FULL = ["--scenario", "full-algebra"]
             for cmd in ("classify", "spectrum", "polar")
             for tol in ("0", "-1")
         ),
-        ["suite", "--tol", "0"],
-        ["suite", "--tol", "-1"],
         ["domain", "--tail-tol", "0"],
         ["classify", *FULL, "--tol", "nan"],
         ["classify", *FULL, "--tol", "inf"],

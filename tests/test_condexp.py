@@ -47,6 +47,22 @@ def test_averages_by_hand():
     assert avg[1] == pytest.approx(5.0)
 
 
+@pytest.mark.parametrize("value", [0.0, 0.5 - 2.0j], ids=["zero", "complex"])
+def test_average_on_an_atom_of_subnormal_mass(value):
+    # complex division by a subnormal mass overflows: [0j] / [2e-313] is nan+nanj
+    masses = [2e-313, 1.0, 3.0]
+    values = [value, 1.0, 2.0 + 1.0j]
+    sp = FiniteMeasureSpace(np.array(masses))
+    p = Partition(np.array([0, 1, 1]))
+    avg = atom_averages(MFunction(np.array(values, dtype=complex)), p, sp)
+    assert np.all(np.isfinite(avg))
+    for a, idx in enumerate(([0], [1, 2])):
+        mass = sum(masses[i] for i in idx)
+        re = sum(masses[i] * complex(values[i]).real for i in idx) / mass
+        im = sum(masses[i] * complex(values[i]).imag for i in idx) / mass
+        assert avg[a] == complex(re, im)
+
+
 @given(instance_seeds)
 @settings(max_examples=60, deadline=None)
 def test_idempotence(seed):

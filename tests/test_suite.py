@@ -8,7 +8,7 @@ from claim_ids import EXPECTED_CLAIM_IDS
 from ess_range_reference import ess_range_reference
 from wcelab import operator, suite
 from wcelab.measure import ess_range
-from wcelab.suite import DEFAULT_TOLERANCES, run_claim_suite
+from wcelab.suite import run_claim_suite
 
 # one suite run shared by the whole module; it is the expensive part
 REPORT = run_claim_suite()
@@ -80,6 +80,7 @@ def test_zero_inclusion_noted_not_failed():
 
 def test_json_round_trip():
     doc = json.loads(REPORT.to_json())
+    assert doc["tolerances"] == suite.TOLERANCES
     assert doc["summary"] == REPORT.counts()
     assert len(doc["entries"]) == len(REPORT.entries)
     ids = {e["claim_id"] for e in doc["entries"]}
@@ -93,12 +94,6 @@ def test_text_format_has_summary_line():
     text = REPORT.format_text()
     assert "pass: 31" in text
     assert "discrepancy: 1" in text
-
-
-def test_tolerance_override_propagates():
-    report = run_claim_suite(identity_tol=1e-6)
-    assert report.tolerances["identity"] == 1e-6
-    assert report.tolerances["oracle"] == DEFAULT_TOLERANCES["oracle"]
 
 
 def test_ess_range_matches_reference_loop_on_every_suite_call(monkeypatch):
@@ -119,18 +114,14 @@ def test_ess_range_matches_reference_loop_on_every_suite_call(monkeypatch):
 
 # ------------------------------------------------------- claim-kind helpers
 
-TOLS = dict(DEFAULT_TOLERANCES)
-
-
 def verdicts(self_adjoint, normal, agree=True):
     """A stand-in for suite._classification_agrees output."""
-    comp = {
+    return {
         "self_adjoint": self_adjoint,
         "normal": normal,
         "quasinormal": normal,
         "oracle_agrees": agree,
     }
-    return comp, agree
 
 
 @pytest.mark.parametrize("value, status", [(1.0, "pass"), (math.inf, "fail"), (math.nan, "fail")])
@@ -157,7 +148,7 @@ def test_finite_entry_fails_on_non_finite_value(value, status):
     ],
 )
 def test_iff_entry_fails_for_the_reason_it_names(verdict, yes, no, status):
-    e = suite._iff_entry("x.iff", "ref", verdict, ("yes", yes), ("no", no), TOLS)
+    e = suite._iff_entry("x.iff", "ref", verdict, ("yes", yes), ("no", no))
     assert e.status == status
     assert e.expected == {"yes": True, "no": False}
 
@@ -176,6 +167,6 @@ def test_iff_entry_fails_for_the_reason_it_names(verdict, yes, no, status):
 def test_fails_entry_fails_when_the_verdict_holds_or_the_oracle_disagrees(
     verdict, result, status
 ):
-    e = suite._fails_entry("x.not", "ref", verdict, result, TOLS)
+    e = suite._fails_entry("x.not", "ref", verdict, result)
     assert e.status == status
     assert e.expected == {verdict: False}
