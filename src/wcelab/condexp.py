@@ -2,7 +2,9 @@
 
 The conditional expectation of f is the mass-weighted average of f on each
 atom; it is the orthogonal projection of L^2 of the space onto the
-subspace of atom-constant functions.
+subspace of atom-constant functions.  When every atom is a single point, E
+is the identity and no average is computed: the mean of a point's atom is
+the point's own value, exactly, whatever its mass.
 """
 from __future__ import annotations
 
@@ -33,20 +35,29 @@ def atom_averages(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> np.ndar
 
     The real and imaginary sums are divided by the atom masses in real
     arithmetic: complex division by a subnormal mass overflows to NaN, and
-    real division is correctly rounded.
+    real division is correctly rounded.  On singleton atoms the mean is
+    f's value itself, placed in atom order.
     """
     f.check_aligned(sp)
     p.check_aligned(sp)
     w, m = sp.masses, p.atom_count
-    mass = atom_masses(p, sp)
     out = np.empty(m, dtype=complex)
+    if p.is_singletons:
+        out[p.atom_of] = f.values
+        return out
+    mass = atom_masses(p, sp)
     np.divide(np.bincount(p.atom_of, weights=w * f.values.real, minlength=m), mass, out=out.real)
     np.divide(np.bincount(p.atom_of, weights=w * f.values.imag, minlength=m), mass, out=out.imag)
     return out
 
 
 def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:
-    """Atom-wise averaging projection; constant on each atom."""
+    """Atom-wise averaging projection; constant on each atom.  On singleton
+    atoms it is the identity and returns a copy of f."""
+    if p.is_singletons:
+        f.check_aligned(sp)
+        p.check_aligned(sp)
+        return MFunction(f.values.copy())
     return MFunction(atom_averages(f, p, sp)[p.atom_of])
 
 

@@ -192,12 +192,13 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     if tol <= 0:
         raise ValueError("tol must be positive")
     mask = support(T.symbol_sq_mean, tol)
-    inv_sqrt = np.zeros(T.n, dtype=float)
-    inv_sqrt[mask] = 1.0 / np.sqrt(T.symbol_sq_mean.values[mask].real)
-    modulus = np.where(mask, inv_sqrt * np.conj(T.symbol.values), 0.0 + 0.0j)
-    isometry = np.where(mask, inv_sqrt * T.symbol.values, 0.0 + 0.0j)
+    root = np.sqrt(T.symbol_sq_mean.values.real)
+    inv_sqrt = np.divide(1.0, root, out=np.zeros(T.n), where=mask)
+    isometry = inv_sqrt * T.symbol.values
+    isometry[~mask] = 0.0
     return PolarParts(
-        modulus_symbol=MFunction(modulus),
+        # inv_sqrt is real, so conj(isometry) is inv_sqrt * conj(u) exactly
+        modulus_symbol=MFunction(np.conj(isometry)),
         isometry_symbol=MFunction(isometry),
         support_set=np.flatnonzero(mask),
     )
@@ -225,19 +226,16 @@ class SpectrumReport:
 def spectrum_formula(T: WeightedCondExpOperator, tol: float) -> SpectrumReport:
     """Closed-form spectrum.
 
-    With singleton atoms the operator is plain multiplication by u and the
-    spectrum is the essential range of u.  With any coarser partition the
-    spectrum is the essential range of E(u) together with 0.
+    With singleton atoms the operator is plain multiplication by u = E(u)
+    and the spectrum is the essential range of u.  With any coarser
+    partition the spectrum is the essential range of E(u) together with 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if T.partition.is_singletons:
-        values = ess_range(T.symbol, T.space, tol)
-        includes_zero = any(abs(v) <= tol for v in values)
-    else:
-        values = ess_range(T.symbol_mean, T.space, tol)
-        if not any(abs(v) <= tol for v in values):
-            values = sorted(values + [0.0 + 0.0j], key=lambda z: (z.real, z.imag))
+    values = ess_range(T.symbol_mean, T.space, tol)
+    includes_zero = any(abs(v) <= tol for v in values)
+    if not (includes_zero or T.partition.is_singletons):
+        values = sorted(values + [0.0 + 0.0j], key=lambda z: (z.real, z.imag))
         includes_zero = True
     return SpectrumReport(values=tuple(values), includes_zero=includes_zero)
 
@@ -360,6 +358,9 @@ def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:
 
 
 def multiplication_domain_min_c(f: MFunction) -> float:
-    """Minimal c with |f|^4 <= c (1 + |f|^2); the singleton-atom variant."""
-    a = np.abs(f.values) ** 2
-    return float(np.max(a**2 / (1.0 + a)))
+    """Minimal c with |f|^4 <= c (1 + |f|^2); the singleton-atom variant.
+
+    a^2 / (1 + a) increases with a >= 0, so it is evaluated at max |f|^2 only.
+    """
+    a = np.max(np.abs(f.values) ** 2)
+    return float(a * a / (1.0 + a))

@@ -47,16 +47,25 @@ def test_averages_by_hand():
     assert avg[1] == pytest.approx(5.0)
 
 
-@pytest.mark.parametrize("value", [0.0, 0.5 - 2.0j], ids=["zero", "complex"])
-def test_average_on_an_atom_of_subnormal_mass(value):
+@pytest.mark.parametrize(
+    "value, atom_of",
+    [(0.0, [0, 1, 1]), (0.5 - 2.0j, [0, 1, 1]), (0.0, [2, 0, 1]), (0.5 - 2.0j, [2, 0, 1])],
+    ids=["zero", "complex", "zero-singletons", "complex-singletons"],
+)
+def test_average_on_an_atom_of_subnormal_mass(value, atom_of):
     # complex division by a subnormal mass overflows: [0j] / [2e-313] is nan+nanj
     masses = [2e-313, 1.0, 3.0]
     values = [value, 1.0, 2.0 + 1.0j]
     sp = FiniteMeasureSpace(np.array(masses))
-    p = Partition(np.array([0, 1, 1]))
+    p = Partition(np.array(atom_of))
     avg = atom_averages(MFunction(np.array(values, dtype=complex)), p, sp)
     assert np.all(np.isfinite(avg))
-    for a, idx in enumerate(([0], [1, 2])):
+    if p.is_singletons:
+        # no average is taken, so the subnormal mass cannot round the value
+        np.testing.assert_array_equal(avg[p.atom_of], values)
+        return
+    for a in range(p.atom_count):
+        idx = [i for i in range(3) if atom_of[i] == a]
         mass = sum(masses[i] for i in idx)
         re = sum(masses[i] * complex(values[i]).real for i in idx) / mass
         im = sum(masses[i] * complex(values[i]).imag for i in idx) / mass
@@ -150,13 +159,32 @@ def test_constants_fixed():
     assert np.allclose(cond_exp(c, p, sp).values, c.values)
 
 
-def test_singleton_partition_is_identity():
-    rng = np.random.default_rng(5)
-    n = 12
-    sp = FiniteMeasureSpace(rng.uniform(0.1, 1.0, size=n))
-    p = Partition(np.arange(n))
-    f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    assert np.allclose(cond_exp(f, p, sp).values, f.values)
+def singleton_instance(rng, n=30):
+    # atom labels in random order; values far from 1 so that a mass-weighted
+    # average would round
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    p = Partition(rng.permutation(n))
+    f = MFunction(1e8 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+    return sp, p, f
+
+
+@given(instance_seeds)
+@settings(max_examples=30, deadline=None)
+def test_singleton_partition_is_identity(seed):
+    sp, p, f = singleton_instance(np.random.default_rng(seed))
+    np.testing.assert_array_equal(atom_averages(f, p, sp)[p.atom_of], f.values)
+    ef = cond_exp(f, p, sp)
+    np.testing.assert_array_equal(ef.values, f.values)
+    assert not np.shares_memory(ef.values, f.values)
+
+
+@given(instance_seeds)
+@settings(max_examples=30, deadline=None)
+def test_singleton_atoms_measure_every_function_exactly(seed):
+    sp, p, f = singleton_instance(np.random.default_rng(seed))
+    verdict = is_A_measurable(f, p, sp, 0.0)
+    assert verdict.measurable
+    assert verdict.max_deviation == 0.0
 
 
 def test_one_atom_partition_is_global_mean():

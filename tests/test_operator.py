@@ -244,6 +244,18 @@ def test_classify_tiny_non_constant_symbol_matches_oracle():
     assert _verdicts(classify(T, 1e-8)) == residuals(T).verdicts(1e-8)
 
 
+def test_classify_singleton_atoms_of_a_large_symbol_matches_oracle():
+    # E is the identity on singleton atoms; a mass-weighted average of u
+    # rounds by about eps |u| = 1e-8, which would read as a varying symbol
+    rng = np.random.default_rng(0)
+    n = 64
+    masses = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n))
+    T = small_op(1e8 * rng.standard_normal(n), rng.permutation(n), masses)
+    rep = classify(T, 1e-8)
+    assert _verdicts(rep) == residuals(T).verdicts(1e-8) == (True, True, True)
+    assert rep.residuals["atom_deviation"] == 0.0
+
+
 # ------------------------------------------------------------------------ polar
 
 
@@ -281,6 +293,9 @@ def test_polar_symbols_vanish_off_support():
     np.testing.assert_array_equal(parts.support_set, [0])
     assert parts.modulus_symbol.values[1] == 0
     assert parts.isometry_symbol.values[1] == 0
+    np.testing.assert_array_equal(
+        parts.modulus_symbol.values, np.conj(parts.isometry_symbol.values)
+    )
 
 
 def test_isometry_is_isometric_on_modulus_range():
@@ -475,6 +490,31 @@ def test_min_c_formula_small_cases():
     f = MFunction(np.array([0.0, 1.0, 2.0], dtype=complex))
     # a = |f|^2 in {0, 1, 4}; max a^2/(1+a) = 16/5
     assert multiplication_domain_min_c(f) == pytest.approx(16.0 / 5.0)
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.floats(min_value=-150.0, max_value=150.0).map(lambda e: 10.0**e),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_min_c_is_the_pointwise_maximum(magnitudes, seed):
+    rng = np.random.default_rng(seed)
+    values = np.array(magnitudes + [0.0]) * np.exp(2j * np.pi * rng.random(len(magnitudes) + 1))
+    a = np.abs(values) ** 2
+    with np.errstate(over="ignore"):
+        want = float(np.max(a**2 / (1.0 + a)))
+        got = multiplication_domain_min_c(MFunction(values))
+    if math.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
 
 @given(seeds)
