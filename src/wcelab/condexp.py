@@ -5,6 +5,11 @@ atom; it is the orthogonal projection of L^2 of the space onto the
 subspace of atom-constant functions.  When every atom is a single point, E
 is the identity and no average is computed: the mean of a point's atom is
 the point's own value, exactly, whatever its mass.
+
+A real function is averaged in real arithmetic with one ``bincount`` pass,
+a complex one with two.  A caller that averages several functions over the
+same partition may pass the atom masses as ``mass``; it must be exactly
+``atom_masses(p, sp)``, which is then not recomputed.
 """
 from __future__ import annotations
 
@@ -30,8 +35,11 @@ def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
     return np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
 
 
-def atom_averages(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
-    """Mass-weighted mean of f per atom, shape (atom_count,) complex.
+def atom_averages(
+    f: MFunction, p: Partition, sp: FiniteMeasureSpace, *, mass: np.ndarray | None = None
+) -> np.ndarray:
+    """Mass-weighted mean of f per atom, shape (atom_count,): float64 for a
+    real f, else complex.
 
     The real and imaginary sums are divided by the atom masses in real
     arithmetic: complex division by a subnormal mass overflows to NaN, and
@@ -40,25 +48,32 @@ def atom_averages(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> np.ndar
     """
     f.check_aligned(sp)
     p.check_aligned(sp)
-    w, m = sp.masses, p.atom_count
-    out = np.empty(m, dtype=complex)
+    out = np.empty(p.atom_count, dtype=f.values.dtype)
     if p.is_singletons:
         out[p.atom_of] = f.values
         return out
-    mass = atom_masses(p, sp)
-    np.divide(np.bincount(p.atom_of, weights=w * f.values.real, minlength=m), mass, out=out.real)
-    np.divide(np.bincount(p.atom_of, weights=w * f.values.imag, minlength=m), mass, out=out.imag)
+    if mass is None:
+        mass = atom_masses(p, sp)
+
+    def sums(values):
+        return np.bincount(p.atom_of, weights=sp.masses * values, minlength=p.atom_count)
+
+    np.divide(sums(f.values.real), mass, out=out.real)
+    if np.iscomplexobj(out):
+        np.divide(sums(f.values.imag), mass, out=out.imag)
     return out
 
 
-def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:
+def cond_exp(
+    f: MFunction, p: Partition, sp: FiniteMeasureSpace, *, mass: np.ndarray | None = None
+) -> MFunction:
     """Atom-wise averaging projection; constant on each atom.  On singleton
     atoms it is the identity and returns a copy of f."""
     if p.is_singletons:
         f.check_aligned(sp)
         p.check_aligned(sp)
         return MFunction(f.values.copy())
-    return MFunction(atom_averages(f, p, sp)[p.atom_of])
+    return MFunction(atom_averages(f, p, sp, mass=mass)[p.atom_of])
 
 
 def projection_matrix(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
@@ -78,7 +93,12 @@ class MeasurabilityVerdict:
 
 
 def is_A_measurable(
-    f: MFunction, p: Partition, sp: FiniteMeasureSpace, tol: float
+    f: MFunction,
+    p: Partition,
+    sp: FiniteMeasureSpace,
+    tol: float,
+    *,
+    mass: np.ndarray | None = None,
 ) -> MeasurabilityVerdict:
     """Whether f is (numerically) constant on every atom.
 
@@ -87,13 +107,18 @@ def is_A_measurable(
     true iff the largest deviation is <= tol.  The uncentered identity
     E(|f|^2) - |E(f)|^2 would cancel catastrophically and put a
     sqrt(eps)-sized floor under the deviation of genuinely atom-constant
-    functions.
+    functions.  Every function is constant on singleton atoms, so there the
+    deviation is 0 at atom 0 and nothing is averaged.
     """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
-    mean = atom_averages(f, p, sp)
+    if p.is_singletons:
+        f.check_aligned(sp)
+        p.check_aligned(sp)
+        return MeasurabilityVerdict(measurable=True, max_deviation=0.0, worst_atom=0)
+    mean = atom_averages(f, p, sp, mass=mass)
     centered = f.values - mean[p.atom_of]
-    var = atom_averages(MFunction(np.abs(centered) ** 2), p, sp).real
+    var = atom_averages(MFunction(np.abs(centered) ** 2), p, sp, mass=mass)
     dev = np.sqrt(np.maximum(var, 0.0))
     worst = int(np.argmax(dev))
     return MeasurabilityVerdict(

@@ -73,12 +73,18 @@ class FiniteMeasureSpace:
 
 @dataclass(frozen=True)
 class MFunction:
-    """Complex-valued function given by its values at the space's points."""
+    """Function given by its values at the space's points.
+
+    Real input (boolean, integer or floating) is kept as float64, so that a
+    real function such as |u|^2 is averaged in one pass; any other input is
+    converted to complex128.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        values = values.astype(float if values.dtype.kind in "biuf" else complex, copy=False)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("function values must be a nonempty 1-d array")
         object.__setattr__(self, "values", values)
@@ -111,10 +117,9 @@ class Partition:
         object.__setattr__(self, "atom_of", atom_of)
         if atom_of.ndim != 1 or atom_of.size < 1:
             raise ValueError("atom_of must be a nonempty 1-d index array")
-        m = int(atom_of.max()) + 1
-        if atom_of.min() < 0 or len(np.unique(atom_of)) != m:
+        if atom_of.min() < 0 or not (counts := np.bincount(atom_of)).all():
             raise ValueError("atom indices must cover 0..m-1 with no gaps")
-        object.__setattr__(self, "atom_count", m)
+        object.__setattr__(self, "atom_count", counts.size)
 
     @property
     def n(self) -> int:
@@ -217,6 +222,7 @@ def ess_range(f: MFunction, sp: FiniteMeasureSpace, tol: float) -> list[complex]
     if bad:
         raise ValueError(f"essential range of a function with {bad} non-finite values")
     values, inverse = np.unique(f.values, return_inverse=True)
+    values = values.astype(complex, copy=False)
     if tol == 0:
         return values.tolist()
     masses = np.bincount(inverse.ravel(), weights=sp.masses, minlength=values.size)

@@ -14,7 +14,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .condexp import atom_averages, cond_exp, is_A_measurable
+from .condexp import atom_averages, atom_masses, cond_exp, is_A_measurable
 from .measure import (
     TRUNCATION_CAP,
     CountableSpaceSpec,
@@ -60,26 +60,35 @@ class UndecidableDomainError(RuntimeError):
 class WeightedCondExpOperator:
     """The triple (space, partition, symbol) defining f -> E(u f).
 
-    The atom averages E(u) and E(|u|^2) are cached at construction; they
-    always equal the averages recomputed from scratch.
+    Construction computes the atom data every closed form reads, each equal
+    bit for bit to its recomputation from scratch: the atom masses
+    ``atom_mass``, E(u) per atom (``atom_mean``, complex) and E(|u|^2) per
+    atom (``atom_sq_mean``, float64), all of shape (atom_count,), and their
+    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.  Every
+    average the operator takes later reuses ``atom_mass``.
     """
 
     space: FiniteMeasureSpace
     partition: Partition
     symbol: MFunction
+    atom_mass: np.ndarray = field(init=False)
+    atom_mean: np.ndarray = field(init=False)
+    atom_sq_mean: np.ndarray = field(init=False)
     symbol_mean: MFunction = field(init=False)
     symbol_sq_mean: MFunction = field(init=False)
 
     def __post_init__(self):
-        self.symbol.check_aligned(self.space)
-        self.partition.check_aligned(self.space)
-        object.__setattr__(
-            self, "symbol_mean", cond_exp(self.symbol, self.partition, self.space)
-        )
-        sq = MFunction(np.abs(self.symbol.values) ** 2)
-        object.__setattr__(
-            self, "symbol_sq_mean", cond_exp(sq, self.partition, self.space)
-        )
+        sp, p, u = self.space, self.partition, self.symbol
+        u.check_aligned(sp)
+        p.check_aligned(sp)
+        mass = atom_masses(p, sp)
+        mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
+        sq_mean = atom_averages(MFunction(np.abs(u.values) ** 2), p, sp, mass=mass)
+        object.__setattr__(self, "atom_mass", mass)
+        object.__setattr__(self, "atom_mean", mean)
+        object.__setattr__(self, "atom_sq_mean", sq_mean)
+        object.__setattr__(self, "symbol_mean", MFunction(mean[p.atom_of]))
+        object.__setattr__(self, "symbol_sq_mean", MFunction(sq_mean[p.atom_of]))
 
     @property
     def n(self) -> int:
@@ -89,13 +98,15 @@ class WeightedCondExpOperator:
 def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T f = E(u f)."""
     f.check_aligned(T.space)
-    return cond_exp(MFunction(T.symbol.values * f.values), T.partition, T.space)
+    return cond_exp(
+        MFunction(T.symbol.values * f.values), T.partition, T.space, mass=T.atom_mass
+    )
 
 
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
     f.check_aligned(T.space)
-    ef = cond_exp(f, T.partition, T.space)
+    ef = cond_exp(f, T.partition, T.space, mass=T.atom_mass)
     return MFunction(np.conj(T.symbol.values) * ef.values)
 
 
@@ -127,11 +138,12 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
     atom where u != 0, E(u f) takes any value, so conj(u_i) E(u) equals the
     positive constant E(|u|^2) at each point i and u is constant there.
     TT* f = E(|u|^2) E(f) gives normality the same way.  The normal and
-    quasinormal witnesses are atoms, the self-adjoint one is a point.
+    quasinormal witnesses are atoms, the self-adjoint one is a point.  The
+    supports of E(u) and E(|u|^2) are compared on the atoms.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    meas = is_A_measurable(T.symbol, T.partition, T.space, tol)
+    meas = is_A_measurable(T.symbol, T.partition, T.space, tol, mass=T.atom_mass)
     normal = quasinormal = meas.measurable
     imag_abs = np.abs(T.symbol.values.imag)
     worst_imag = int(np.argmax(imag_abs))
@@ -143,7 +155,7 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
     }
     source = "formula"
     if not normal and not np.array_equal(
-        support(T.symbol_mean, tol), support(T.symbol_sq_mean, tol)
+        support(MFunction(T.atom_mean), tol), support(MFunction(T.atom_sq_mean), tol)
     ):
         # the theorem decides this case too; the dense commutator test
         # stays only while perfbench's tiny-instance counter test pins one
@@ -189,12 +201,15 @@ class PolarParts:
 
 
 def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
+    """Polar factors from E(|u|^2): its support and 1/sqrt(E(|u|^2)) are
+    computed on the atoms and gathered into point order."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    mask = support(T.symbol_sq_mean, tol)
-    root = np.sqrt(T.symbol_sq_mean.values.real)
-    inv_sqrt = np.divide(1.0, root, out=np.zeros(T.n), where=mask)
-    isometry = inv_sqrt * T.symbol.values
+    atom_mask = support(MFunction(T.atom_sq_mean), tol)
+    root = np.sqrt(T.atom_sq_mean)
+    inv_sqrt = np.divide(1.0, root, out=np.zeros(root.size), where=atom_mask)
+    mask = atom_mask[T.partition.atom_of]
+    isometry = inv_sqrt[T.partition.atom_of] * T.symbol.values
     isometry[~mask] = 0.0
     return PolarParts(
         # inv_sqrt is real, so conj(isometry) is inv_sqrt * conj(u) exactly
@@ -213,7 +228,10 @@ def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) 
     """U f = E(isometry_symbol * f)."""
     f.check_aligned(T.space)
     return cond_exp(
-        MFunction(parts.isometry_symbol.values * f.values), T.partition, T.space
+        MFunction(parts.isometry_symbol.values * f.values),
+        T.partition,
+        T.space,
+        mass=T.atom_mass,
     )
 
 
@@ -353,8 +371,9 @@ def _sigma_finite_restriction(per_atom, tail) -> bool:
 
 
 def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:
-    """Minimal c with |E(u)|^4 <= c (1 + |E(u)|^2) at every point."""
-    return multiplication_domain_min_c(T.symbol_mean)
+    """Minimal c with |E(u)|^4 <= c (1 + |E(u)|^2) at every point, read
+    off the atom values of E(u)."""
+    return multiplication_domain_min_c(MFunction(T.atom_mean))
 
 
 def multiplication_domain_min_c(f: MFunction) -> float:

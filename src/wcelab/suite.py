@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .condexp import atom_averages, cond_exp
+from .condexp import cond_exp
 from .measure import MFunction, ess_range
 from .operator import (
     WeightedCondExpOperator,
@@ -311,9 +311,7 @@ def _case3_entries() -> list[ClaimEntry]:
         num = sum(sc.space.masses[i] * abs(u[i]) ** 2 for i in idx)
         den = sum(sc.space.masses[i] for i in idx)
         beta_direct.append(num / den)
-    sq_mean_atoms = atom_averages(
-        MFunction(np.abs(u) ** 2), sc.partition, sc.space
-    ).real
+    sq_mean_atoms = T.atom_sq_mean
     err = float(np.max(np.abs(sq_mean_atoms - np.array(beta_direct))))
     atom_const = np.array([1 + 1j, 2.0, -1.0])[sc.partition.atom_of]
     atom_const_real = np.array([1.0, 2.0, -1.0])[sc.partition.atom_of]
@@ -481,10 +479,7 @@ def _poisson_entries() -> list[ClaimEntry]:
     dom = densely_defined(sc.countable_spec, tail_tol)
     atom_vals = {
         aid: float(v.real)
-        for aid, v in zip(
-            ("zero", "odd", "even"),
-            atom_averages(T.symbol, sc.partition, sc.space),
-        )
+        for aid, v in zip(("zero", "odd", "even"), T.atom_mean)
     }
     odd_published = theta / math.tanh(theta)
     odd_series = _poisson_series_mean(theta, 1)

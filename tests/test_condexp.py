@@ -187,6 +187,30 @@ def test_singleton_atoms_measure_every_function_exactly(seed):
     assert verdict.max_deviation == 0.0
 
 
+@given(instance_seeds, st.sampled_from(["random", "singletons"]))
+@settings(max_examples=40, deadline=None)
+def test_real_function_averages_as_its_complex_copy(seed, shape):
+    rng = np.random.default_rng(seed)
+    sp, p, f = singleton_instance(rng) if shape == "singletons" else random_instance(rng)
+    real = MFunction(f.values.real.copy())
+    assert real.values.dtype == float
+    avg = atom_averages(real, p, sp)
+    assert avg.dtype == float
+    np.testing.assert_array_equal(avg, atom_averages(MFunction(real.values.astype(complex)), p, sp))
+
+
+@given(instance_seeds, st.sampled_from(["random", "singletons"]))
+@settings(max_examples=40, deadline=None)
+def test_passing_the_atom_masses_changes_no_bit(seed, shape):
+    rng = np.random.default_rng(seed)
+    sp, p, f = singleton_instance(rng) if shape == "singletons" else random_instance(rng)
+    mass = atom_masses(p, sp)
+    for g in (f, MFunction(np.abs(f.values) ** 2)):
+        assert atom_averages(g, p, sp, mass=mass).tobytes() == atom_averages(g, p, sp).tobytes()
+        assert cond_exp(g, p, sp, mass=mass).values.tobytes() == cond_exp(g, p, sp).values.tobytes()
+        assert is_A_measurable(g, p, sp, 1e-8, mass=mass) == is_A_measurable(g, p, sp, 1e-8)
+
+
 def test_one_atom_partition_is_global_mean():
     rng = np.random.default_rng(6)
     n = 12

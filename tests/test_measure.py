@@ -45,8 +45,26 @@ def test_label_length_must_match():
 
 
 def test_partition_requires_contiguous_atoms():
-    with pytest.raises(ValueError):
-        Partition(np.array([0, 2]))  # atom 1 missing
+    for atom_of in ([0, 2], [0, -1, 1]):  # atom 1 missing; a negative label
+        with pytest.raises(ValueError, match="atom indices must cover 0..m-1 with no gaps"):
+            Partition(np.array(atom_of))
+
+
+@pytest.mark.parametrize(
+    "values, dtype",
+    [
+        ([True, False], float),
+        (np.arange(3), float),
+        (np.arange(3, dtype=np.float32), float),
+        ([1.0, 2.5], float),
+        ([1.0, 2.0j], complex),
+        (np.ones(2, dtype=np.complex64), complex),
+    ],
+)
+def test_mfunction_keeps_real_input_real(values, dtype):
+    f = MFunction(values)
+    assert f.values.dtype == dtype
+    np.testing.assert_array_equal(f.values, np.asarray(values))
 
 
 def test_partition_from_blocks_rejects_overlap():

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wcelab.condexp import atom_averages
+from wcelab.condexp import atom_averages, atom_masses, cond_exp
 from wcelab.measure import (
     CountableSpaceSpec,
     FiniteMeasureSpace,
     MFunction,
     Partition,
+    support,
     truncate,
     weighted_inner_product,
 )
@@ -31,7 +32,7 @@ from wcelab.operator import (
     spectrum_formula,
 )
 from wcelab.oracle import residuals
-from wcelab.sampling import random_operator
+from wcelab.sampling import SPECIAL_KINDS, random_operator
 from wcelab.scenarios import geometric_blowup_spec, poisson_parity_spec
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -53,15 +54,111 @@ def test_apply_by_hand():
     assert np.allclose(out.values, 7.0)
 
 
+def _shaped_operator(rng, shape, n=40):
+    """A random operator on permuted singletons, one atom, or a random
+    coarse partition, with a complex Gaussian symbol."""
+    atom_of = {
+        "singletons": rng.permutation(n),
+        "one-atom": np.zeros(n, dtype=int),
+        "coarse": np.concatenate([np.arange(5), rng.integers(0, 5, size=n - 5)]),
+    }[shape]
+    rng.shuffle(atom_of)
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    return WeightedCondExpOperator(sp, Partition(atom_of), u)
+
+
 def test_cached_means_match_recompute():
     rng = np.random.default_rng(0)
-    T = random_operator(rng)
-    from wcelab.condexp import cond_exp
+    for shape in ("singletons", "one-atom", "coarse"):
+        T = _shaped_operator(rng, shape)
+        p, sp = T.partition, T.space
+        sq = MFunction(np.abs(T.symbol.values) ** 2)
+        np.testing.assert_array_equal(T.atom_mass, atom_masses(p, sp))
+        np.testing.assert_array_equal(T.atom_mean, atom_averages(T.symbol, p, sp))
+        np.testing.assert_array_equal(T.atom_sq_mean, atom_averages(sq, p, sp))
+        np.testing.assert_array_equal(T.symbol_mean.values, cond_exp(T.symbol, p, sp).values)
+        np.testing.assert_array_equal(T.symbol_sq_mean.values, cond_exp(sq, p, sp).values)
+        assert T.atom_mean.dtype == complex and T.atom_sq_mean.dtype == float
+        assert T.atom_sq_mean.flags.owndata
 
-    again = cond_exp(T.symbol, T.partition, T.space)
-    assert np.allclose(T.symbol_mean.values, again.values)
-    sq = cond_exp(MFunction(np.abs(T.symbol.values) ** 2), T.partition, T.space)
-    assert np.allclose(T.symbol_sq_mean.values, sq.values)
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _polar_reference(T, tol):
+    """polar at the points, from cond_exp and support alone."""
+    sq_mean = cond_exp(MFunction(np.abs(T.symbol.values) ** 2), T.partition, T.space)
+    mask = support(sq_mean, tol)
+    root = np.sqrt(sq_mean.values.real)
+    inv_sqrt = np.divide(1.0, root, out=np.zeros(T.n), where=mask)
+    isometry = inv_sqrt * T.symbol.values
+    isometry[~mask] = 0.0
+    return np.conj(isometry), isometry, np.flatnonzero(mask)
+
+
+def _classify_reference(T, tol):
+    """classify's formula-layer outputs at the points, from cond_exp and
+    support alone: verdicts, residuals, witnesses and the verdict source."""
+    p, sp, u = T.partition, T.space, T.symbol
+    mean = cond_exp(u, p, sp)
+    var = cond_exp(MFunction(np.abs(u.values - mean.values) ** 2), p, sp).values.real
+    dev = np.empty(p.atom_count)
+    dev[p.atom_of] = np.sqrt(np.maximum(var, 0.0))  # constant on each atom
+    worst = int(np.argmax(dev))
+    normal = bool(dev[worst] <= tol)
+    imag_abs = np.abs(u.values.imag)
+    worst_imag = int(np.argmax(imag_abs))
+    self_adjoint = normal and bool(imag_abs[worst_imag] <= tol)
+    sq_mean = cond_exp(MFunction(np.abs(u.values) ** 2), p, sp)
+    same_support = np.array_equal(support(mean, tol), support(sq_mean, tol))
+    return {
+        "normal": normal,
+        "self_adjoint": self_adjoint,
+        "atom_deviation": float(dev[worst]),
+        "max_imag": float(imag_abs[worst_imag]),
+        "normal_witness": None if normal else worst,
+        "self_adjoint_witness": None if self_adjoint else worst_imag,
+        "source": "formula" if normal or same_support else "oracle",
+    }
+
+
+@given(
+    seed=seeds,
+    shape=st.sampled_from(["random", "singletons", "one-atom", "coarse"]),
+    kind=st.sampled_from(SPECIAL_KINDS),
+    tol=st.sampled_from([1e-12, 1e-8, 0.3, 2.0]),
+)
+@settings(max_examples=120, deadline=None)
+def test_atom_level_closed_forms_match_a_point_level_reference(seed, shape, kind, tol):
+    rng = np.random.default_rng(seed)
+    if shape == "random":
+        T = random_operator(rng, max_n=48, kind=kind)
+    else:
+        T = _shaped_operator(rng, shape)
+
+    parts = polar(T, tol)
+    modulus, isometry, support_set = _polar_reference(T, tol)
+    assert _bits(parts.modulus_symbol.values) == _bits(modulus)
+    assert _bits(parts.isometry_symbol.values) == _bits(isometry)
+    assert _bits(parts.support_set) == _bits(support_set)
+
+    rep = classify(T, tol)
+    ref = _classify_reference(T, tol)
+    assert (rep.self_adjoint, rep.normal) == (ref["self_adjoint"], ref["normal"])
+    assert rep.quasinormal_source == ref["source"]
+    if rep.quasinormal_source == "formula":
+        assert rep.quasinormal == ref["normal"]
+        assert rep.witnesses["quasinormal"] == ref["normal_witness"]
+    assert _bits(rep.residuals["atom_deviation"]) == _bits(ref["atom_deviation"])
+    assert _bits(rep.residuals["max_imag"]) == _bits(ref["max_imag"])
+    assert rep.witnesses["normal"] == ref["normal_witness"]
+    assert rep.witnesses["self_adjoint"] == ref["self_adjoint_witness"]
+
+    reference_c = multiplication_domain_min_c(cond_exp(T.symbol, T.partition, T.space))
+    assert _bits(domain_invariance_min_c(T)) == _bits(reference_c)
 
 
 @given(seeds)
