@@ -115,7 +115,7 @@ def cmd_classify(args) -> int:
 def cmd_spectrum(args) -> int:
     sc = _resolve_scenario(args)
     T = _operator_of(sc)
-    rep = spectrum_formula(T, args.tol)
+    rep = spectrum_formula(T)
     print(f"scenario: {sc.name}  (n={T.n}, atoms={T.partition.atom_count})")
     print(f"spectrum ({len(rep.values)} values, includes_zero={rep.includes_zero}):")
     for v in rep.values:
@@ -129,6 +129,10 @@ def cmd_spectrum(args) -> int:
         print(
             f"oracle check: max candidate sigma_min "
             f"{max(probe.candidate_sigmas):.3e}, probe floor {floor}"
+        )
+        print(
+            f"oracle completeness: max eigenvalue distance to the claim "
+            f"{max(probe.eigenvalue_distances):.3e}, ||M||_F {probe.matrix_norm:.3e}"
         )
         print(f"oracle verdict: {'pass' if ok else 'FAIL'}")
         return 0 if ok else 1
@@ -189,7 +193,7 @@ def cmd_oracle_check(args) -> int:
         rep = classify(T, args.tol)
         res = residuals(T)
         polar_ok = polar_check(T, polar(T, args.tol), args.tol)[2]
-        spectrum_ok = spectrum_probe_check(T, spectrum_formula(T, args.tol)).ok(args.tol)
+        spectrum_ok = spectrum_probe_check(T, spectrum_formula(T)).ok(args.tol)
         if not (res.agrees(rep, args.tol) and polar_ok and spectrum_ok):
             failures += 1
             print(

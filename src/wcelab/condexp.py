@@ -4,7 +4,8 @@ The conditional expectation of f is the mass-weighted average of f on each
 atom; it is the orthogonal projection of L^2 of the space onto the
 subspace of atom-constant functions.  When every atom is a single point, E
 is the identity and no average is computed: the mean of a point's atom is
-the point's own value, exactly, whatever its mass.
+the point's own value, exactly, whatever its mass.  On any other partition
+the same holds on each atom of one point.
 
 A real function is averaged in real arithmetic with one ``bincount`` pass,
 a complex one with two.  A caller that averages several functions over the
@@ -43,8 +44,8 @@ def atom_averages(
 
     The real and imaginary sums are divided by the atom masses in real
     arithmetic: complex division by a subnormal mass overflows to NaN, and
-    real division is correctly rounded.  On singleton atoms the mean is
-    f's value itself, placed in atom order.
+    real division is correctly rounded.  On a singleton atom the mean is
+    f's value itself, unrounded, placed in atom order.
     """
     f.check_aligned(sp)
     p.check_aligned(sp)
@@ -61,6 +62,8 @@ def atom_averages(
     np.divide(sums(f.values.real), mass, out=out.real)
     if np.iscomplexobj(out):
         np.divide(sums(f.values.imag), mass, out=out.imag)
+    lone = p.singleton_points
+    out[p.atom_of[lone]] = f.values[lone]
     return out
 
 

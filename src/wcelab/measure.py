@@ -1,12 +1,12 @@
 """Discretized measure spaces, measurable functions and partitions.
 
-A space is a finite collection of point masses; countable spaces are
-accessed only through truncation against explicit tail bounds.  All values
-are immutable after construction and all operations are pure.
+A space is a finite collection of positive point masses, so a function's
+essential range is its set of values; countable spaces are accessed only
+through truncation against explicit tail bounds.  All values are
+immutable after construction and all operations are pure.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Mapping
 
@@ -30,6 +30,8 @@ __all__ = [
 
 #: hard cap on index scans over countable specs
 TRUNCATION_CAP = 200_000
+#: values closer than this times their scale are rounding copies of one value
+ROUNDING_GAP = 2.0**-40
 
 
 class DimensionMismatchError(ValueError):
@@ -106,11 +108,13 @@ class Partition:
 
     ``atom_of[i]`` is the atom index (0..atom_count-1) of point i.  Every
     atom is nonempty; since point masses are strictly positive, every atom
-    automatically has positive mass.
+    automatically has positive mass.  ``singleton_points`` are the points
+    alone in their atom; a partition of singletons keeps none.
     """
 
     atom_of: np.ndarray
     atom_count: int = field(init=False)
+    singleton_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         atom_of = np.asarray(self.atom_of, dtype=int)
@@ -120,6 +124,9 @@ class Partition:
         if atom_of.min() < 0 or not (counts := np.bincount(atom_of)).all():
             raise ValueError("atom indices must cover 0..m-1 with no gaps")
         object.__setattr__(self, "atom_count", counts.size)
+        lone = counts == 1
+        points = np.flatnonzero(lone[atom_of]) if 0 < np.count_nonzero(lone) < lone.size else []
+        object.__setattr__(self, "singleton_points", np.asarray(points, dtype=int))
 
     @property
     def n(self) -> int:
@@ -187,83 +194,21 @@ def support(f: MFunction, tol: float) -> np.ndarray:
     return np.abs(f.values) > tol
 
 
-def ess_range(f: MFunction, sp: FiniteMeasureSpace, tol: float) -> list[complex]:
-    """Distinct values of f on positive-mass points, merged at tolerance.
-
-    Merge rule: visit the values in lexicographic (real, imag) order; each
-    value joins the lowest-index cluster whose current representative lies
-    within tol of it, or else opens a new cluster.  A representative is the
-    mass-weighted mean of its cluster and moves as values join.  Since every
-    point has positive mass by construction, every point participates.
-
-    Exact duplicates are collapsed first, each distinct value carrying the
-    summed mass of its copies.  This gives the same clusters: copies are
-    adjacent in the visiting order, and a later copy joins the cluster its
-    first copy joined or opened, because that representative only moved
-    toward the value while the clusters before it did not move at all.
-
-    A join moves the representative onto the segment towards the joining
-    value, so it stays within tol of its cluster's latest member, and a
-    value can join only within 2 tol of an earlier value.  A value with no
-    other value that close in real part is therefore a cluster of its own.
-    The other values look representatives up in a grid of square cells of
-    side at least 2 tol, where any representative within tol lies in the
-    3 x 3 block of cells around the value's, even after the division rounds.
-
-    With n points and m distinct values the cost is one O(n log n) sort
-    plus O(m) work, as long as few representatives share a cell.  Raises
-    ValueError if f has a NaN or infinite value, which has no place in the
-    clustering.
-    """
-    f.check_aligned(sp)
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def ess_range(f: MFunction, scale: float) -> list[complex]:
+    """Distinct values of f in (real, imag) order, each one of f's own.
+    A value within ROUNDING_GAP * scale of the last value kept is a rounding
+    copy and is dropped; ``scale`` is the size of the data f was computed
+    from, so rounding noise near 0 merges too.  Raises ValueError on a NaN
+    or infinite value."""
     bad = int(np.count_nonzero(~np.isfinite(f.values)))
     if bad:
         raise ValueError(f"essential range of a function with {bad} non-finite values")
-    values, inverse = np.unique(f.values, return_inverse=True)
-    values = values.astype(complex, copy=False)
-    if tol == 0:
-        return values.tolist()
-    masses = np.bincount(inverse.ravel(), weights=sp.masses, minlength=values.size)
-    # a floor of 2^-48 times the largest value keeps cell indices exact
-    # integers, the rounded division within 1/32 of a cell, and the rounding
-    # of a representative well inside one cell
-    side = max(2.0 * tol, float(np.max(np.abs(values))) * 2.0**-48)
-    far = np.diff(values.real) > 2.0 * side
-    alone = np.concatenate(([True], far)) & np.concatenate((far, [True]))
-    crowd = ~alone
-    cells = np.floor(np.stack([values.real[crowd], values.imag[crowd]], axis=1) / side)
-
-    reps: list[complex] = []
-    cluster_mass: list[float] = []
-    rep_cell: list[tuple[int, int]] = []
-    grid: dict[tuple[int, int], list[int]] = {}
-    for v, m, (cx, cy) in zip(
-        values[crowd].tolist(), masses[crowd].tolist(), cells.astype(np.int64).tolist()
-    ):
-        k = -1
-        for x in (cx - 1, cx, cx + 1):
-            for y in (cy - 1, cy, cy + 1):
-                for j in grid.get((x, y), ()):
-                    if (k < 0 or j < k) and abs(v - reps[j]) <= tol:
-                        k = j
-        if k < 0:
-            grid.setdefault((cx, cy), []).append(len(reps))
-            reps.append(v)
-            cluster_mass.append(m)
-            rep_cell.append((cx, cy))
-            continue
-        total = cluster_mass[k] + m
-        rep = (reps[k] * cluster_mass[k] + v * m) / total
-        reps[k] = rep
-        cluster_mass[k] = total
-        cell = (math.floor(rep.real / side), math.floor(rep.imag / side))
-        if cell != rep_cell[k]:
-            grid[rep_cell[k]].remove(k)
-            grid.setdefault(cell, []).append(k)
-            rep_cell[k] = cell
-    return sorted(reps + values[alone].tolist(), key=lambda z: (z.real, z.imag))
+    gap = ROUNDING_GAP * scale
+    kept: list[complex] = []
+    for v in np.unique(f.values).astype(complex, copy=False).tolist():
+        if not kept or abs(v - kept[-1]) > gap:
+            kept.append(v)
+    return kept
 
 
 def tail_cutoff(bound: Callable[[int], float], tol: float) -> int | None:

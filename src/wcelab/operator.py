@@ -16,6 +16,7 @@ import numpy as np
 
 from .condexp import atom_averages, atom_masses, cond_exp, is_A_measurable
 from .measure import (
+    ROUNDING_GAP,
     TRUNCATION_CAP,
     CountableSpaceSpec,
     FiniteMeasureSpace,
@@ -241,20 +242,28 @@ class SpectrumReport:
     includes_zero: bool
 
 
-def spectrum_formula(T: WeightedCondExpOperator, tol: float) -> SpectrumReport:
-    """Closed-form spectrum.
+def spectrum_formula(T: WeightedCondExpOperator, tol: float | None = None) -> SpectrumReport:
+    """Closed-form spectrum: the essential range of E(u), with 0 when some
+    atom has more than one point.
 
-    With singleton atoms the operator is plain multiplication by u = E(u)
-    and the spectrum is the essential range of u.  With any coarser
-    partition the spectrum is the essential range of E(u) together with 0.
+    Every atom has positive mass, so the essential range of E(u) is the set
+    of atom means ``atom_mean``.  Only rounding copies of one value are
+    merged (``measure.ess_range``, at scale max |u|), so every value
+    reported is an atom mean and the count does not change when u is
+    scaled.  The scale is max |u|, not max |E(u)|: on a zero-mean atom
+    E(u) is rounding noise of size about eps |u|, which is merged.  With
+    singleton atoms the operator is multiplication by u and 0 is in the
+    spectrum iff some value lies within the same gap of 0; any coarser
+    partition has a kernel, so 0 is in it, and is added unless such a value
+    already stands for it.  ``tol`` is not read: it is kept for callers
+    that pass one.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    values = ess_range(T.symbol_mean, T.space, tol)
-    includes_zero = any(abs(v) <= tol for v in values)
-    if not (includes_zero or T.partition.is_singletons):
-        values = sorted(values + [0.0 + 0.0j], key=lambda z: (z.real, z.imag))
-        includes_zero = True
+    scale = float(np.max(np.abs(T.symbol.values)))
+    values = ess_range(MFunction(T.atom_mean), scale)
+    near_zero = any(abs(v) <= ROUNDING_GAP * scale for v in values)
+    includes_zero = near_zero or not T.partition.is_singletons
+    if includes_zero and not near_zero:
+        values = sorted(values + [0j], key=lambda z: (z.real, z.imag))
     return SpectrumReport(values=tuple(values), includes_zero=includes_zero)
 
 

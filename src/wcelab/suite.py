@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .condexp import cond_exp
-from .measure import MFunction, ess_range
+from .measure import MFunction
 from .operator import (
     WeightedCondExpOperator,
     classify,
@@ -137,7 +137,7 @@ def _spectrum_entry(
     provenance: str = "published",
     note: str = "",
 ) -> ClaimEntry:
-    rep = spectrum_formula(T, TOLERANCES["identity"])
+    rep = spectrum_formula(T)
     probe = spectrum_probe_check(T, rep)
     match = len(rep.values) == len(expected_values) and all(
         abs(a - b) <= TOLERANCES["identity"]
@@ -151,6 +151,7 @@ def _spectrum_entry(
             "spectrum": list(rep.values),
             "includes_zero": rep.includes_zero,
             "max_candidate_sigma_min": max(probe.candidate_sigmas),
+            "max_eigenvalue_distance": max(probe.eigenvalue_distances),
             "probe_floor_ok": probe.probes_ok(TOLERANCES["oracle"]),
             "probe_floor_applies": probe.floor_applies(TOLERANCES["oracle"]),
         },
@@ -258,7 +259,7 @@ def _case1_entries() -> list[ClaimEntry]:
             "full-algebra.spectrum-is-range",
             "example (i) case 1, claim (b)3",
             T,
-            ess_range(T.symbol, T.space, TOLERANCES["identity"]),
+            np.unique(u).tolist(),
         ),
     ]
 

@@ -68,7 +68,7 @@ def test_criterion_2_interval_spectrum_with_probes():
     sc = build_symmetric_interval(64)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
     x = sc.space.labels[:, 0]
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     expected = sorted({float(np.cosh(xi)) for xi in x[:32]})
     vals = sorted(v.real for v in rep.values)
     match = (

@@ -225,8 +225,8 @@ def test_classify_above_the_order_cap(capsys, scenario, verdict):
 # names: a spectral value 100+100j that no operator here has, polar factors
 # cut at 10 (which drops atoms the check at tol 1e-8 must keep), or a
 # classification with normality flipped.
-def _spectrum_gains_bogus_value(T, tol):
-    rep = spectrum_formula(T, tol)
+def _spectrum_gains_bogus_value(T, tol=None):
+    rep = spectrum_formula(T)
     return SpectrumReport(values=rep.values + (100.0 + 100.0j,), includes_zero=rep.includes_zero)
 
 
@@ -244,6 +244,23 @@ def _classify_normality_flipped(T, tol):
 def test_spectrum_oracle_fails_on_an_off_spectrum_claim(capsys, monkeypatch):
     monkeypatch.setattr(cli, "spectrum_formula", _spectrum_gains_bogus_value)
     code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "block-partition")
+    assert "oracle verdict: FAIL" in out
+    assert code == 1
+
+
+def _spectrum_loses_its_largest_value(T, tol=None):
+    rep = spectrum_formula(T)
+    largest = max(rep.values, key=abs)
+    return SpectrumReport(
+        values=tuple(v for v in rep.values if v != largest), includes_zero=rep.includes_zero
+    )
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_BUILDERS))
+def test_spectrum_oracle_fails_on_a_claim_that_leaves_out_a_value(capsys, monkeypatch, scenario):
+    monkeypatch.setattr(cli, "spectrum_formula", _spectrum_loses_its_largest_value)
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", scenario)
+    assert "oracle completeness: max eigenvalue distance to the claim" in out
     assert "oracle verdict: FAIL" in out
     assert code == 1
 

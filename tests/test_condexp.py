@@ -60,16 +60,25 @@ def test_average_on_an_atom_of_subnormal_mass(value, atom_of):
     p = Partition(np.array(atom_of))
     avg = atom_averages(MFunction(np.array(values, dtype=complex)), p, sp)
     assert np.all(np.isfinite(avg))
+    # on a singleton atom no average is taken, so the subnormal mass cannot
+    # round the value
+    assert avg[p.atom_of[0]] == values[0]
     if p.is_singletons:
-        # no average is taken, so the subnormal mass cannot round the value
         np.testing.assert_array_equal(avg[p.atom_of], values)
         return
-    for a in range(p.atom_count):
+    for a in range(1, p.atom_count):
         idx = [i for i in range(3) if atom_of[i] == a]
         mass = sum(masses[i] for i in idx)
         re = sum(masses[i] * complex(values[i]).real for i in idx) / mass
         im = sum(masses[i] * complex(values[i]).imag for i in idx) / mass
         assert avg[a] == complex(re, im)
+
+
+def test_average_on_a_two_point_atom_of_subnormal_mass():
+    # the atom {0, 1} is averaged, and its sums are divided in real arithmetic
+    sp = FiniteMeasureSpace(np.array([2e-313, 2e-313, 1.0]))
+    avg = atom_averages(MFunction(np.array([0.0, 0.0, 1.0j])), Partition(np.array([0, 0, 1])), sp)
+    assert avg.tolist() == [0j, 1j]
 
 
 @given(instance_seeds)

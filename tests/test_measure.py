@@ -2,8 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from ess_range_reference import ess_range_reference
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.measure import (
@@ -12,6 +11,7 @@ from wcelab.measure import (
     FiniteMeasureSpace,
     MFunction,
     NotSummableError,
+    ROUNDING_GAP,
     Partition,
     ess_range,
     realize,
@@ -19,7 +19,6 @@ from wcelab.measure import (
     truncate,
     weighted_inner_product,
 )
-from wcelab.sampling import random_operator
 
 
 def uniform_space(n):
@@ -48,6 +47,16 @@ def test_partition_requires_contiguous_atoms():
     for atom_of in ([0, 2], [0, -1, 1]):  # atom 1 missing; a negative label
         with pytest.raises(ValueError, match="atom indices must cover 0..m-1 with no gaps"):
             Partition(np.array(atom_of))
+
+
+@pytest.mark.parametrize(
+    "atom_of, points",
+    [([0, 1, 2], []), ([1, 0, 1, 2], [1, 3]), ([0, 0, 1, 1], [])],
+    ids=["all-singletons", "mixed", "no-singletons"],
+)
+def test_partition_keeps_the_points_of_its_singleton_atoms(atom_of, points):
+    # all-singleton partitions keep none: E is the identity on all of them
+    assert Partition(np.array(atom_of)).singleton_points.tolist() == points
 
 
 @pytest.mark.parametrize(
@@ -180,29 +189,42 @@ def test_support_below_tolerance():
 
 
 # ------------------------------------------------------------------ ess_range
+# Rounding copies of one value merge: those within ROUNDING_GAP * scale of
+# the last value kept in (real, imag) order.
 
 
 def test_ess_range_constant():
-    sp = uniform_space(5)
-    reps = ess_range(MFunction(np.full(5, 3.0 + 1.0j)), sp, 1e-12)
-    assert len(reps) == 1
-    assert reps[0] == pytest.approx(3.0 + 1.0j, abs=1e-14)
+    # exact duplicates collapse to the value itself
+    reps = ess_range(MFunction(np.full(5, 3.0 + 1.0j)), 3.0)
+    assert reps == [3.0 + 1.0j]
 
 
 def test_ess_range_merges_close_values():
-    sp = FiniteMeasureSpace(np.array([1.0, 1.0, 1.0]))
-    f = MFunction(np.array([1.0, 1.0 + 1e-14, 2.0]))
-    reps = ess_range(f, sp, 1e-12)
-    assert len(reps) == 2
-    assert reps[0] == pytest.approx(1.0, abs=1e-13)
-    assert reps[1] == pytest.approx(2.0)
+    # copies that differ only by rounding collapse to the first in order
+    f = MFunction(np.array([2.0, 1.0 + 1e-14, 1.0, 1.0 + 3e-16j]))
+    assert ess_range(f, 2.0) == [1.0, 2.0]
 
 
-def brute_force_clusters(values, tol):
-    """Independent clustering oracle: transitive closure of pairwise closeness."""
+def test_ess_range_compares_with_the_last_value_kept():
+    # a chain of copies each close to the one before does not merge values
+    # farther apart than the gap
+    step = 0.6 * ROUNDING_GAP
+    assert ess_range(MFunction(1.0 + step * np.arange(3)), 1.0) == [1.0, 1.0 + 2 * step]
+
+
+def test_ess_range_keeps_values_2_to_the_minus_30_of_the_scale_apart():
+    for scale in (1e-9, 1.0, 1e9):
+        step = 2.0**-30 * scale
+        f = MFunction(scale * 0.5 + step * np.array([0.0, 1.0, 2.0, 1j, 1.0 + 1j]))
+        got = ess_range(f, scale)
+        assert got == sorted(f.values.tolist(), key=lambda z: (z.real, z.imag))
+
+
+def brute_force_clusters(values, gap):
+    """Independent oracle: transitive closure of pairwise closeness."""
     groups = []
     for v in values:
-        hits = [g for g in groups if any(abs(v - w) <= tol for w in g)]
+        hits = [g for g in groups if any(abs(v - w) <= gap for w in g)]
         merged = [v]
         for g in hits:
             merged.extend(g)
@@ -212,21 +234,22 @@ def brute_force_clusters(values, tol):
 
 
 def test_ess_range_against_pairwise_oracle():
+    # values scattered by 1e-13 around three well-separated bases
     rng = np.random.default_rng(7)
     for _ in range(20):
         n = int(rng.integers(2, 15))
         base = rng.choice([0.0, 1.0, 2.5], size=n)
         vals = base + rng.normal(scale=1e-13, size=n)
-        sp = FiniteMeasureSpace(rng.uniform(0.1, 1.0, size=n))
-        reps = ess_range(MFunction(vals.astype(complex)), sp, 1e-9)
-        assert len(reps) == len(brute_force_clusters(list(vals), 1e-9))
+        scale = float(np.max(np.abs(vals)))
+        reps = ess_range(MFunction(vals), scale)
+        assert len(reps) == len(brute_force_clusters(list(vals), ROUNDING_GAP * scale))
+        assert set(reps) <= set(vals.astype(complex).tolist())
 
 
 def test_ess_range_cosh_nodes():
     n = 16
     x = -1.0 + (np.arange(n) + 0.5) * 2.0 / n
-    sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
-    reps = ess_range(MFunction(np.cosh(x).astype(complex)), sp, 1e-12)
+    reps = ess_range(MFunction(np.cosh(x)), float(np.cosh(1.0)))
     expected = sorted({round(float(np.cosh(xi)), 15) for xi in x})
     assert len(reps) == len(expected)
     assert np.allclose([r.real for r in reps], expected)
@@ -235,76 +258,7 @@ def test_ess_range_cosh_nodes():
 def test_ess_range_rejects_non_finite_values():
     f = MFunction(np.array([1.0, np.nan, 2.0, np.inf, complex(0.0, -np.inf)]))
     with pytest.raises(ValueError, match="3 non-finite"):
-        ess_range(f, uniform_space(5), 1e-12)
-
-
-def same_clusters(got, want, scale):
-    """Same count, representatives within 1e-12 * scale; matched by distance,
-    since representatives an ulp apart in real part can sort either way."""
-    if len(got) != len(want):
-        return False
-    dist = np.abs(np.subtract.outer(np.array(got), np.array(want)))
-    return max(dist.min(axis=1).max(), dist.min(axis=0).max()) <= 1e-12 * scale
-
-
-@st.composite
-def clustering_inputs(draw):
-    """Values on a line at spacings near tol, with exact duplicates."""
-    tol = draw(st.just(0.0) | st.floats(1e-9, 1.0))
-    unit = tol if tol > 0 else 1.0
-    distinct = draw(st.integers(1, 12))
-    steps = draw(st.lists(st.floats(0.5, 2.0), min_size=distinct, max_size=distinct))
-    direction = draw(st.sampled_from([1.0, 1j, (3.0 + 4.0j) / 5.0]))
-    base = complex(draw(st.floats(-10, 10)), draw(st.floats(-10, 10)))
-    line = base + direction * unit * np.cumsum(steps)
-    copies = draw(st.lists(st.integers(0, distinct - 1), min_size=1, max_size=30))
-    values = line[copies]
-    masses = draw(st.lists(st.floats(1e-3, 1.0), min_size=len(values), max_size=len(values)))
-    return MFunction(values), FiniteMeasureSpace(np.array(masses)), tol
-
-
-@given(clustering_inputs())
-@settings(max_examples=300, deadline=None)
-def test_ess_range_matches_reference_loop(inputs):
-    f, sp, tol = inputs
-    got = ess_range(f, sp, tol)
-    if tol == 0:
-        # the reference's running mean of copies of one value can round off
-        # it by an ulp, after which a tol = 0 comparison splits the copies;
-        # the clusters are exactly the distinct values
-        assert got == np.unique(f.values).tolist()
-        return
-    want = ess_range_reference(f, sp, tol)
-    scale = float(np.max(np.abs(f.values)))
-    # a value exactly tol from a representative joins or not by the last bits
-    # of the representative, which collapsing copies may change; such ties
-    # show as reference clusters that change when tol moves by 1e-12 * scale
-    near = 1e-12 * scale
-    assume(all(same_clusters(ess_range_reference(f, sp, tol + d), want, scale) for d in (-near, near)))
-    assert same_clusters(got, want, scale)
-
-
-def test_ess_range_follows_a_drifting_representative():
-    # each value outweighs everything before it, so the representative
-    # trails the latest value and one cluster spans many grid cells
-    tol = 1e-3
-    f = MFunction(1j * tol * 0.8 * np.arange(20))
-    sp = FiniteMeasureSpace(100.0 ** np.arange(20))
-    got = ess_range(f, sp, tol)
-    assert len(got) == 1
-    assert same_clusters(got, ess_range_reference(f, sp, tol), float(np.max(np.abs(f.values))))
-
-
-def test_ess_range_matches_reference_on_random_operators():
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        T = random_operator(rng, max_n=24)
-        scale = float(np.max(np.abs(T.symbol.values)))
-        for g in (T.symbol, T.symbol_mean):
-            for tol in (1e-12, 1e-8, 0.3):
-                assert same_clusters(
-                    ess_range(g, T.space, tol), ess_range_reference(g, T.space, tol), scale
-                )
+        ess_range(f, 2.0)
 
 
 def test_ess_range_atom_constant_is_bounded_by_atom_count():
@@ -314,8 +268,7 @@ def test_ess_range_atom_constant_is_bounded_by_atom_count():
         m = int(rng.integers(1, n + 1))
         atom_of = np.concatenate([np.arange(m), rng.integers(0, m, size=n - m)])
         vals = rng.standard_normal(m)[atom_of]
-        sp = FiniteMeasureSpace(rng.uniform(0.1, 1.0, size=n))
-        assert len(ess_range(MFunction(vals.astype(complex)), sp, 1e-12)) <= m
+        assert len(ess_range(MFunction(vals), float(np.max(np.abs(vals))))) <= m
 
 
 # ------------------------------------------------------------------- truncate

@@ -33,7 +33,12 @@ from wcelab.operator import (
 )
 from wcelab.oracle import residuals
 from wcelab.sampling import SPECIAL_KINDS, random_operator
-from wcelab.scenarios import geometric_blowup_spec, poisson_parity_spec
+from wcelab.scenarios import (
+    SCENARIO_BUILDERS,
+    build_scenario,
+    geometric_blowup_spec,
+    poisson_parity_spec,
+)
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -316,7 +321,7 @@ def test_verdicts_do_not_depend_on_units_order_or_refinement(transform, seed, lo
     if transform is _split:
         # the split changes the order of the atom sums, so the atom means
         # may move in the last bits
-        before, after = spectrum_formula(T, 1e-8), spectrum_formula(V, 1e-8)
+        before, after = spectrum_formula(T), spectrum_formula(V)
         assert after.includes_zero == before.includes_zero
         np.testing.assert_allclose(after.values, before.values, rtol=1e-12, atol=1e-12)
 
@@ -351,6 +356,25 @@ def test_classify_singleton_atoms_of_a_large_symbol_matches_oracle():
     rep = classify(T, 1e-8)
     assert _verdicts(rep) == residuals(T).verdicts(1e-8) == (True, True, True)
     assert rep.residuals["atom_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_classify_singleton_atoms_beside_a_larger_atom_match_oracle(seed):
+    # as above, but points 0 and 63 share one atom and one value, so the
+    # partition is not all singletons; E is still the identity on the
+    # singleton atoms, whose rounded averages read as a varying symbol
+    rng = np.random.default_rng(seed)
+    n = 64
+    masses = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n))
+    u = 1e8 * rng.standard_normal(n)
+    atom_of = rng.permutation(n)
+    atom_of[63], u[63] = atom_of[0], u[0]
+    T = small_op(u, np.unique(atom_of, return_inverse=True)[1], masses)
+    lone = T.partition.singleton_points
+    assert lone.size == n - 2
+    assert np.array_equal(T.atom_mean[T.partition.atom_of[lone]], u[lone])
+    rep = classify(T, 1e-8)
+    assert _verdicts(rep) == residuals(T).verdicts(1e-8) == (True, True, True)
 
 
 # ------------------------------------------------------------------------ polar
@@ -413,14 +437,14 @@ def test_isometry_is_isometric_on_modulus_range():
 
 def test_spectrum_singleton_atoms_is_symbol_range():
     T = small_op([1.0, 2.0, 2.0, 5.0], [0, 1, 2, 3])
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     assert np.allclose(sorted(v.real for v in rep.values), [1.0, 2.0, 5.0])
     assert not rep.includes_zero
 
 
 def test_spectrum_coarse_partition_adds_zero():
     T = small_op([1.0, 3.0, 5.0, 5.0], [0, 0, 1, 1])
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     # E(u) values: 2 and 5, plus 0
     assert np.allclose(sorted(v.real for v in rep.values), [0.0, 2.0, 5.0])
     assert rep.includes_zero
@@ -428,8 +452,59 @@ def test_spectrum_coarse_partition_adds_zero():
 
 def test_spectrum_no_duplicate_zero():
     T = small_op([1.0, -1.0, 5.0, 5.0], [0, 0, 1, 1])
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     assert sum(1 for v in rep.values if abs(v) <= 1e-10) == 1
+
+
+def test_spectrum_merges_zero_mean_noise_at_the_scale_of_u():
+    # E(u) on a zero-mean atom is rounding noise of about eps |u|, different
+    # on each atom; merged at the scale of u, not of E(u), it is one value,
+    # which stands for the 0 of the kernel
+    rng = np.random.default_rng(0)
+    atom_of = np.repeat(np.arange(8), 3)
+    masses = np.exp(rng.uniform(np.log(1e-3), 0.0, size=24))
+    sp = FiniteMeasureSpace(masses)
+    u = 1e3 * (rng.standard_normal(24) + 1j * rng.standard_normal(24))
+    u -= cond_exp(MFunction(u), Partition(atom_of), sp).values
+    T = small_op(u, atom_of, masses)
+    assert np.unique(T.atom_mean).size > 1
+    rep = spectrum_formula(T)
+    assert rep.includes_zero
+    assert len(rep.values) == 1 and rep.values[0] in T.atom_mean.tolist()
+
+
+@pytest.mark.parametrize("tiny, includes_zero", [(1e-20, True), (1e-6, False)])
+def test_spectrum_of_singletons_includes_zero_iff_a_value_is_at_rounding_scale(tiny, includes_zero):
+    # the value is reported as it is, never snapped to 0
+    rep = spectrum_formula(small_op([tiny, 1.0, 2.0], [0, 1, 2]))
+    assert rep.values == (tiny, 1.0, 2.0)
+    assert rep.includes_zero == includes_zero
+
+
+def _assert_spectrum_scales_with_the_symbol(T):
+    base = spectrum_formula(T)
+    ref = np.array(base.values)
+    scale = float(np.max(np.abs(T.symbol.values)))
+    for j in range(-9, 10):
+        c = 10.0**j
+        rep = spectrum_formula(_scale_symbol(T, c, None))
+        assert (len(rep.values), rep.includes_zero) == (len(ref), base.includes_zero), j
+        # matched by distance: values with equal real parts may swap order
+        dist = np.abs(np.subtract.outer(np.array(rep.values) / c, ref))
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 1e-12 * scale, j
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_spectrum_of_a_scenario_scales_with_the_symbol(name):
+    sc = build_scenario(name, {})
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    _assert_spectrum_scales_with_the_symbol(T)
+
+
+@given(seeds, st.sampled_from(SPECIAL_KINDS))
+@settings(max_examples=60, deadline=None)
+def test_spectrum_scales_with_the_symbol(seed, kind):
+    _assert_spectrum_scales_with_the_symbol(random_operator(np.random.default_rng(seed), 32, kind))
 
 
 # ----------------------------------------------------------------- domains

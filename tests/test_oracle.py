@@ -29,9 +29,11 @@ from wcelab.oracle import (
 )
 from wcelab.sampling import SPECIAL_KINDS, random_operator
 from wcelab.scenarios import (
+    SCENARIO_BUILDERS,
     build_block_partition,
     build_full_algebra,
     build_geometric_blowup,
+    build_scenario,
     build_symmetric_interval,
 )
 
@@ -158,7 +160,7 @@ def test_interval_candidates_reach_rounding_level():
     # M - lambda I to within rounding of ||M||
     sc = build_symmetric_interval(64)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-10))
+    probe = spectrum_probe_check(T, spectrum_formula(T))
     assert max(probe.candidate_sigmas) <= 1e-15 * probe.matrix_norm
 
 
@@ -239,7 +241,7 @@ def test_probe_check_accepts_true_spectrum():
     rng = np.random.default_rng(5)
     for _ in range(10):
         T = random_operator(rng, max_n=24)
-        rep = spectrum_formula(T, 1e-10)
+        rep = spectrum_formula(T)
         probe = spectrum_probe_check(T, rep)
         assert probe.candidates_ok(1e-8)
         if probe.matrix_norm > 1e-8:  # separation is meaningless at norm ~ 0
@@ -249,7 +251,7 @@ def test_probe_check_accepts_true_spectrum():
 def test_probe_check_rejects_bogus_value():
     rng = np.random.default_rng(6)
     T = random_operator(rng, max_n=24)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     bogus = type(rep)(
         values=rep.values + (100.0 + 100.0j,),
         includes_zero=rep.includes_zero,
@@ -262,7 +264,7 @@ def test_probe_check_rejects_bogus_value():
 def test_probe_check_is_deterministic_per_seed():
     rng = np.random.default_rng(7)
     T = random_operator(rng, max_n=16)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     # the outer probes come from a fixed seed, so two calls probe alike
     a = spectrum_probe_check(T, rep)
     b = spectrum_probe_check(T, rep)
@@ -290,11 +292,38 @@ def test_probe_floor_skipped_on_non_normal_operator():
     # although the claimed spectrum is right
     sc = build_geometric_blowup()
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-8))
+    probe = spectrum_probe_check(T, spectrum_formula(T))
     assert any(s < d / 2.0 - 1e-8 for s, d in zip(probe.probe_sigmas, probe.probe_distances))
     assert probe.normal_rel == residuals(T).normal_rel
     assert not probe.floor_applies(1e-8)
     assert probe.probes_ok(1e-8)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_probe_check_rejects_a_claim_that_leaves_out_a_value(name):
+    # every computed eigenvalue must lie near a claimed value; dropping the
+    # largest one leaves an eigenvalue far from the claim
+    sc = build_scenario(name, {})
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    rep = spectrum_formula(T)
+    probe = spectrum_probe_check(T, rep)
+    assert probe.ok(1e-8) and probe.eigenvalues_ok(1e-8)
+    assert max(probe.eigenvalue_distances) <= 1e-12 * probe.matrix_norm
+    largest = max(rep.values, key=abs)
+    partial = SpectrumReport(
+        values=tuple(v for v in rep.values if v != largest), includes_zero=rep.includes_zero
+    )
+    probe = spectrum_probe_check(T, partial)
+    assert not probe.eigenvalues_ok(1e-8)
+    assert not probe.ok(1e-8)
+
+
+@given(seeds, st.sampled_from(SPECIAL_KINDS))
+@settings(max_examples=60, deadline=None)
+def test_true_claims_are_complete(seed, kind):
+    T = random_operator(np.random.default_rng(seed), max_n=32, kind=kind)
+    probe = spectrum_probe_check(T, spectrum_formula(T))
+    assert probe.eigenvalues_ok(1e-8)
 
 
 def _reference_verdicts(T, claim, probe, tol):
@@ -323,7 +352,7 @@ def test_probe_check_verdicts_match_svd_reference(seed, kind):
     # drawn: zero_mean makes 0 a defective eigenvalue (2x2 Jordan blocks)
     rng = np.random.default_rng(seed)
     T = random_operator(rng, max_n=32, kind=kind)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     off = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
     M = matrix_of(T)
     norm = np.linalg.norm(M)
@@ -346,7 +375,7 @@ def test_probe_check_on_the_zero_operator():
     n = 5
     sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
     T = WeightedCondExpOperator(sp, Partition(np.arange(n)), MFunction(np.zeros(n, dtype=complex)))
-    probe = spectrum_probe_check(T, spectrum_formula(T, 1e-8))
+    probe = spectrum_probe_check(T, spectrum_formula(T))
     assert probe.matrix_norm == 0.0
     assert probe.candidate_sigmas == (0.0,)
     assert probe.candidates_ok(1e-8)
@@ -361,7 +390,7 @@ def test_bogus_value_reports_the_svd():
     rng = np.random.default_rng(6)
     T = random_operator(rng, max_n=24)
     M = matrix_of(T)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     true = max(rep.values, key=lambda v: min(abs(v - w) for w in rep.values if w != v))
     near = true + 1e-3
     w = np.linalg.eigvals(M)
@@ -379,7 +408,7 @@ def test_failed_eigensolve_reports_the_svd(monkeypatch):
     # without an eigendecomposition there is no witness, and every
     # candidate is the SVD's value
     T = random_operator(np.random.default_rng(6), max_n=24)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
 
     def fail(_):
         raise np.linalg.LinAlgError("no convergence")
@@ -391,6 +420,8 @@ def test_failed_eigensolve_reports_the_svd(monkeypatch):
     values = sorted(rep.values, key=lambda z: (z.real, z.imag))
     assert probe.candidate_sigmas == tuple(min_singular_value(M, v) for v in values)
     assert probe.candidates_ok(1e-8)
+    # no eigenvalues, no completeness check: the claim does not pass
+    assert not probe.eigenvalues_ok(1e-8)
 
 
 def _count_probe_svds(monkeypatch, scenario, slack):
@@ -398,7 +429,7 @@ def _count_probe_svds(monkeypatch, scenario, slack):
     min_singular_value calls made by spectrum_probe_check and that verdict,
     the probe result and the operator."""
     T = WeightedCondExpOperator(scenario.space, scenario.partition, scenario.symbol)
-    rep = spectrum_formula(T, 1e-10)
+    rep = spectrum_formula(T)
     calls = []
     svd = oracle.min_singular_value
     monkeypatch.setattr(oracle, "min_singular_value", lambda M, lam=0.0: calls.append(lam) or svd(M, lam))
@@ -422,4 +453,4 @@ def test_probe_sigmas_are_computed_only_where_the_floor_applies(monkeypatch):
     ok, calls, probe, T = _count_probe_svds(monkeypatch, build_symmetric_interval(64), 1.0)
     assert probe.floor_applies(1.0)
     assert calls == len(probe.probe_points)
-    assert ok == _reference_verdicts(T, spectrum_formula(T, 1e-10), probe, 1.0)[1]
+    assert ok == _reference_verdicts(T, spectrum_formula(T), probe, 1.0)[1]

@@ -1,11 +1,9 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
 from claim_ids import EXPECTED_CLAIM_IDS
-from ess_range_reference import ess_range_reference
 from wcelab import operator, suite
 from wcelab.measure import ess_range
 from wcelab.suite import run_claim_suite
@@ -96,20 +94,18 @@ def test_text_format_has_summary_line():
     assert "discrepancy: 1" in text
 
 
-def test_ess_range_matches_reference_loop_on_every_suite_call(monkeypatch):
-    calls = []
+def test_spectrum_is_range_fails_when_a_value_is_left_out(monkeypatch):
+    # the expected values are the published symbol's: an essential range
+    # that drops a value fails the claim wherever the suite reads it
+    def drops_largest(f, *args):
+        values = ess_range(f, *args)
+        return [v for v in values if v != max(values, key=abs)]
 
-    def checked(f, sp, tol):
-        got = ess_range(f, sp, tol)
-        want = ess_range_reference(f, sp, tol)
-        scale = float(np.max(np.abs(f.values)))
-        calls.append(len(got) == len(want) and np.allclose(got, want, rtol=0, atol=1e-12 * scale))
-        return got
-
-    monkeypatch.setattr(operator, "ess_range", checked)
-    monkeypatch.setattr(suite, "ess_range", checked)
-    run_claim_suite()
-    assert calls and all(calls)
+    for module in (operator, suite):
+        if hasattr(module, "ess_range"):
+            monkeypatch.setattr(module, "ess_range", drops_largest)
+    [e] = [e for e in suite._case1_entries() if e.claim_id == "full-algebra.spectrum-is-range"]
+    assert e.status == "fail"
 
 
 # ------------------------------------------------------- claim-kind helpers
