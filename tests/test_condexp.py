@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab.condexp import (
+    BLOCK,
     atom_averages,
     atom_masses,
     cond_exp,
@@ -11,6 +12,7 @@ from wcelab.condexp import (
     projection_matrix,
 )
 from wcelab.measure import (
+    DimensionMismatchError,
     FiniteMeasureSpace,
     MFunction,
     Partition,
@@ -218,6 +220,67 @@ def test_passing_the_atom_masses_changes_no_bit(seed, shape):
         assert atom_averages(g, p, sp, mass=mass).tobytes() == atom_averages(g, p, sp).tobytes()
         assert cond_exp(g, p, sp, mass=mass).values.tobytes() == cond_exp(g, p, sp).values.tobytes()
         assert is_A_measurable(g, p, sp, 1e-8, mass=mass) == is_A_measurable(g, p, sp, 1e-8)
+
+
+def _blocked_instance(rng, n, m):
+    """n points in m atoms with shuffled labels; the last three atoms (none
+    when m == 1) hold one point each, and five points, one of them such a
+    singleton, have a subnormal mass."""
+    lone = min(3, m - 1)
+    atom_of = np.concatenate(
+        [np.arange(m - lone), rng.integers(0, m - lone, size=n - m), np.arange(m - lone, m)]
+    )
+    rng.shuffle(atom_of)
+    masses = np.exp(rng.uniform(np.log(1e-3), 0.0, size=n))
+    masses[rng.choice(n, size=4, replace=False)] = 3e-310
+    masses[np.flatnonzero(atom_of == m - 1)[0]] = 5e-321
+    return FiniteMeasureSpace(masses), Partition(atom_of)
+
+
+def _full_array_reference(v, p, sp):
+    """Atom means from one bincount over all points per real part, divided
+    in real arithmetic, with each singleton atom's value put back."""
+    mass = np.bincount(p.atom_of, weights=sp.masses)
+    ref = np.empty(p.atom_count, dtype=v.dtype)
+    ref.real = np.bincount(p.atom_of, weights=sp.masses * v.real) / mass
+    if np.iscomplexobj(v):
+        ref.imag = np.bincount(p.atom_of, weights=sp.masses * v.imag) / mass
+    lone = np.flatnonzero(np.bincount(p.atom_of)[p.atom_of] == 1)
+    ref[p.atom_of[lone]] = v[lone]
+    return ref
+
+
+@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+@pytest.mark.parametrize("m", [1, 16, 10**4])
+def test_blocked_averages_equal_one_full_array_bincount(n, m):
+    rng = np.random.default_rng([n, m])
+    sp, p = _blocked_instance(rng, n, m)
+    f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    zero_mean = MFunction(f.values - cond_exp(f, p, sp).values)
+    real = MFunction(f.values.real.copy())
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mass = atom_masses(p, sp)
+    for g in (f, zero_mean, real):
+        avg = atom_averages(g, p, sp)
+        assert avg.tobytes() == _full_array_reference(g.values, p, sp).tobytes()
+        assert avg.tobytes() == atom_averages(g, p, sp, mass=mass).tobytes()
+        for times in (u, u.real.copy()):
+            product = atom_averages(MFunction(times * g.values), p, sp)
+            assert atom_averages(g, p, sp, mass=mass, times=times).tobytes() == product.tobytes()
+    np.testing.assert_array_equal(
+        atom_averages(real, p, sp), atom_averages(MFunction(real.values.astype(complex)), p, sp)
+    )
+
+
+@pytest.mark.parametrize("n", [8, BLOCK + 1])
+@pytest.mark.parametrize("atom_of", ["singletons", "pairs"])
+def test_times_must_match_the_function(n, atom_of):
+    sp = FiniteMeasureSpace(np.ones(n))
+    p = Partition(np.arange(n) if atom_of == "singletons" else np.arange(n) // 2)
+    f = MFunction(np.ones(n))
+    for call in (atom_averages, cond_exp):
+        with pytest.raises(DimensionMismatchError):
+            call(f, p, sp, times=np.ones(n - 1))
 
 
 def test_one_atom_partition_is_global_mean():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from wcelab.condexp import atom_averages, atom_masses, cond_exp
+from wcelab.condexp import BLOCK, atom_averages, atom_masses, cond_exp
 from wcelab.measure import (
     CountableSpaceSpec,
     FiniteMeasureSpace,
@@ -76,21 +76,59 @@ def _shaped_operator(rng, shape, n=40):
 def test_cached_means_match_recompute():
     rng = np.random.default_rng(0)
     for shape in ("singletons", "one-atom", "coarse"):
-        T = _shaped_operator(rng, shape)
-        p, sp = T.partition, T.space
-        sq = MFunction(np.abs(T.symbol.values) ** 2)
-        np.testing.assert_array_equal(T.atom_mass, atom_masses(p, sp))
-        np.testing.assert_array_equal(T.atom_mean, atom_averages(T.symbol, p, sp))
-        np.testing.assert_array_equal(T.atom_sq_mean, atom_averages(sq, p, sp))
-        np.testing.assert_array_equal(T.symbol_mean.values, cond_exp(T.symbol, p, sp).values)
-        np.testing.assert_array_equal(T.symbol_sq_mean.values, cond_exp(sq, p, sp).values)
-        assert T.atom_mean.dtype == complex and T.atom_sq_mean.dtype == float
-        assert T.atom_sq_mean.flags.owndata
+        complex_symbol = _shaped_operator(rng, shape)
+        p, sp = complex_symbol.partition, complex_symbol.space
+        real_symbol = WeightedCondExpOperator(sp, p, MFunction(complex_symbol.symbol.values.real))
+        for T in (complex_symbol, real_symbol):
+            sq = MFunction(np.abs(T.symbol.values) ** 2)
+            np.testing.assert_array_equal(T.atom_mass, atom_masses(p, sp))
+            np.testing.assert_array_equal(T.atom_mean, atom_averages(T.symbol, p, sp))
+            np.testing.assert_array_equal(T.atom_sq_mean, atom_averages(sq, p, sp))
+            np.testing.assert_array_equal(T.symbol_mean.values, cond_exp(T.symbol, p, sp).values)
+            np.testing.assert_array_equal(T.symbol_sq_mean.values, cond_exp(sq, p, sp).values)
+            assert T.atom_mean.dtype == complex and T.atom_sq_mean.dtype == float
+            assert T.atom_sq_mean.flags.owndata
+            if shape == "singletons":
+                # labels in random order; the point-level means are u and |u|^2
+                assert _bits(T.symbol_mean.values) == _bits(T.symbol.values.astype(complex))
+                assert _bits(T.symbol_sq_mean.values) == _bits(sq.values)
+                assert not np.shares_memory(T.symbol_mean.values, T.symbol.values)
 
 
 def _bits(a):
     a = np.asarray(a)
     return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("atoms", [16, 10**4, None], ids=["16", "1e4", "singletons"])
+@pytest.mark.parametrize("symbol", ["complex", "real"])
+def test_actions_past_one_block_match_point_level_formulas(atoms, symbol):
+    rng = np.random.default_rng(11)
+    n = 3 * BLOCK + 17
+    if atoms is None:
+        atom_of = rng.permutation(n)
+    else:
+        atom_of = np.concatenate([np.arange(atoms), rng.integers(0, atoms, size=n - atoms)])
+        rng.shuffle(atom_of)
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    p = Partition(atom_of)
+    u = rng.standard_normal(n)
+    if symbol == "complex":
+        u = u + 1j * rng.standard_normal(n)
+    T = WeightedCondExpOperator(sp, p, MFunction(u))
+    parts = polar(T, 1e-8)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    Tf = cond_exp(MFunction(u * f), p, sp).values
+    assert _bits(apply(T, MFunction(f)).values) == _bits(Tf)
+    assert _bits(apply_adjoint(T, MFunction(f)).values) == _bits(
+        np.conj(u) * cond_exp(MFunction(f), p, sp).values
+    )
+    assert _bits(apply_modulus(T, parts, MFunction(f)).values) == _bits(
+        Tf * parts.modulus_symbol.values
+    )
+    assert _bits(apply_isometry(T, parts, MFunction(f)).values) == _bits(
+        cond_exp(MFunction(parts.isometry_symbol.values * f), p, sp).values
+    )
 
 
 def _polar_reference(T, tol):
