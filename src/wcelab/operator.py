@@ -65,9 +65,8 @@ class WeightedCondExpOperator:
     bit for bit to its recomputation from scratch: the atom masses
     ``atom_mass``, E(u) per atom (``atom_mean``, complex) and E(|u|^2) per
     atom (``atom_sq_mean``, float64), all of shape (atom_count,), and their
-    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``; on singleton
-    atoms these are u (as complex) and |u|^2 themselves.  Every average the
-    operator takes later reuses ``atom_mass``.
+    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.  Every
+    average the operator takes later reuses ``atom_mass``.
     """
 
     space: FiniteMeasureSpace
@@ -85,19 +84,12 @@ class WeightedCondExpOperator:
         p.check_aligned(sp)
         mass = atom_masses(p, sp)
         mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
-        sq = np.abs(u.values)
-        sq **= 2
-        sq_mean = atom_averages(MFunction(sq), p, sp, mass=mass)
-        if p.is_singletons:
-            # E is the identity: no round trip through atom order
-            symbol_mean, symbol_sq_mean = u.values.astype(complex), sq
-        else:
-            symbol_mean, symbol_sq_mean = mean[p.atom_of], sq_mean[p.atom_of]
+        sq_mean = atom_averages(MFunction(np.abs(u.values) ** 2), p, sp, mass=mass)
         object.__setattr__(self, "atom_mass", mass)
         object.__setattr__(self, "atom_mean", mean)
         object.__setattr__(self, "atom_sq_mean", sq_mean)
-        object.__setattr__(self, "symbol_mean", MFunction(symbol_mean))
-        object.__setattr__(self, "symbol_sq_mean", MFunction(symbol_sq_mean))
+        object.__setattr__(self, "symbol_mean", MFunction(mean[p.atom_of]))
+        object.__setattr__(self, "symbol_sq_mean", MFunction(sq_mean[p.atom_of]))
 
     @property
     def n(self) -> int:
@@ -113,11 +105,8 @@ def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
     f.check_aligned(T.space)
-    ef = cond_exp(f, T.partition, T.space, mass=T.atom_mass).values
-    u = T.symbol.values
-    out = np.conj(u, out=np.empty(u.size, np.result_type(u, ef)))
-    out *= ef
-    return MFunction(out)
+    ef = cond_exp(f, T.partition, T.space, mass=T.atom_mass)
+    return MFunction(np.conj(T.symbol.values) * ef.values)
 
 
 @dataclass(frozen=True)
@@ -230,14 +219,8 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
 
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
-    """|T| f = modulus_symbol * E(u f), scaled in apply's fresh output.
-
-    The operands are taken in the order E(u f) * modulus_symbol at every
-    size: a complex product's last bit can depend on the order.
-    """
-    out = apply(T, f).values
-    out *= parts.modulus_symbol.values
-    return MFunction(out)
+    """|T| f = modulus_symbol * E(u f)."""
+    return MFunction(parts.modulus_symbol.values * apply(T, f).values)
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
