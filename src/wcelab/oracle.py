@@ -3,7 +3,10 @@
 Operators are realized as matrices in the orthonormal coordinates
 e_i = delta_i / sqrt(mu_i) by ``measure.realize``, which applies an
 operator's action to each basis vector; nothing here reuses the
-symbol-average formulas.  No computed eigenvalue is taken on trust.  A
+symbol-average formulas.  ``matrix_of`` realizes M once per operator
+instance and hands every later caller the same read-only array, and
+``residuals`` is kept beside it, so the checks on one operator share one
+realization.  No computed eigenvalue is taken on trust.  A
 claimed spectral value is certified by a witness vector x, since
 sigma_min(M - lambda I) <= ||(M - lambda I) x|| for any unit x: one general
 eigendecomposition per check proposes the trial vectors, the residuals are
@@ -71,9 +74,19 @@ def _check_order(n: int) -> None:
 
 
 def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
-    """Matrix with entry (j, i) = <T e_i, e_j> in orthonormal coordinates."""
+    """Matrix with entry (j, i) = <T e_i, e_j> in orthonormal coordinates.
+
+    Realized on the first call and kept in T's ``__dict__``, the way
+    ``functools.cached_property`` stores values on frozen dataclasses;
+    every call on T returns that same read-only array.
+    """
     _check_order(T.n)
-    return realize(T.space, lambda f: apply(T, f))
+    M = T.__dict__.get("_oracle_matrix")
+    if M is None:
+        M = realize(T.space, lambda f: apply(T, f))
+        M.flags.writeable = False
+        T.__dict__["_oracle_matrix"] = M
+    return M
 
 
 def adjoint_matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
@@ -165,19 +178,21 @@ class OracleResiduals:
 
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
-    """Commutator-style residuals backing each classification verdict."""
-    return _residuals(matrix_of(T))
-
-
-def _residuals(M: np.ndarray) -> OracleResiduals:
-    Mh = M.conj().T
-    G = Mh @ M  # |M|^2, no square root needed
-    return OracleResiduals(
-        normal=float(np.linalg.norm(G - M @ Mh)),
-        self_adjoint=float(np.linalg.norm(M - Mh)),
-        quasinormal=float(np.linalg.norm(M @ G - G @ M)),
-        matrix_norm=float(np.linalg.norm(M)),
-    )
+    """Commutator-style residuals backing each classification verdict,
+    computed once per operator and kept beside its matrix."""
+    _check_order(T.n)
+    res = T.__dict__.get("_oracle_residuals")
+    if res is None:
+        M = matrix_of(T)
+        Mh = M.conj().T
+        G = Mh @ M  # |M|^2, no square root needed
+        res = T.__dict__["_oracle_residuals"] = OracleResiduals(
+            normal=float(np.linalg.norm(G - M @ Mh)),
+            self_adjoint=float(np.linalg.norm(M - Mh)),
+            quasinormal=float(np.linalg.norm(M @ G - G @ M)),
+            matrix_norm=float(np.linalg.norm(M)),
+        )
+    return res
 
 
 def polar_check(
@@ -201,6 +216,8 @@ def polar_check(
     sqrt_err = float(np.linalg.norm(A_mat - np.where(P_S, psd_sqrt(M.conj().T @ M), 0)))
     off_sq = float(np.linalg.norm(M[~on]) ** 2)
     atoms_off = np.unique(T.partition.atom_of[~on]).size
+    # not residuals(T).matrix_norm: where polar is checked alone (``wcelab
+    # polar``) that would add the O(n^3) commutators for an O(n^2) norm
     norm = max(float(np.linalg.norm(M)), 1e-300)
     ok = recon <= 1e-10 * norm and sqrt_err <= 1e-8 * norm and off_sq <= tol * atoms_off
     return recon, sqrt_err, ok
@@ -318,7 +335,7 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
     computed only then.
     """
     M = matrix_of(T)
-    res = _residuals(M)
+    res = residuals(T)
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
     cand_sigmas, eig_dists = _eig_checks(M, values, res.matrix_norm)
 

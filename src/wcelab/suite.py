@@ -23,7 +23,7 @@ from .operator import (
     densely_defined,
     spectrum_formula,
 )
-from .oracle import matrix_of, residuals, spectrum_probe_check
+from .oracle import residuals, spectrum_probe_check
 from .scenarios import (
     Scenario,
     build_block_partition,
@@ -180,7 +180,7 @@ def _finite_entry(
 
 def _bounded_entry(claim_id: str, reference: str, T) -> ClaimEntry:
     """Closedness claims reduce to boundedness on a finite space."""
-    norm = float(np.linalg.norm(matrix_of(T)))
+    norm = residuals(T).matrix_norm
     note = "finite discretization: bounded, hence closed"
     return _finite_entry(claim_id, reference, {"frobenius_norm": norm}, norm, note)
 

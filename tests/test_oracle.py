@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab import oracle
-from wcelab.measure import FiniteMeasureSpace, MFunction, Partition
+from wcelab.measure import FiniteMeasureSpace, MFunction, Partition, realize
 from wcelab.operator import (
     SpectrumReport,
     WeightedCondExpOperator,
+    apply,
     classify,
     polar,
     spectrum_formula,
@@ -18,6 +19,7 @@ from wcelab.oracle import (
     MATRIX_ORDER_CAP,
     NotHermitianError,
     NotPSDError,
+    OrderCapError,
     adjoint_matrix_of,
     hermitian_eig,
     matrix_of,
@@ -66,12 +68,70 @@ def test_adjoint_matrix_is_conjugate_transpose():
         assert np.allclose(Ms, M.conj().T, atol=1e-12 * max(np.linalg.norm(M), 1.0))
 
 
-def test_matrix_order_cap_enforced():
+def test_matrix_order_cap_enforced(monkeypatch):
     n = MATRIX_ORDER_CAP + 1
     sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
     T = WeightedCondExpOperator(sp, Partition(np.arange(n)), MFunction(np.ones(n)))
-    with pytest.raises(ValueError):
+    for _ in range(2):
+        for fn in (matrix_of, residuals):
+            with pytest.raises(OrderCapError):
+                fn(T)
+    # a matrix realized under a higher cap is not handed out under the real one
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "MATRIX_ORDER_CAP", n)
         matrix_of(T)
+        residuals(T)
+    for fn in (matrix_of, residuals):
+        with pytest.raises(OrderCapError):
+            fn(T)
+
+
+# ------------------------------------------------------ one matrix per operator
+
+
+def _count_applies(monkeypatch):
+    calls = []
+    monkeypatch.setattr(oracle, "apply", lambda T, f: calls.append(T) or apply(T, f))
+    return calls
+
+
+def test_matrix_is_realized_once_and_read_only():
+    T = random_operator(np.random.default_rng(3), max_n=32)
+    M = matrix_of(T)
+    assert matrix_of(T) is M
+    with pytest.raises(ValueError):
+        M[0, 0] = 0.0
+    fresh = realize(T.space, lambda f: apply(T, f))
+    assert M.dtype == fresh.dtype and M.tobytes() == fresh.tobytes()
+
+
+def test_oracle_checks_share_one_realization(monkeypatch):
+    T = random_operator(np.random.default_rng(4), max_n=32)
+    calls = _count_applies(monkeypatch)
+    res = residuals(T)
+    assert residuals(T) is res
+    spectrum_probe_check(T, spectrum_formula(T))
+    polar_check(T, polar(T, 1e-8), 1e-8)
+    assert len(calls) == T.n
+
+
+def test_equal_operators_realize_their_own_matrices(monkeypatch):
+    sc = build_block_partition(12, 3)
+    T1, T2 = (WeightedCondExpOperator(sc.space, sc.partition, sc.symbol) for _ in range(2))
+    T_copy = WeightedCondExpOperator(
+        FiniteMeasureSpace(sc.space.masses.copy()),
+        Partition(sc.partition.atom_of.copy()),
+        MFunction(sc.symbol.values.copy()),
+    )
+    calls = _count_applies(monkeypatch)
+    M1, M2, M_copy = matrix_of(T1), matrix_of(T2), matrix_of(T_copy)
+    assert M1 is not M2 and M_copy is not M1 and M_copy is not M2
+    assert np.array_equal(M1, M2) and np.array_equal(M1, M_copy)
+    assert len(calls) == 3 * T1.n
+    # same order, other symbol: its own matrix, not the first one's
+    T3 = WeightedCondExpOperator(sc.space, sc.partition, MFunction(2 * sc.symbol.values))
+    assert not np.array_equal(matrix_of(T3), M1)
+    assert residuals(T3) != residuals(T1)
 
 
 # -------------------------------------------------------------- hermitian_eig
