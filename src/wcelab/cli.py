@@ -8,6 +8,7 @@ summary line instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -256,9 +257,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process, since building it
+    costs more than most commands; each parse still makes a fresh Namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # argparse exits with code 2 on usage errors already
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioParameterError, SpaceFileError, OrderCapError) as exc:

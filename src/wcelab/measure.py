@@ -28,7 +28,7 @@ __all__ = [
     "truncate",
 ]
 
-#: hard cap on index scans over countable specs
+#: hard cap on the points read from a countable spec
 TRUNCATION_CAP = 200_000
 #: values closer than this times their scale are rounding copies of one value
 ROUNDING_GAP = 2.0**-40
@@ -214,12 +214,25 @@ def ess_range(f: MFunction, scale: float) -> list[complex]:
 def tail_cutoff(bound: Callable[[int], float], tol: float) -> int | None:
     """Smallest N in 1..TRUNCATION_CAP with bound(N) <= tol, or None.
 
-    A linear scan: ``bound`` is called once for each N up to the answer.
+    ``bound`` must be nonincreasing, as ``CountableSpaceSpec`` requires of
+    its tail bounds.  Doubling tries N = 1, 2, 4, ... and then
+    TRUNCATION_CAP; bisection then searches between the last N that failed
+    and the first that passed.  That is at most 2*ceil(log2(TRUNCATION_CAP))
+    + 1 calls of ``bound``.  On a bound that is not monotone the answer may
+    not be the smallest, but it still has bound(N) <= tol.
     """
-    for n in range(1, TRUNCATION_CAP + 1):
-        if bound(n) <= tol:
-            return n
-    return None
+    failed, passed = 0, 1
+    while not bound(passed) <= tol:
+        if passed == TRUNCATION_CAP:
+            return None
+        failed, passed = passed, min(2 * passed, TRUNCATION_CAP)
+    while passed - failed > 1:
+        mid = (failed + passed) // 2
+        if bound(mid) <= tol:
+            passed = mid
+        else:
+            failed = mid
+    return passed
 
 
 @dataclass(frozen=True)
@@ -229,8 +242,10 @@ class CountableSpaceSpec:
     ``tail_bound(N)`` bounds sum_{i>=N} mass_at(i), the mass discarded when
     the first N points are kept, and must be nonincreasing with limit 0.
     ``weighted_tail_bound(N)``, when present, bounds
-    sum_{i>=N} mass_at(i)|symbol_at(i)|^2 and certifies convergence of the
-    weighted series.  ``divergent_atoms`` maps an atom identifier to a
+    sum_{i>=N} mass_at(i)|symbol_at(i)|^2, certifies convergence of the
+    weighted series and must be nonincreasing too.  Both are cut by
+    ``tail_cutoff``, whose bisection finds the smallest N only on a
+    nonincreasing bound.  ``divergent_atoms`` maps an atom identifier to a
     witness: given a target B it names an index by which that atom's
     weighted partial sum provably exceeds B (verified numerically).
     """

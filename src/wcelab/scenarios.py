@@ -140,7 +140,9 @@ def poisson_parity_spec(theta: float) -> CountableSpaceSpec:
 
     Tail bounds are geometric-majorant bounds on the discarded part
     sum_{x >= N}: for x >= N the term ratio of mu_x is at most
-    theta / (N + 1), and of x^2 mu_x at most theta (N + 1) / N^2.
+    theta / (N + 1), and of x^2 mu_x at most theta (N + 1) / N^2.  Both
+    bounds are nonincreasing, as ``tail_cutoff`` needs: each is infinite
+    until its ratio drops below 1, and from there the ratio keeps falling.
     """
     if not (math.isfinite(theta) and theta > 0):
         raise ScenarioParameterError(f"theta must be positive and finite, got {theta}")

@@ -287,3 +287,54 @@ def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, name, patch, re
     mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
     assert mismatches and all(reason in line for line in mismatches)
     assert code == 1
+
+
+# One session: commands that share options, usage errors (exit 2) from
+# argparse and from a command, then valid commands again.  Each call must
+# parse as if the parser were new, so no option or default carries over
+# between calls, and a usage error leaves the parser working.
+SESSION = [
+    ["spectrum", "--oracle", "--scenario", "block-partition"],
+    ["spectrum", "--scenario", "block-partition"],
+    ["classify", "--scenario", "full-algebra", "--params", "n=5", "--tol", "1e-3"],
+    ["classify", "--scenario", "full-algebra"],
+    ["classify", "--scenario", "full-algebra", "--tol", "0"],
+    ["classify", "--scenario", "no-such-scenario"],
+    ["classify", "--scenario", "full-algebra", "--params", "bogus=1"],
+    ["polar", "--scenario", "product-grid"],
+    ["domain", "--scenario", "poisson-parity", "--theta", "10"],
+    ["domain"],
+    ["domain", "--scenario", "geometric-blowup"],
+    ["oracle-check", "--seeds", "3", "--max-n", "8"],
+    ["classify", "--scenario", "symmetric-interval"],
+]
+
+
+def run_session(capsys):
+    results = []
+    for argv in SESSION:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    return results
+
+
+def test_a_session_matches_fresh_parsers(capsys, monkeypatch):
+    cached = run_session(capsys)
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_session(capsys)
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0]
+    # options given to one call are not read by the next
+    assert "oracle" in cached[0][1] and "oracle" not in cached[1][1]
+    assert "(n=5," in cached[2][1] and "(n=5," not in cached[3][1]
+    assert "invalid choice: 'no-such-scenario'" in cached[5][2]
+    assert cached[7][2] == "" and "verdict: pass" in cached[7][1]
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()

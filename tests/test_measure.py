@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -12,10 +13,12 @@ from wcelab.measure import (
     MFunction,
     NotSummableError,
     ROUNDING_GAP,
+    TRUNCATION_CAP,
     Partition,
     ess_range,
     realize,
     support,
+    tail_cutoff,
     truncate,
     weighted_inner_product,
 )
@@ -320,11 +323,118 @@ def test_truncate_preserves_weights_and_symbol_exactly():
 
 
 def test_truncate_non_summable_errors():
+    bound = Counted(lambda N: 1.0)
     spec = CountableSpaceSpec(
         mass_at=lambda i: 1.0,
-        tail_bound=lambda N: 1.0,
+        tail_bound=bound,
         atom_of=lambda i: 0,
         symbol_at=lambda i: 1.0,
     )
     with pytest.raises(NotSummableError):
         truncate(spec, 1e-6)
+    # N = 1, 2, 4, ..., 2^17 and TRUNCATION_CAP
+    assert bound.calls == 19
+
+
+# ---------------------------------------------------------------- tail cutoff
+
+#: evaluations allowed to tail_cutoff: doubling, the cap, then bisection
+MAX_EVALS = 2 * math.ceil(math.log2(TRUNCATION_CAP)) + 1
+
+
+class Counted:
+    """A bound that counts its evaluations."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, N):
+        self.calls += 1
+        return self.fn(N)
+
+
+def linear_cutoff(bound, tol):
+    """Reference: the first N in 1..TRUNCATION_CAP with bound(N) <= tol, by scanning."""
+    for N in range(1, TRUNCATION_CAP + 1):
+        if bound(N) <= tol:
+            return N
+    return None
+
+
+def step_bound(steps):
+    """Nonincreasing step function: the number of steps above N."""
+    steps = sorted(steps)
+    return lambda N: len(steps) - bisect.bisect_right(steps, N)
+
+
+def check_cutoff(bound, tol):
+    counted = Counted(bound)
+    got = tail_cutoff(counted, tol)
+    assert got == linear_cutoff(bound, tol)
+    assert counted.calls <= MAX_EVALS
+    return got
+
+
+@pytest.mark.parametrize(
+    "steps, want",
+    [
+        ([], 1),
+        ([1], 1),
+        ([2], 2),
+        ([3], 3),
+        ([2**17], 2**17),
+        ([2**17 + 1], 2**17 + 1),
+        ([TRUNCATION_CAP - 1], TRUNCATION_CAP - 1),
+        ([TRUNCATION_CAP], TRUNCATION_CAP),
+        ([TRUNCATION_CAP + 1], None),
+    ],
+)
+def test_tail_cutoff_answers_at_the_edges(steps, want):
+    assert check_cutoff(step_bound(steps), 0.0) == want
+
+
+tolerances = st.floats(-15.0, 2.0).map(lambda x: 10.0**x)
+geometric_cases = st.tuples(
+    st.builds(lambda c, r: lambda N: c * r**N, st.floats(1e-3, 1e3), st.floats(0.5, 0.9999)),
+    tolerances,
+)
+poisson_cases = st.tuples(
+    st.builds(
+        lambda spec, weighted: spec.weighted_tail_bound if weighted else spec.tail_bound,
+        st.floats(0.1, 1000.0).map(poisson_spec),
+        st.booleans(),
+    ),
+    tolerances,
+)
+step_cases = st.tuples(
+    st.lists(
+        st.one_of(
+            st.integers(1, TRUNCATION_CAP + 1),
+            st.sampled_from([1, TRUNCATION_CAP, TRUNCATION_CAP + 1]),
+        ),
+        max_size=6,
+    ).map(step_bound),
+    st.integers(0, 6).map(float),
+)
+
+
+@given(case=st.one_of(geometric_cases, poisson_cases, step_cases))
+@settings(max_examples=80, deadline=None)
+def test_tail_cutoff_matches_a_linear_scan(case):
+    check_cutoff(*case)
+
+
+@given(a=st.integers(1, 10**6), b=st.integers(0, 10**6), tol=st.floats(0.0, 1.0))
+@settings(max_examples=60, deadline=None)
+def test_tail_cutoff_of_a_non_monotone_bound_is_still_sound(a, b, tol):
+    def bound(N):
+        return (a * N + b) % 1009 / 1009
+
+    counted = Counted(bound)
+    got = tail_cutoff(counted, tol)
+    assert counted.calls <= MAX_EVALS
+    if got is None:
+        assert bound(TRUNCATION_CAP) > tol
+    else:
+        assert 1 <= got <= TRUNCATION_CAP and bound(got) <= tol
