@@ -4,12 +4,15 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 usage or parse error,
 a number out of range, or an oracle request above order MATRIX_ORDER_CAP.
 Discrepancy entries never affect the exit code; they are counted in the
 summary line instead.
+
+No command takes a tolerance: every verdict, the polar cut and every oracle
+check use ``suite.TOLERANCES["oracle"]``, and ``domain``'s certified cut uses
+``suite.TOLERANCES["tail"]``, the table that ``suite --format json`` reports.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 
 import numpy as np
@@ -35,9 +38,10 @@ from .scenarios import (
     load_space_file,
     poisson_parity_spec,
 )
-from .suite import run_claim_suite
+from .suite import TOLERANCES, run_claim_suite
 
 USAGE_ERROR = 2
+TOL = TOLERANCES["oracle"]
 
 
 def _number(kind, ok, need: str):
@@ -54,8 +58,7 @@ def _number(kind, ok, need: str):
     return parse
 
 
-_tolerance = _number(float, lambda v: 0 < v < math.inf, "a positive finite number")
-_seed_count = _number(int, lambda v: v >= 0, "an integer >= 0")
+_seed_count = _number(int, lambda v: v >= 1, "an integer >= 1")
 _matrix_order = _number(
     int, lambda v: 2 <= v <= MATRIX_ORDER_CAP, f"an integer in 2..{MATRIX_ORDER_CAP}"
 )
@@ -95,7 +98,7 @@ def _fmt_complex(z: complex) -> str:
 def cmd_classify(args) -> int:
     sc = _resolve_scenario(args)
     T = _operator_of(sc)
-    rep = classify(T, args.tol)
+    rep = classify(T, TOL)
     print(f"scenario: {sc.name}  (n={T.n}, atoms={T.partition.atom_count})")
     print(f"self-adjoint: {rep.self_adjoint}")
     print(f"normal:       {rep.normal}")
@@ -123,9 +126,9 @@ def cmd_spectrum(args) -> int:
         print(f"  {_fmt_complex(v)}")
     if args.oracle:
         probe = spectrum_probe_check(T, rep)
-        ok = probe.ok(args.tol)
-        floor = "ok" if probe.probes_ok(args.tol) else "VIOLATED"
-        if not probe.floor_applies(args.tol):
+        ok = probe.ok(TOL)
+        floor = "ok" if probe.probes_ok(TOL) else "VIOLATED"
+        if not probe.floor_applies(TOL):
             floor = "n/a (non-normal)"
         print(
             f"oracle check: max candidate sigma_min "
@@ -143,8 +146,8 @@ def cmd_spectrum(args) -> int:
 def cmd_polar(args) -> int:
     sc = _resolve_scenario(args)
     T = _operator_of(sc)
-    parts = polar(T, args.tol)
-    recon, sqrt_err, ok = polar_check(T, parts, args.tol)
+    parts = polar(T, TOL)
+    recon, sqrt_err, ok = polar_check(T, parts, TOL)
     print(f"scenario: {sc.name}  (n={T.n})")
     print(f"support size of mean-square symbol: {len(parts.support_set)} of {T.n}")
     print(f"reconstruction residual ||U|T| - P_S T||_F:   {recon:.3e}")
@@ -158,7 +161,7 @@ def cmd_domain(args) -> int:
         spec = poisson_parity_spec(args.theta)
     else:
         spec = geometric_blowup_spec()
-    rep = densely_defined(spec, args.tail_tol)
+    rep = densely_defined(spec, TOLERANCES["tail"])
     print(f"scenario: {args.scenario}")
     print(f"densely defined:            {rep.densely_defined}")
     print(f"sigma-finite restriction:   {rep.sigma_finite_restriction}")
@@ -191,15 +194,15 @@ def cmd_oracle_check(args) -> int:
     failures = 0
     for seed in range(args.seeds):
         T = random_operator(np.random.default_rng(seed), max_n=args.max_n)
-        rep = classify(T, args.tol)
+        rep = classify(T, TOL)
         res = residuals(T)
-        polar_ok = polar_check(T, polar(T, args.tol), args.tol)[2]
-        spectrum_ok = spectrum_probe_check(T, spectrum_formula(T)).ok(args.tol)
-        if not (res.agrees(rep, args.tol) and polar_ok and spectrum_ok):
+        polar_ok = polar_check(T, polar(T, TOL), TOL)[2]
+        spectrum_ok = spectrum_probe_check(T, spectrum_formula(T)).ok(TOL)
+        if not (res.agrees(rep, TOL) and polar_ok and spectrum_ok):
             failures += 1
             print(
                 f"seed {seed}: MISMATCH classify={rep.self_adjoint, rep.normal, rep.quasinormal} "
-                f"oracle={res.verdicts(args.tol)} polar_ok={polar_ok} spectrum_ok={spectrum_ok}"
+                f"oracle={res.verdicts(TOL)} polar_ok={polar_ok} spectrum_ok={spectrum_ok}"
             )
     print(f"oracle-check: {args.seeds - failures}/{args.seeds} instances consistent")
     return 0 if failures == 0 else 1
@@ -219,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", choices=sorted(SCENARIO_BUILDERS))
         p.add_argument("--params", nargs="*", metavar="k=v")
         p.add_argument("--space-file", dest="space_file", metavar="PATH")
-        p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     p = sub.add_parser("classify", help="self-adjoint / normal / quasinormal verdicts")
     add_scenario_opts(p)
@@ -241,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="poisson-parity",
     )
     p.add_argument("--theta", type=float, default=1.0)
-    p.add_argument("--tail-tol", dest="tail_tol", type=_tolerance, default=1e-12)
     p.set_defaults(func=cmd_domain)
 
     p = sub.add_parser("suite", help="run the full claims verification suite")
@@ -251,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="randomized formula-vs-oracle cross-validation")
     p.add_argument("--seeds", type=_seed_count, default=100)
     p.add_argument("--max-n", dest="max_n", type=_matrix_order, default=64)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

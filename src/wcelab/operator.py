@@ -381,7 +381,12 @@ def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:
 def multiplication_domain_min_c(f: MFunction) -> float:
     """Minimal c with |f|^4 <= c (1 + |f|^2); the singleton-atom variant.
 
-    a^2 / (1 + a) increases with a >= 0, so it is evaluated at max |f|^2 only.
+    a^2 / (1 + a) increases with a >= 0, so it is evaluated at a = max |f|^2
+    only, as a * (a / (1 + a)): c is about a, but a^2 overflows once |f|
+    passes about 1.2e77.  Only where a itself overflows is c infinite.
     """
-    a = np.max(np.abs(f.values) ** 2)
-    return float(a * a / (1.0 + a))
+    m = float(np.max(np.abs(f.values)))
+    a = m * m  # a Python float: inf past |f| ~ 1.3e154, with no RuntimeWarning
+    if a == np.inf:
+        return a
+    return a * (a / (1.0 + a))

@@ -40,6 +40,7 @@ TOLERANCES = {
     "identity": 1e-10,  # closed-form identities
     "oracle": 1e-8,  # formula-vs-dense-matrix comparisons
     "exact": 1e-12,  # exact-by-construction checks
+    "tail": 1e-12,  # certified tail bound of a countable truncation
 }
 
 STATUSES = ("pass", "fail", "discrepancy")
@@ -474,7 +475,7 @@ def _poisson_series_mean(theta: float, start: int, terms: int = 300) -> float:
 
 
 def _poisson_entries() -> list[ClaimEntry]:
-    theta, tail_tol = 1.0, 1e-12
+    theta, tail_tol = 1.0, TOLERANCES["tail"]
     sc = build_poisson_parity(theta, tail_tol)
     T = _op(sc)
     dom = densely_defined(sc.countable_spec, tail_tol)

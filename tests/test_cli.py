@@ -177,17 +177,10 @@ FULL = ["--scenario", "full-algebra"]
 @pytest.mark.parametrize(
     "argv",
     [
-        *(
-            [cmd, *FULL, "--tol", tol]
-            for cmd in ("classify", "spectrum", "polar")
-            for tol in ("0", "-1")
-        ),
-        ["domain", "--tail-tol", "0"],
-        ["classify", *FULL, "--tol", "nan"],
-        ["classify", *FULL, "--tol", "inf"],
         ["oracle-check", "--max-n", "1"],
         ["oracle-check", "--max-n", "300"],
         ["oracle-check", "--seeds", "-1"],
+        ["oracle-check", "--seeds", "0"],  # would check nothing and pass
         ["classify", *FULL, "--params", "n=2.5"],
         ["classify", *FULL, "--params", "n=nan"],
         ["classify", *FULL, "--params", "n=inf"],
@@ -211,6 +204,25 @@ def test_bad_numbers_exit_2(capsys, argv):
     assert "error: " in capsys.readouterr().err
 
 
+def test_no_command_takes_a_tolerance(capsys):
+    # every tolerance is a fixed entry of suite.TOLERANCES
+    for argv in (
+        ["classify", *FULL, "--tol", "1e-3"],
+        ["spectrum", *FULL, "--tol", "1e-3"],
+        ["polar", *FULL, "--tol", "1e-3"],
+        ["oracle-check", "--tol", "1e-3"],
+        ["domain", "--tail-tol", "1e-12"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments: " in capsys.readouterr().err
+    subparsers = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    for name, parser in subparsers.choices.items():
+        assert "--tol" not in parser.format_help(), name
+        assert "--tail-tol" not in parser.format_help(), name
+
+
 @pytest.mark.parametrize("scenario, verdict", [("full-algebra", "True"), ("trivial-algebra", "False")])
 def test_classify_above_the_order_cap(capsys, scenario, verdict):
     # the verdicts come from the formula layer alone; only the informational
@@ -223,8 +235,8 @@ def test_classify_above_the_order_cap(capsys, scenario, verdict):
 
 # Each patch makes the formula layer's claim wrong in the way one dense check
 # names: a spectral value 100+100j that no operator here has, polar factors
-# cut at 10 (which drops atoms the check at tol 1e-8 must keep), or a
-# classification with normality flipped.
+# cut at 10 (which drops atoms the check at TOLERANCES["oracle"] = 1e-8 must
+# keep), or a classification with normality flipped.
 def _spectrum_gains_bogus_value(T, tol=None):
     rep = spectrum_formula(T)
     return SpectrumReport(values=rep.values + (100.0 + 100.0j,), includes_zero=rep.includes_zero)
@@ -296,9 +308,9 @@ def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, name, patch, re
 SESSION = [
     ["spectrum", "--oracle", "--scenario", "block-partition"],
     ["spectrum", "--scenario", "block-partition"],
-    ["classify", "--scenario", "full-algebra", "--params", "n=5", "--tol", "1e-3"],
+    ["classify", "--scenario", "full-algebra", "--params", "n=5"],
     ["classify", "--scenario", "full-algebra"],
-    ["classify", "--scenario", "full-algebra", "--tol", "0"],
+    ["oracle-check", "--seeds", "0"],
     ["classify", "--scenario", "no-such-scenario"],
     ["classify", "--scenario", "full-algebra", "--params", "bogus=1"],
     ["polar", "--scenario", "product-grid"],

@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -697,10 +699,17 @@ def test_interleaved_divergence_witness_is_checked_on_its_own_atom():
 # ----------------------------------------------------- domain-invariance bound
 
 
+def _exact_min_c(values) -> float:
+    """max a^2 / (1 + a) over a = |f|^2, in exact rational arithmetic."""
+    a = [Fraction(z.real) ** 2 + Fraction(z.imag) ** 2 for z in values]
+    return float(max(x * x / (1 + x) for x in a))
+
+
 def test_min_c_formula_small_cases():
     f = MFunction(np.array([0.0, 1.0, 2.0], dtype=complex))
     # a = |f|^2 in {0, 1, 4}; max a^2/(1+a) = 16/5
     assert multiplication_domain_min_c(f) == pytest.approx(16.0 / 5.0)
+    assert multiplication_domain_min_c(MFunction(np.zeros(3, dtype=complex))) == 0.0
 
 
 @given(
@@ -718,14 +727,23 @@ def test_min_c_formula_small_cases():
 def test_min_c_is_the_pointwise_maximum(magnitudes, seed):
     rng = np.random.default_rng(seed)
     values = np.array(magnitudes + [0.0]) * np.exp(2j * np.pi * rng.random(len(magnitudes) + 1))
-    a = np.abs(values) ** 2
-    with np.errstate(over="ignore"):
-        want = float(np.max(a**2 / (1.0 + a)))
+    want = _exact_min_c(values)
+    got = multiplication_domain_min_c(MFunction(values))
+    # a few roundings of |f| and a, plus the last one in the subnormal range
+    assert abs(got - want) <= 8 * np.finfo(float).eps * want + 5e-324
+
+
+@pytest.mark.parametrize("magnitude", [1e78, 1e100, 1e160])
+def test_min_c_of_a_large_symbol_is_exact_without_a_warning(magnitude):
+    # a^2 overflows from |f| ~ 1.2e77 on, but c ~ |f|^2 stays finite until |f| ~ 1.3e154
+    values = np.array([magnitude * np.exp(0.3j), -0.5 * magnitude, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         got = multiplication_domain_min_c(MFunction(values))
-    if math.isinf(want):
-        assert got == want
+    if magnitude > 1e154:
+        assert got == math.inf
     else:
-        assert abs(got - want) <= 4 * np.finfo(float).eps * want
+        assert abs(got - _exact_min_c(values)) <= 8 * np.finfo(float).eps * got
 
 
 @given(seeds)
