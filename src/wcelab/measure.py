@@ -30,6 +30,10 @@ __all__ = [
 
 #: hard cap on the points read from a countable spec
 TRUNCATION_CAP = 200_000
+#: certified tail bound of poisson-parity's cut and of ``domain``'s scan
+TAIL_TOL = 1e-12
+#: the smallest positive double; a mass that rounds to 0.0 is below it
+SMALLEST_SUBNORMAL = 2.0**-1074
 #: values closer than this times their scale are rounding copies of one value
 ROUNDING_GAP = 2.0**-40
 
@@ -260,7 +264,9 @@ class CountableSpaceSpec:
 
 @dataclass(frozen=True)
 class Truncation:
-    """Finite view of a countable space: the first ``size`` points."""
+    """Finite view of a countable space: the points of positive mass among
+    the first ``size`` indices.  ``discarded_mass_bound`` covers the tail
+    and the points whose mass rounded to 0.0."""
 
     space: FiniteMeasureSpace
     partition: Partition
@@ -292,7 +298,12 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
 
     With ``weighted=True`` the weighted tail bound (on sum mu_i |u_i|^2) is
     used instead, which is the right cut when the symbol grows.  At least
-    one point is always kept.
+    one index is always read.
+
+    A point whose mass underflows to 0.0 is dropped, and the atoms left are
+    renumbered in order of first appearance.  Its true mass is below
+    SMALLEST_SUBNORMAL, so each dropped point adds SMALLEST_SUBNORMAL to
+    ``discarded_mass_bound``, times |u_i|^2 on the weighted cut.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -305,11 +316,21 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
             f"tail bound never dropped below {tail_tol} within {TRUNCATION_CAP} indices"
         )
     masses, symbol, atom_of, atom_ids = read_points(spec, size)
+    discarded = float(bound(size))
+    zero = masses == 0.0
+    if zero.any():
+        lost = np.sum(np.abs(symbol[zero]) ** 2) if weighted else np.count_nonzero(zero)
+        discarded += SMALLEST_SUBNORMAL * float(lost)
+        keep = ~zero
+        masses, symbol = masses[keep], symbol[keep]
+        seen: dict[int, int] = {}  # old atom index -> new, in order of first appearance
+        atom_of = np.array([seen.setdefault(a, len(seen)) for a in atom_of[keep].tolist()])
+        atom_ids = tuple(atom_ids[a] for a in seen)
     return Truncation(
         space=FiniteMeasureSpace(masses),
         partition=Partition(atom_of),
         symbol=MFunction(symbol),
         size=size,
-        discarded_mass_bound=float(bound(size)),
+        discarded_mass_bound=discarded,
         atom_ids=atom_ids,
     )

@@ -20,6 +20,7 @@ from .measure import (
     FiniteMeasureSpace,
     MFunction,
     Partition,
+    TAIL_TOL,
     truncate,
 )
 
@@ -170,13 +171,14 @@ def poisson_parity_spec(theta: float) -> CountableSpaceSpec:
     )
 
 
-def build_poisson_parity(theta: float, tail_tol: float) -> Scenario:
+def build_poisson_parity(theta: float) -> Scenario:
     """Truncated Poisson-parity scenario.
 
     The cut uses the weighted tail bound on sum mu_i |u_i|^2 (the symbol
-    grows), so the densely-defined evidence survives truncation.
+    grows), so the densely-defined evidence survives truncation.  It is
+    made at ``measure.TAIL_TOL``, which no caller can change.
     """
-    return _truncated("poisson-parity", poisson_parity_spec(theta), tail_tol, weighted=True)
+    return _truncated("poisson-parity", poisson_parity_spec(theta), TAIL_TOL, weighted=True)
 
 
 def geometric_blowup_spec() -> CountableSpaceSpec:
@@ -307,7 +309,7 @@ SCENARIO_BUILDERS: dict[str, tuple[Callable[..., Scenario], dict[str, float | in
     "block-partition": (build_block_partition, {"n": 8, "m": 3}),
     "product-grid": (build_product_grid, {"m": 8}),
     "symmetric-interval": (build_symmetric_interval, {"N": 32}),
-    "poisson-parity": (build_poisson_parity, {"theta": 1.0, "tail_tol": 1e-12}),
+    "poisson-parity": (build_poisson_parity, {"theta": 1.0}),
     "geometric-blowup": (build_geometric_blowup, {}),
 }
 

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .condexp import cond_exp
-from .measure import MFunction
+from .measure import TAIL_TOL, MFunction
 from .operator import (
     WeightedCondExpOperator,
     classify,
@@ -40,7 +40,7 @@ TOLERANCES = {
     "identity": 1e-10,  # closed-form identities
     "oracle": 1e-8,  # formula-vs-dense-matrix comparisons
     "exact": 1e-12,  # exact-by-construction checks
-    "tail": 1e-12,  # certified tail bound of a countable truncation
+    "tail": TAIL_TOL,  # certified tail bound of a countable truncation
 }
 
 STATUSES = ("pass", "fail", "discrepancy")
@@ -153,8 +153,6 @@ def _spectrum_entry(
             "includes_zero": rep.includes_zero,
             "max_candidate_sigma_min": max(probe.candidate_sigmas),
             "max_eigenvalue_distance": max(probe.eigenvalue_distances),
-            "probe_floor_ok": probe.probes_ok(TOLERANCES["oracle"]),
-            "probe_floor_applies": probe.floor_applies(TOLERANCES["oracle"]),
         },
         expected={"spectrum": sorted(expected_values, key=lambda z: (z.real, z.imag))},
         provenance=provenance,
@@ -476,7 +474,7 @@ def _poisson_series_mean(theta: float, start: int, terms: int = 300) -> float:
 
 def _poisson_entries() -> list[ClaimEntry]:
     theta, tail_tol = 1.0, TOLERANCES["tail"]
-    sc = build_poisson_parity(theta, tail_tol)
+    sc = build_poisson_parity(theta)
     T = _op(sc)
     dom = densely_defined(sc.countable_spec, tail_tol)
     atom_vals = {

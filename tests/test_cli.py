@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from wcelab import cli
+from wcelab import cli, oracle
 from wcelab.cli import main
 from wcelab.operator import SpectrumReport, classify, polar, spectrum_formula
 from wcelab.scenarios import SCENARIO_BUILDERS
@@ -68,11 +72,16 @@ def test_builtin_scenarios_pass(capsys, cmd, scenario):
 
 
 def test_spectrum_floor_not_claimed_on_non_normal(capsys):
-    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "geometric-blowup")
-    assert code == 0
-    assert "probe floor n/a (non-normal)" in out
-    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", "full-algebra")
-    assert "probe floor ok" in out
+    # the verdict is soundness and completeness alone, on a non-normal
+    # operator (geometric-blowup) as on a normal one (full-algebra); the
+    # probe floor is no part of it and is not printed
+    for scenario in ("geometric-blowup", "full-algebra"):
+        code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", scenario)
+        assert code == 0
+        assert "probe floor" not in out
+        [check] = [line for line in out.splitlines() if line.startswith("oracle check:")]
+        assert re.fullmatch(r"oracle check: max candidate sigma_min \S+", check)
+        assert out.splitlines()[-1] == "oracle verdict: pass"
 
 
 @pytest.mark.parametrize("cmd", ["classify", "spectrum"])
@@ -85,6 +94,22 @@ def test_poisson_parity_with_a_subnormal_atom_mass(capsys, cmd):
     # classify's residual lines and spectrum's value lines
     numbers = re.findall(r"^ +(?:residual \w+: )?(\S+)$", out, flags=re.MULTILINE)
     assert numbers and all(math.isfinite(float(v)) for v in numbers)
+
+
+def test_poisson_parity_at_theta_1000(capsys):
+    # 71 of the masses read underflow to 0.0, the atom {0} among them; the
+    # truncation drops them and keeps the odd and even atoms
+    code, out, _ = run(capsys, "classify", "--scenario", "poisson-parity", "--params", "theta=1000")
+    assert code == 0
+    assert out.splitlines()[:4] == [
+        "scenario: poisson-parity  (n=1221, atoms=2)",
+        "self-adjoint: False",
+        "normal:       False",
+        "quasinormal:  False  (via formula)",
+    ]
+    code, out, _ = run(capsys, "spectrum", "--scenario", "poisson-parity", "--params", "theta=1000")
+    assert code == 0
+    assert out.splitlines()[1:] == ["spectrum (2 values, includes_zero=True):", "  0", "  1000"]
 
 
 def test_polar_tiny_atom_below_tol(tmp_path, capsys):
@@ -185,6 +210,7 @@ FULL = ["--scenario", "full-algebra"]
         ["classify", *FULL, "--params", "n=nan"],
         ["classify", *FULL, "--params", "n=inf"],
         ["domain", "--theta", "nan"],
+        # tail_tol is no scenario parameter: the cut is measure.TAIL_TOL
         *(
             ["classify", "--scenario", "poisson-parity", "--params", f"tail_tol={v}"]
             for v in ("0", "-1", "nan", "inf")
@@ -202,6 +228,13 @@ def test_bad_numbers_exit_2(capsys, argv):
         code = exc.code
     assert code == 2
     assert "error: " in capsys.readouterr().err
+
+
+def test_poisson_parity_takes_no_tail_tol(capsys):
+    # a loose cut would change the space every check runs on
+    code, _, err = run(capsys, "polar", "--scenario", "poisson-parity", "--params", "tail_tol=0.5")
+    assert code == 2
+    assert err == "error: scenario 'poisson-parity' takes parameters ['theta'], not 'tail_tol'\n"
 
 
 def test_no_command_takes_a_tolerance(capsys):
@@ -277,6 +310,21 @@ def test_spectrum_oracle_fails_on_a_claim_that_leaves_out_a_value(capsys, monkey
     assert code == 1
 
 
+def _spectrum_merges_two_values(T, tol=None):
+    # the two smallest values in (real, imag) order become their midpoint
+    rep = spectrum_formula(T)
+    a, b, *rest = sorted(rep.values, key=lambda z: (z.real, z.imag))
+    return SpectrumReport(values=((a + b) / 2.0, *rest), includes_zero=rep.includes_zero)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_BUILDERS))
+def test_spectrum_oracle_fails_on_a_claim_that_merges_two_values(capsys, monkeypatch, scenario):
+    monkeypatch.setattr(cli, "spectrum_formula", _spectrum_merges_two_values)
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--scenario", scenario)
+    assert "oracle verdict: FAIL" in out
+    assert code == 1
+
+
 def test_polar_fails_on_factors_cut_too_high(capsys, monkeypatch):
     monkeypatch.setattr(cli, "polar", _polar_cut_at_10)
     code, out, _ = run(capsys, "polar", "--scenario", "block-partition")
@@ -288,10 +336,12 @@ def test_polar_fails_on_factors_cut_too_high(capsys, monkeypatch):
     "name, patch, reason",
     [
         ("spectrum_formula", _spectrum_gains_bogus_value, "spectrum_ok=False"),
+        ("spectrum_formula", _spectrum_loses_its_largest_value, "spectrum_ok=False"),
+        ("spectrum_formula", _spectrum_merges_two_values, "spectrum_ok=False"),
         ("polar", _polar_cut_at_10, "polar_ok=False"),
         ("classify", _classify_normality_flipped, "polar_ok=True spectrum_ok=True"),
     ],
-    ids=["spectrum_formula", "polar", "classify"],
+    ids=["spectrum_formula", "spectrum_formula-leaves-out", "spectrum_formula-merges", "polar", "classify"],
 )
 def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, name, patch, reason):
     monkeypatch.setattr(cli, name, patch)
@@ -299,6 +349,42 @@ def test_oracle_check_reports_each_mismatch(capsys, monkeypatch, name, patch, re
     mismatches = [line for line in out.splitlines() if "MISMATCH" in line]
     assert mismatches and all(reason in line for line in mismatches)
     assert code == 1
+
+
+def test_no_verdict_reads_the_probe_floor(capsys, monkeypatch):
+    # the spectrum verdict is soundness and completeness alone, so no
+    # command computes a probe sigma_min, not even on a normal operator
+    def unread(self, *args):
+        raise AssertionError("the probe floor was read")
+
+    for name in ("probe_sigmas", "probes_ok", "floor_applies"):
+        monkeypatch.setattr(oracle.SpectrumProbeResult, name, property(unread))
+    for argv, last in (
+        (["spectrum", "--oracle", "--scenario", "full-algebra"], "oracle verdict: pass"),
+        (["suite"], "claims: 32  pass: 31  fail: 0  discrepancy: 1"),
+        (["oracle-check", "--seeds", "5"], "oracle-check: 5/5 instances consistent"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert (code, out.splitlines()[-1]) == (0, last)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes one line and closes the pipe while the command is
+    # still writing: more than a pipe buffer of spectrum values is left
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = ["spectrum", "--scenario", "symmetric-interval", "--params", "N=65536"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "wcelab.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"scenario: symmetric-interval")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 # One session: commands that share options, usage errors (exit 2) from

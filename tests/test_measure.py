@@ -322,6 +322,49 @@ def test_truncate_preserves_weights_and_symbol_exactly():
         assert t.symbol.values[i] == spec.symbol_at(i)
 
 
+def test_truncate_drops_points_whose_mass_underflows():
+    # masses 0 at indices 0, 2 and 3: atom "a" loses every point, and the
+    # atoms left are numbered in order of their first kept point
+    masses = [0.0, 0.25, 0.0, 0.0, 0.25, 0.5]
+    atoms = ["a", "b", "a", "c", "c", "b"]
+    def tail(N):  # nothing past index 5
+        return 0.0 if N >= 6 else 1.0
+
+    spec = CountableSpaceSpec(
+        mass_at=lambda i: masses[i],
+        tail_bound=tail,
+        atom_of=lambda i: atoms[i],
+        symbol_at=lambda i: complex(i),
+        weighted_tail_bound=tail,
+    )
+    t = truncate(spec, 0.5)
+    assert t.size == 6  # indices read, zero masses included
+    assert t.space.masses.tolist() == [0.25, 0.25, 0.5]
+    assert t.symbol.values.tolist() == [1, 4, 5]
+    assert t.partition.atom_of.tolist() == [0, 1, 0]
+    assert t.atom_ids == ("b", "c")
+    # each dropped point's mass is below the smallest subnormal
+    assert t.discarded_mass_bound == 3 * 2.0**-1074
+    w = truncate(spec, 0.5, weighted=True)
+    assert w.discarded_mass_bound == (0 + 4 + 9) * 2.0**-1074
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_truncate_poisson_at_theta_1000(weighted):
+    # exp(-1000 + x log 1000 - lgamma(x + 1)) underflows to 0.0 at 71 of the
+    # indices read: the lowest ones, the atom {0} among them, and the highest
+    spec = poisson_spec(1000.0)
+    t = truncate(spec, 1e-12, weighted=weighted)
+    read = np.array([spec.mass_at(i) for i in range(t.size)])
+    assert t.space.n == t.size - 71 == np.count_nonzero(read)
+    assert t.space.masses.tolist() == read[read > 0].tolist()
+    assert t.atom_ids == ("odd", "even")
+    ids = np.array(t.atom_ids)[t.partition.atom_of]
+    kept = np.flatnonzero(read)
+    assert ids.tolist() == [spec.atom_of(int(i)) for i in kept]
+    assert t.discarded_mass_bound <= 1e-12
+
+
 def test_truncate_non_summable_errors():
     bound = Counted(lambda N: 1.0)
     spec = CountableSpaceSpec(

@@ -91,7 +91,7 @@ def test_symmetric_interval_averaging_identities_exact():
 
 
 def test_poisson_truncation_and_atoms():
-    sc = build_poisson_parity(1.0, 1e-12)
+    sc = build_poisson_parity(1.0)
     assert sc.countable_spec is not None
     # atom of point i follows parity with 0 split off
     spec = sc.countable_spec
