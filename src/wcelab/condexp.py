@@ -15,9 +15,11 @@ that a block's labels and weights stay in cache, and ``np.add.at`` adds
 each block into sums that start at +0.0.  Each atom's terms are then added
 in index order, as one ``bincount`` over all points adds them, and every
 bit is the same.  ``times=t`` averages the product t * f, formed block by
-block instead of as an n-sized array.  A caller that averages several
-functions over the same partition may pass the atom masses as ``mass``; it
-must be exactly ``atom_masses(p, sp)``, which is then not recomputed.
+block instead of as an n-sized array, and ``cond_exp``'s ``scale=s``
+multiplies the m atom values by s before they are gathered.  A caller
+that averages several functions over the same partition may pass the
+atom masses as ``mass``; it must be exactly ``atom_masses(p, sp)``, which
+is then not recomputed.
 """
 from __future__ import annotations
 
@@ -125,18 +127,34 @@ def cond_exp(
     *,
     mass: np.ndarray | None = None,
     times: np.ndarray | None = None,
+    scale: np.ndarray | None = None,
 ) -> MFunction:
     """Atom-wise averaging projection of f, or of ``times * f``; constant
-    on each atom.  On singleton atoms it is the identity and returns a copy
-    of f, or the product ``times * f``."""
+    on each atom.  ``scale``, a real array of shape (atom_count,),
+    multiplies each atom's value: the m atom averages are scaled before
+    they are gathered into point order.  On singleton atoms it is the
+    identity and returns a copy of f, or the product ``times * f``, times
+    ``scale[atom_of]`` when a scale is given.  The result is always a
+    fresh array."""
+    if scale is not None and scale.shape != (p.atom_count,):
+        raise DimensionMismatchError(
+            f"scale has shape {scale.shape}, the partition {p.atom_count} atoms"
+        )
     if p.is_singletons:
         f.check_aligned(sp)
         p.check_aligned(sp)
         if times is None:
-            return MFunction(f.values.copy())
-        _check_times(times, f.values)
-        return MFunction(times * f.values)
-    return MFunction(atom_averages(f, p, sp, mass=mass, times=times)[p.atom_of])
+            out = f.values.copy()
+        else:
+            _check_times(times, f.values)
+            out = times * f.values
+        if scale is not None:
+            out *= scale[p.atom_of]
+        return MFunction(out)
+    avg = atom_averages(f, p, sp, mass=mass, times=times)
+    if scale is not None:
+        avg *= scale
+    return MFunction(avg[p.atom_of])
 
 
 def projection_matrix(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:

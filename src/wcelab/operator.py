@@ -65,7 +65,9 @@ class WeightedCondExpOperator:
     bit for bit to its recomputation from scratch: the atom masses
     ``atom_mass``, E(u) per atom (``atom_mean``, complex) and E(|u|^2) per
     atom (``atom_sq_mean``, float64), all of shape (atom_count,), and their
-    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.  Every
+    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.  On
+    singleton atoms those two are u itself (a complex copy) and |u|^2,
+    set directly rather than gathered back from atom order.  Every
     average the operator takes later reuses ``atom_mass``.
     """
 
@@ -83,13 +85,18 @@ class WeightedCondExpOperator:
         u.check_aligned(sp)
         p.check_aligned(sp)
         mass = atom_masses(p, sp)
+        sq = MFunction(np.abs(u.values) ** 2)
         mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
-        sq_mean = atom_averages(MFunction(np.abs(u.values) ** 2), p, sp, mass=mass)
+        sq_mean = atom_averages(sq, p, sp, mass=mass)
         object.__setattr__(self, "atom_mass", mass)
         object.__setattr__(self, "atom_mean", mean)
         object.__setattr__(self, "atom_sq_mean", sq_mean)
-        object.__setattr__(self, "symbol_mean", MFunction(mean[p.atom_of]))
-        object.__setattr__(self, "symbol_sq_mean", MFunction(sq_mean[p.atom_of]))
+        if p.is_singletons:
+            object.__setattr__(self, "symbol_mean", MFunction(u.values.astype(complex)))
+            object.__setattr__(self, "symbol_sq_mean", sq)
+        else:
+            object.__setattr__(self, "symbol_mean", MFunction(mean[p.atom_of]))
+            object.__setattr__(self, "symbol_sq_mean", MFunction(sq_mean[p.atom_of]))
 
     @property
     def n(self) -> int:
@@ -105,8 +112,20 @@ def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
     f.check_aligned(T.space)
-    ef = cond_exp(f, T.partition, T.space, mass=T.atom_mass)
-    return MFunction(np.conj(T.symbol.values) * ef.values)
+    return _conj_symbol_times(T, cond_exp(f, T.partition, T.space, mass=T.atom_mass))
+
+
+def _conj_symbol_times(T: WeightedCondExpOperator, g: MFunction) -> MFunction:
+    """conj(u) * g for a g that ``cond_exp`` just returned, which no caller
+    holds.  For complex u and g it is formed in g's own array as
+    conj(u * conj(g)): the same real products as conj(u) * g, bit for bit,
+    with no n-sized temporary.  A real u or g takes conj(u) * g."""
+    u, out = T.symbol.values, g.values
+    if u.dtype.kind != "c" or out.dtype.kind != "c":
+        return MFunction(np.conj(u) * out)
+    np.conjugate(out, out=out)
+    np.multiply(u, out, out=out)
+    return MFunction(np.conjugate(out, out=out))
 
 
 @dataclass(frozen=True)
@@ -186,47 +205,50 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
 
 @dataclass(frozen=True)
 class PolarParts:
-    """Symbols of the polar factors of T = (partial isometry) * (modulus).
+    """The polar factors of T = U |T|, kept on the atoms.
 
-    ``modulus_symbol`` w satisfies |T| f = w * E(u f);
-    ``isometry_symbol`` v satisfies U f = E(v f).  Both vanish off the
-    support of E(|u|^2), whose point indices ``support_set`` holds as a
-    sorted integer array.
+    Both factors are T followed by the atom scale s, with
+    s = 1/sqrt(E(|u|^2)) on the support of E(|u|^2) and 0 off it:
+    U f = s E(u f) and |T| f = conj(u) s E(u f).  ``atom_scale`` holds s
+    and ``atom_support`` the support mask, both of shape (atom_count,);
+    ``support_set`` holds the support's point indices as a sorted integer
+    array.
     """
 
-    modulus_symbol: MFunction
-    isometry_symbol: MFunction
+    atom_scale: np.ndarray
+    atom_support: np.ndarray
     support_set: np.ndarray
 
 
 def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
-    """Polar factors from E(|u|^2): its support and 1/sqrt(E(|u|^2)) are
-    computed on the atoms and gathered into point order."""
+    """Polar factors from E(|u|^2): its support and 1/sqrt(E(|u|^2)) on the
+    atoms, in O(atom_count); only ``support_set`` is a point-level array."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    atom_mask = support(MFunction(T.atom_sq_mean), tol)
-    root = np.sqrt(T.atom_sq_mean)
-    inv_sqrt = np.divide(1.0, root, out=np.zeros(root.size), where=atom_mask)
-    mask = atom_mask[T.partition.atom_of]
-    isometry = inv_sqrt[T.partition.atom_of] * T.symbol.values
-    isometry[~mask] = 0.0
+    atom_support = support(MFunction(T.atom_sq_mean), tol)
+    # off the support E(|u|^2) is replaced by inf, whose 1/sqrt is exactly
+    # 0; unmasked passes run faster than a divide with ``where=``
+    scale = np.where(atom_support, T.atom_sq_mean, np.inf)
+    np.sqrt(scale, out=scale)
     return PolarParts(
-        # inv_sqrt is real, so conj(isometry) is inv_sqrt * conj(u) exactly
-        modulus_symbol=MFunction(np.conj(isometry)),
-        isometry_symbol=MFunction(isometry),
-        support_set=np.flatnonzero(mask),
+        atom_scale=np.divide(1.0, scale, out=scale),
+        atom_support=atom_support,
+        support_set=np.flatnonzero(atom_support[T.partition.atom_of]),
     )
 
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
-    """|T| f = modulus_symbol * E(u f)."""
-    return MFunction(parts.modulus_symbol.values * apply(T, f).values)
+    """|T| f = conj(u) s E(u f), with s = ``parts.atom_scale``."""
+    return _conj_symbol_times(T, apply_isometry(T, parts, f))
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
-    """U f = E(isometry_symbol * f)."""
+    """U f = s E(u f), with s = ``parts.atom_scale`` applied to the atom
+    values before they are gathered: it costs what ``apply`` costs."""
     f.check_aligned(T.space)
-    return cond_exp(f, T.partition, T.space, mass=T.atom_mass, times=parts.isometry_symbol.values)
+    return cond_exp(
+        f, T.partition, T.space, mass=T.atom_mass, times=T.symbol.values, scale=parts.atom_scale
+    )
 
 
 @dataclass(frozen=True)

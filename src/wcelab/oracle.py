@@ -208,8 +208,7 @@ def polar_check(
     Returns the two residuals and the verdict.
     """
     M = matrix_of(T)
-    on = np.zeros(T.n, dtype=bool)
-    on[parts.support_set] = True
+    on = parts.atom_support[T.partition.atom_of]
     P_S = on[:, None]
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))

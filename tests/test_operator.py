@@ -102,18 +102,23 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-@pytest.mark.parametrize("atoms", [16, 10**4, None], ids=["16", "1e4", "singletons"])
-@pytest.mark.parametrize("symbol", ["complex", "real"])
-def test_actions_past_one_block_match_point_level_formulas(atoms, symbol):
-    rng = np.random.default_rng(11)
-    n = 3 * BLOCK + 17
+def _long_partition(rng, n, atoms):
+    """Random masses and a shuffled partition of n points into ``atoms``
+    atoms, or into permuted singletons for None."""
     if atoms is None:
         atom_of = rng.permutation(n)
     else:
         atom_of = np.concatenate([np.arange(atoms), rng.integers(0, atoms, size=n - atoms)])
         rng.shuffle(atom_of)
-    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
-    p = Partition(atom_of)
+    return FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n))), Partition(atom_of)
+
+
+@pytest.mark.parametrize("atoms", [16, 10**4, None], ids=["16", "1e4", "singletons"])
+@pytest.mark.parametrize("symbol", ["complex", "real"])
+def test_actions_past_one_block_match_point_level_formulas(atoms, symbol):
+    rng = np.random.default_rng(11)
+    n = 3 * BLOCK + 17
+    sp, p = _long_partition(rng, n, atoms)
     u = rng.standard_normal(n)
     if symbol == "complex":
         u = u + 1j * rng.standard_normal(n)
@@ -125,24 +130,30 @@ def test_actions_past_one_block_match_point_level_formulas(atoms, symbol):
     assert _bits(apply_adjoint(T, MFunction(f)).values) == _bits(
         np.conj(u) * cond_exp(MFunction(f), p, sp).values
     )
-    # the same expression as apply_modulus, outside the assert, so numpy may
-    # reuse the temporary product on both sides alike
-    modulus_f = parts.modulus_symbol.values * cond_exp(MFunction(u * f), p, sp).values
-    assert _bits(apply_modulus(T, parts, MFunction(f)).values) == _bits(modulus_f)
-    assert _bits(apply_isometry(T, parts, MFunction(f)).values) == _bits(
-        cond_exp(MFunction(parts.isometry_symbol.values * f), p, sp).values
-    )
+    # U f = s E(u f) and |T| f = conj(u) U f, with s = 1/sqrt(E(|u|^2)) at
+    # the points; polar scales on the atoms, so the last bits may differ
+    sq_mean = cond_exp(MFunction(np.abs(u) ** 2), p, sp)
+    s = np.divide(1.0, np.sqrt(sq_mean.values), out=np.zeros(n), where=support(sq_mean, 1e-8))
+    Uf = s * Tf
+    got_U = apply_isometry(T, parts, MFunction(f)).values
+    got_modulus = apply_modulus(T, parts, MFunction(f)).values
+    np.testing.assert_allclose(got_U, Uf, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(got_modulus, np.conj(u) * Uf, rtol=1e-14, atol=0)
 
 
 def _polar_reference(T, tol):
-    """polar at the points, from cond_exp and support alone."""
-    sq_mean = cond_exp(MFunction(np.abs(T.symbol.values) ** 2), T.partition, T.space)
+    """polar from cond_exp and support at the points, placed in atom order:
+    the atom scale, the atom support mask and the support's points."""
+    p = T.partition
+    sq_mean = cond_exp(MFunction(np.abs(T.symbol.values) ** 2), p, T.space)
     mask = support(sq_mean, tol)
     root = np.sqrt(sq_mean.values.real)
     inv_sqrt = np.divide(1.0, root, out=np.zeros(T.n), where=mask)
-    isometry = inv_sqrt * T.symbol.values
-    isometry[~mask] = 0.0
-    return np.conj(isometry), isometry, np.flatnonzero(mask)
+    scale = np.empty(p.atom_count)
+    scale[p.atom_of] = inv_sqrt  # constant on each atom
+    atom_support = np.empty(p.atom_count, dtype=bool)
+    atom_support[p.atom_of] = mask
+    return scale, atom_support, np.flatnonzero(mask)
 
 
 def _classify_reference(T, tol):
@@ -186,9 +197,9 @@ def test_atom_level_closed_forms_match_a_point_level_reference(seed, shape, kind
         T = _shaped_operator(rng, shape)
 
     parts = polar(T, tol)
-    modulus, isometry, support_set = _polar_reference(T, tol)
-    assert _bits(parts.modulus_symbol.values) == _bits(modulus)
-    assert _bits(parts.isometry_symbol.values) == _bits(isometry)
+    scale, atom_support, support_set = _polar_reference(T, tol)
+    assert _bits(parts.atom_scale) == _bits(scale)
+    assert _bits(parts.atom_support) == _bits(atom_support)
     assert _bits(parts.support_set) == _bits(support_set)
 
     rep = classify(T, tol)
@@ -449,15 +460,69 @@ def test_modulus_is_positive(seed):
 
 
 def test_polar_symbols_vanish_off_support():
-    # second point has u = 0 on its own atom: E(|u|^2) = 0 there
-    T = small_op([3.0, 0.0], [0, 1])
+    # second point has u = 0 on its own atom: E(|u|^2) = 0 there; the last
+    # two share an atom with E(|u|^2) = 1e-12, below the cut but not 0
+    T = small_op([3.0, 0.0, 1e-6, -1e-6j], [0, 1, 2, 2])
     parts = polar(T, 1e-10)
     np.testing.assert_array_equal(parts.support_set, [0])
-    assert parts.modulus_symbol.values[1] == 0
-    assert parts.isometry_symbol.values[1] == 0
-    np.testing.assert_array_equal(
-        parts.modulus_symbol.values, np.conj(parts.isometry_symbol.values)
+    np.testing.assert_array_equal(parts.atom_support, [True, False, False])
+    np.testing.assert_array_equal(parts.atom_scale, [1 / 3, 0.0, 0.0])
+    f = MFunction(np.array([1 + 2j, 5 - 1j, 2.0, 3j]))
+    for g in (apply_isometry(T, parts, f), apply_modulus(T, parts, f)):
+        assert np.all(g.values[1:] == 0)
+        assert g.values[0] != 0
+
+
+@pytest.mark.parametrize("shape", ["singletons", "one-atom", "coarse"])
+def test_polar_parts_live_on_the_atoms(shape):
+    rng = np.random.default_rng(5)
+    T = _shaped_operator(rng, shape)
+    parts = polar(T, 1e-8)
+    m, atom_of = T.partition.atom_count, T.partition.atom_of
+    assert parts.atom_scale.shape == parts.atom_support.shape == (m,)
+    assert parts.atom_scale.dtype == float and parts.atom_support.dtype == bool
+    assert parts.support_set.size == np.count_nonzero(parts.atom_support[atom_of])
+    # U is T followed by the atom scale, with the same products
+    f = MFunction(rng.standard_normal(T.n) + 1j * rng.standard_normal(T.n))
+    assert _bits(apply_isometry(T, parts, f).values) == _bits(
+        parts.atom_scale[atom_of] * apply(T, f).values
     )
+
+
+@pytest.mark.parametrize("shape", ["singletons", "coarse"])
+@pytest.mark.parametrize("u_kind", ["real", "complex"])
+@pytest.mark.parametrize("f_kind", ["real", "complex"])
+def test_actions_leave_f_and_u_unchanged(shape, u_kind, f_kind):
+    rng = np.random.default_rng(6)
+    T = _shaped_operator(rng, shape)
+    if u_kind == "real":
+        T = WeightedCondExpOperator(T.space, T.partition, MFunction(T.symbol.values.real))
+    f = rng.standard_normal(T.n)
+    f = MFunction(f + 1j * rng.standard_normal(T.n) if f_kind == "complex" else f)
+    parts = polar(T, 1e-8)
+    f_before, u_before = _bits(f.values), _bits(T.symbol.values)
+    for act in (
+        lambda: apply_adjoint(T, f),
+        lambda: apply_modulus(T, parts, f),
+        lambda: apply_isometry(T, parts, f),
+    ):
+        out = act().values
+        assert _bits(f.values) == f_before and _bits(T.symbol.values) == u_before
+        assert not np.shares_memory(out, f.values) and not np.shares_memory(out, T.symbol.values)
+
+
+@pytest.mark.parametrize("atoms", [16, None], ids=["16", "singletons"])
+@pytest.mark.parametrize("u_kind", ["real", "complex"])
+@pytest.mark.parametrize("f_kind", ["real", "complex"])
+def test_adjoint_is_conj_u_times_E_f_bit_for_bit(atoms, u_kind, f_kind):
+    rng = np.random.default_rng(7)
+    n = BLOCK + 17
+    sp, p = _long_partition(rng, n, atoms)
+    u = rng.standard_normal(n) + (1j * rng.standard_normal(n) if u_kind == "complex" else 0)
+    f = rng.standard_normal(n) + (1j * rng.standard_normal(n) if f_kind == "complex" else 0)
+    T = WeightedCondExpOperator(sp, p, MFunction(u))
+    want = np.conj(u) * cond_exp(MFunction(f), p, sp).values
+    assert _bits(apply_adjoint(T, MFunction(f)).values) == _bits(want)
 
 
 def test_isometry_is_isometric_on_modulus_range():
