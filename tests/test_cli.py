@@ -357,7 +357,7 @@ def test_no_verdict_reads_the_probe_floor(capsys, monkeypatch):
     def unread(self, *args):
         raise AssertionError("the probe floor was read")
 
-    for name in ("probe_sigmas", "probes_ok", "floor_applies"):
+    for name in ("probe_sigmas", "probes_ok", "floor_applies", "normal_rel"):
         monkeypatch.setattr(oracle.SpectrumProbeResult, name, property(unread))
     for argv, last in (
         (["spectrum", "--oracle", "--scenario", "full-algebra"], "oracle verdict: pass"),
@@ -366,6 +366,25 @@ def test_no_verdict_reads_the_probe_floor(capsys, monkeypatch):
     ):
         code, out, _ = run(capsys, *argv)
         assert (code, out.splitlines()[-1]) == (0, last)
+
+
+def test_spectrum_oracle_forms_no_commutators(tmp_path, capsys, monkeypatch):
+    # the spectrum check takes ||M||_F itself, so no residuals are formed
+    calls = []
+    residuals = oracle.residuals
+    monkeypatch.setattr(oracle, "residuals", lambda T: calls.append(T) or residuals(T))
+    doc = {
+        "points": [{"weight": 0.25}, {"weight": 0.25}, {"weight": 0.5}],
+        "atoms": [[0, 1], [2]],
+        "u": {"values": [[1.0, 2.0], [1.0, 2.0], [-3.0, 0.5]]},
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(doc))
+    sources = [["--scenario", name] for name in sorted(SCENARIO_BUILDERS)] + [["--space-file", str(path)]]
+    for source in sources:
+        code, out, _ = run(capsys, "spectrum", "--oracle", *source)
+        assert (code, out.splitlines()[-1]) == (0, "oracle verdict: pass"), source
+    assert calls == []
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

@@ -332,6 +332,48 @@ def test_probe_check_is_deterministic_per_seed():
     assert a.probe_sigmas == b.probe_sigmas
 
 
+def _reference_probe_points(values):
+    """Probe points as the check first built them: midpoints, then a fresh
+    default_rng(0) per call with scalar uniform() draws for the outer four."""
+    probes = [(a + b) / 2.0 for a, b in zip(values, values[1:]) if abs(b - a) > 0]
+    rng = np.random.default_rng(0)
+    radius = max((abs(v) for v in values), default=0.0)
+    for _ in range(4):
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        r = radius + 1.0 + rng.uniform(0.0, 1.0)
+        probes.append(complex(r * np.cos(angle), r * np.sin(angle)))
+    return tuple(probes)
+
+
+def _assert_probe_bits(T, claim):
+    """The probe fields equal their scalar constructions with ==, and
+    matrix_norm and normal_rel equal those of residuals(T)."""
+    probe = spectrum_probe_check(T, claim)
+    values = sorted(claim.values, key=lambda z: (z.real, z.imag))
+    assert probe.probe_points == _reference_probe_points(values)
+    assert probe.probe_distances == tuple(
+        min(abs(p - v) for v in values) if values else abs(p) for p in probe.probe_points
+    )
+    res = residuals(T)
+    assert probe.matrix_norm == res.matrix_norm
+    assert probe.normal_rel == res.normal_rel
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_BUILDERS))
+def test_probe_result_keeps_its_bits_on_the_scenarios(name):
+    sc = build_scenario(name, {})
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    _assert_probe_bits(T, spectrum_formula(T))
+
+
+def test_probe_result_keeps_its_bits_on_random_operators():
+    for seed in range(100):
+        T = random_operator(np.random.default_rng(seed), max_n=64)
+        _assert_probe_bits(T, spectrum_formula(T))
+    # with nothing claimed every distance is to 0
+    _assert_probe_bits(T, SpectrumReport(values=(), includes_zero=False))
+
+
 def test_probe_floor_rejects_missing_value_on_normal_operator():
     # multiplication by u = (1, 2, 3) is normal with spectrum {1, 2, 3};
     # the claim {1, 3} leaves 2 out, and the midpoint probe at 2 has
