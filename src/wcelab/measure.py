@@ -30,7 +30,7 @@ __all__ = [
 
 #: hard cap on the points read from a countable spec
 TRUNCATION_CAP = 200_000
-#: certified tail bound of poisson-parity's cut and of ``domain``'s scan
+#: certified tail bound of poisson-parity's cut, the cut ``domain`` makes too
 TAIL_TOL = 1e-12
 #: the smallest positive double; a mass that rounds to 0.0 is below it
 SMALLEST_SUBNORMAL = 2.0**-1074
@@ -139,6 +139,11 @@ class Partition:
     @property
     def is_singletons(self) -> bool:
         return self.atom_count == self.n
+
+    @property
+    def atom_sizes(self) -> np.ndarray:
+        """Number of points in each atom, shape (atom_count,)."""
+        return np.bincount(self.atom_of, minlength=self.atom_count)
 
     def check_aligned(self, sp: FiniteMeasureSpace) -> None:
         if self.n != sp.n:

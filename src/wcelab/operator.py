@@ -25,7 +25,7 @@ from .measure import (
     ess_range,
     read_points,
     support,
-    tail_cutoff,
+    truncate,
 )
 
 __all__ = [
@@ -308,44 +308,34 @@ _DIVERGENCE_TARGETS = (1e3, 1e6, 1e12)
 def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
     """Decide whether f -> E(u f) is densely defined on a countable space.
 
-    Per atom, convergence of sum mu_i |u_i|^2 is certified by the spec's
-    weighted tail bound; divergence must come with an explicit witness
-    (partial sums provably exceeding escalating targets).  A spec with
-    neither certificate is an error, never a guess.  The sigma-finiteness
-    of the measure with density E(|u|^2) restricted to the sub-algebra is
-    read off the same per-atom verdicts.
+    Per atom, the spec's weighted tail bound certifies that sum mu_i |u_i|^2
+    converges, and a divergence witness, checked by summation, that it
+    diverges; a spec with neither is an error, never a guess.  The certified
+    atoms are those of ``truncate(spec, tail_tol, weighted=True)``, with
+    E(|u|^2) and mass taken on that cut; its ``discarded_mass_bound`` is
+    their tail bound and covers every atom the cut drops.  Raises
+    ``NotSummableError`` if the weighted bound never reaches ``tail_tol``.
+    The sigma-finiteness of the measure with density E(|u|^2) restricted to
+    the sub-algebra is read off the same per-atom verdicts.
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
-    bound = spec.weighted_tail_bound
-    if bound is None and not spec.divergent_atoms:
+    if spec.weighted_tail_bound is None and not spec.divergent_atoms:
         raise UndecidableDomainError(
             "spec carries neither a weighted tail bound nor divergence witnesses"
         )
     per_atom = {a: _verify_divergence(spec, a, w) for a, w in spec.divergent_atoms.items()}
 
     tail = None
-    if bound is not None:
-        scan = tail_cutoff(bound, tail_tol)
-        if scan is None:
-            raise UndecidableDomainError(
-                f"weighted tail bound never reached {tail_tol} within {TRUNCATION_CAP} indices"
-            )
-        tail = bound(scan)
-        masses, symbol, atom_of, atom_ids = read_points(spec, scan)
-        # bincount adds each atom's terms in index order
-        sums = np.bincount(atom_of, weights=masses * np.abs(symbol) ** 2)
-        atom_mass = np.bincount(atom_of, weights=masses)
-        counts = np.bincount(atom_of)
-        for a, s, m, c in zip(atom_ids, sums.tolist(), atom_mass.tolist(), counts.tolist()):
+    if spec.weighted_tail_bound is not None:
+        tr = truncate(spec, tail_tol, weighted=True)
+        p, sp, tail = tr.partition, tr.space, tr.discarded_mass_bound
+        mass = atom_masses(p, sp)
+        sq_mean = atom_averages(MFunction(np.abs(tr.symbol.values) ** 2), p, sp, mass=mass)
+        for a, s, m, c in zip(tr.atom_ids, sq_mean.tolist(), mass.tolist(), p.atom_sizes.tolist()):
             if a not in per_atom:
                 per_atom[a] = AtomDomainVerdict(
-                    converges=True,
-                    # an atom whose mass underflows to 0 carries no weighted mass
-                    sq_mean=s / m if m > 0 else 0.0,
-                    partial_sum=s,
-                    tail_bound=tail,
-                    terms_used=c,
+                    converges=True, sq_mean=s, partial_sum=s * m, tail_bound=tail, terms_used=c
                 )
 
     return DomainReport(

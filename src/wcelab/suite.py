@@ -266,7 +266,7 @@ def _case1_entries() -> list[ClaimEntry]:
 def _case2_entries() -> list[ClaimEntry]:
     sc = build_trivial_algebra(4)  # symbol (1, 2, 3, 4), uniform masses
     T = _op(sc)
-    sq_mean = float(T.symbol_sq_mean.values[0].real)
+    sq_mean = float(T.atom_sq_mean[0])
     const = _classification_agrees(_op(sc, np.full(4, 2.0)))
     return [
         _finite_entry(
@@ -371,9 +371,9 @@ def _product_grid_entries() -> list[ClaimEntry]:
     ys = (np.arange(m) + 0.5) / m
     row_means = np.array([x * np.mean(ys**2) for x, _ in sc.space.labels])
     err = float(np.max(np.abs(ef.values - row_means)))
-    mean_u_err = float(np.max(np.abs(T.symbol_mean.values - 0.5)))
+    mean_u_err = float(np.max(np.abs(T.atom_mean - 0.5)))
     ok = err <= TOLERANCES["exact"] and mean_u_err <= TOLERANCES["exact"]
-    sq = float(np.max(T.symbol_sq_mean.values.real))
+    sq = float(np.max(T.atom_sq_mean))
     g_of_x = np.array([1.0 + x for x, _ in sc.space.labels], dtype=complex)
     row = _classification_agrees(_op(sc, g_of_x))
     return [
@@ -418,11 +418,11 @@ def _symmetric_interval_entries() -> list[ClaimEntry]:
     N = 32
     sc = build_symmetric_interval(N)
     T = _op(sc)
-    x = sc.space.labels[:, 0]
-    err_sq = float(np.max(np.abs(T.symbol_sq_mean.values - np.cosh(2 * x))))
-    err_mean = float(np.max(np.abs(T.symbol_mean.values - np.cosh(x))))
+    x, atom_of = sc.space.labels[:, 0], sc.partition.atom_of
+    err_sq = float(np.max(np.abs(T.atom_sq_mean[atom_of] - np.cosh(2 * x))))
+    err_mean = float(np.max(np.abs(T.atom_mean[atom_of] - np.cosh(x))))
     ok = err_sq <= TOLERANCES["exact"] and err_mean <= TOLERANCES["exact"]
-    sq = float(np.max(T.symbol_sq_mean.values.real))
+    sq = float(np.max(T.atom_sq_mean))
     comp = _classification_agrees(T)
     expected = sorted({complex(np.cosh(xi)) for xi in x[: N // 2]}, key=lambda z: z.real)
     return [

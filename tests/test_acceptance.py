@@ -50,9 +50,9 @@ def test_criterion_1_interval_averaging_identities():
     t0 = time.perf_counter()
     sc = build_symmetric_interval(200)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    x = sc.space.labels[:, 0]
-    err_sq = float(np.max(np.abs(T.symbol_sq_mean.values - np.cosh(2 * x))))
-    err_mean = float(np.max(np.abs(T.symbol_mean.values - np.cosh(x))))
+    x, atom_of = sc.space.labels[:, 0], sc.partition.atom_of
+    err_sq = float(np.max(np.abs(T.atom_sq_mean[atom_of] - np.cosh(2 * x))))
+    err_mean = float(np.max(np.abs(T.atom_mean[atom_of] - np.cosh(x))))
     elapsed = time.perf_counter() - t0
     ok = err_sq <= 1e-12 and err_mean <= 1e-12 and elapsed < 0.1
     report(

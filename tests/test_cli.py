@@ -12,6 +12,7 @@ import pytest
 
 from wcelab import cli, oracle
 from wcelab.cli import main
+from wcelab.measure import CountableSpaceSpec
 from wcelab.operator import SpectrumReport, classify, polar, spectrum_formula
 from wcelab.scenarios import SCENARIO_BUILDERS
 
@@ -147,6 +148,91 @@ def test_domain_geometric_blowup(capsys):
     assert code == 0  # verdicts agree (both negative)
     assert "densely defined:            False" in out
     assert "diverges" in out
+
+
+#: the full stdout of ``domain`` per argument list; no mass read by these
+#: cuts underflows, so every atom, the one of 0 included, is printed
+DOMAIN_OUTPUT = {
+    ("--scenario", "poisson-parity", "--theta", "1"): """\
+scenario: poisson-parity
+densely defined:            True
+sigma-finite restriction:   True
+verdicts agree:             True
+  atom 'even': converges, mean-square symbol 5.00530060215 (partial sum 1, tail bound 3.188e-13, 8 terms)
+  atom 'odd': converges, mean-square symbol 2.3130352855 (partial sum 1, tail bound 3.188e-13, 8 terms)
+  atom 'zero': converges, mean-square symbol 0 (partial sum 0, tail bound 3.188e-13, 1 terms)
+""",
+    ("--scenario", "poisson-parity", "--theta", "10"): """\
+scenario: poisson-parity
+densely defined:            True
+sigma-finite restriction:   True
+verdicts agree:             True
+  atom 'even': converges, mean-square symbol 110.00998885 (partial sum 55, tail bound 9.944e-13, 22 terms)
+  atom 'odd': converges, mean-square symbol 110.000000041 (partial sum 55, tail bound 9.944e-13, 22 terms)
+  atom 'zero': converges, mean-square symbol 0 (partial sum 0, tail bound 9.944e-13, 1 terms)
+""",
+    ("--scenario", "poisson-parity", "--theta", "100"): """\
+scenario: poisson-parity
+densely defined:            True
+sigma-finite restriction:   True
+verdicts agree:             True
+  atom 'even': converges, mean-square symbol 10100 (partial sum 5050, tail bound 5.774e-13, 97 terms)
+  atom 'odd': converges, mean-square symbol 10100 (partial sum 5050, tail bound 5.774e-13, 98 terms)
+  atom 'zero': converges, mean-square symbol 0 (partial sum 0, tail bound 5.774e-13, 1 terms)
+""",
+    ("--scenario", "poisson-parity", "--theta", "700"): """\
+scenario: poisson-parity
+densely defined:            True
+sigma-finite restriction:   True
+verdicts agree:             True
+  atom 'even': converges, mean-square symbol 490700 (partial sum 245350, tail bound 7.733e-13, 472 terms)
+  atom 'odd': converges, mean-square symbol 490700 (partial sum 245350, tail bound 7.733e-13, 472 terms)
+  atom 'zero': converges, mean-square symbol 0 (partial sum 0, tail bound 7.733e-13, 1 terms)
+""",
+    ("--scenario", "geometric-blowup"): """\
+scenario: geometric-blowup
+densely defined:            False
+sigma-finite restriction:   False
+verdicts agree:             True
+  atom 'all': diverges (witnessed partial sum 2.19902e+12 over 41 terms)
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(DOMAIN_OUTPUT), ids=" ".join)
+def test_domain_output_is_pinned(capsys, argv):
+    code, out, err = run(capsys, "domain", *argv)
+    assert (code, out, err) == (0, DOMAIN_OUTPUT[argv], "")
+
+
+def test_domain_at_theta_1000_reports_the_atoms_the_cut_keeps(capsys):
+    # the mass e^-1000 of the atom {0} underflows: the cut drops it with the
+    # other 70 underflowed points, and the tail bound covers it
+    code, out, _ = run(capsys, "domain", "--scenario", "poisson-parity", "--theta", "1000")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "densely defined:            True",
+        "sigma-finite restriction:   True",
+        "verdicts agree:             True",
+        "  atom 'even': converges, mean-square symbol 1001000 (partial sum 500500, "
+        "tail bound 9.498e-13, 610 terms)",
+        "  atom 'odd': converges, mean-square symbol 1001000 (partial sum 500500, "
+        "tail bound 9.498e-13, 611 terms)",
+    ]
+
+
+def test_domain_exits_1_on_a_weighted_bound_that_never_reaches_the_tolerance(capsys, monkeypatch):
+    spec = CountableSpaceSpec(
+        mass_at=lambda i: 2.0 ** (-(i + 1)),
+        tail_bound=lambda N: 2.0 ** (-N),
+        atom_of=lambda i: 0,
+        symbol_at=lambda i: 1.0,
+        weighted_tail_bound=lambda N: 1.0,
+    )
+    monkeypatch.setattr(cli, "geometric_blowup_spec", lambda: spec)
+    code, out, err = run(capsys, "domain", "--scenario", "geometric-blowup")
+    assert code == 1 and out == ""
+    assert err.startswith("error: tail bound never dropped below 1e-12")
 
 
 def test_suite_text(capsys):

@@ -12,6 +12,7 @@ from wcelab.measure import (
     CountableSpaceSpec,
     FiniteMeasureSpace,
     MFunction,
+    NotSummableError,
     Partition,
     support,
     truncate,
@@ -636,9 +637,16 @@ def test_poisson_atom_means_match_series():
 @pytest.mark.parametrize("theta", [1.0, 10.0, 100.0, 700.0, 1000.0])
 def test_poisson_zero_atom_sq_mean_is_zero(theta):
     # u = 0 on the atom {0}: the tail bound, which covers all atoms together,
-    # must not be charged to its mean square
-    rep = densely_defined(poisson_parity_spec(theta), 1e-12)
-    assert rep.per_atom["zero"].sq_mean == 0.0
+    # must not be charged to its mean square.  At theta = 1000 the atom's mass
+    # e^-1000 underflows to 0.0, so the cut drops it and the bound covers it.
+    spec = poisson_parity_spec(theta)
+    rep = densely_defined(spec, 1e-12)
+    if theta < 746:
+        assert rep.per_atom["zero"].sq_mean == 0.0
+    else:
+        assert tuple(rep.per_atom) == truncate(spec, 1e-12, weighted=True).atom_ids
+        assert "zero" not in rep.per_atom
+        assert rep.densely_defined and rep.sigma_finite_restriction
 
 
 @pytest.mark.parametrize("tail_tol", [0.0, -1.0, math.nan])
@@ -710,18 +718,35 @@ def test_densely_defined_reads_each_point_once():
     assert calls == {"mass_at": scanned, "symbol_at": scanned, "atom_of": scanned}
 
 
-@pytest.mark.parametrize("theta", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("theta", [1.0, 10.0, 100.0, 700.0, 1000.0])
 def test_poisson_sq_means_match_the_truncated_space(theta):
     spec = poisson_parity_spec(theta)
     rep = densely_defined(spec, 1e-12)
     tr = truncate(spec, 1e-12, weighted=True)
     sq = MFunction(np.abs(tr.symbol.values) ** 2)
-    expected = atom_averages(sq, tr.partition, tr.space).real
+    expected = atom_averages(sq, tr.partition, tr.space)
     sizes = np.bincount(tr.partition.atom_of)
-    assert set(rep.per_atom) == set(tr.atom_ids)
+    assert tuple(rep.per_atom) == tr.atom_ids
     for k, a in enumerate(tr.atom_ids):
-        assert rep.per_atom[a].sq_mean == pytest.approx(expected[k], rel=1e-12, abs=0.0)
-        assert rep.per_atom[a].terms_used == sizes[k]
+        verdict = rep.per_atom[a]
+        assert verdict.sq_mean == expected[k]
+        assert verdict.tail_bound == tr.discarded_mass_bound
+        assert verdict.terms_used == sizes[k]
+
+
+def test_weighted_bound_that_never_reaches_the_tolerance_is_not_summable():
+    def unread(i):
+        raise AssertionError(f"point {i} read")
+
+    spec = CountableSpaceSpec(
+        mass_at=unread,
+        tail_bound=lambda N: 2.0 ** (-N),
+        atom_of=unread,
+        symbol_at=unread,
+        weighted_tail_bound=lambda N: 1.0,
+    )
+    with pytest.raises(NotSummableError, match="never dropped below 1e-10"):
+        densely_defined(spec, 1e-10)
 
 
 def _interleaved_spec(witness):
@@ -817,7 +842,7 @@ def test_min_c_is_minimal_and_sufficient(seed):
     rng = np.random.default_rng(seed)
     T = random_operator(rng, max_n=32)
     c = domain_invariance_min_c(T)
-    a = np.abs(T.symbol_mean.values) ** 2
+    a = np.abs(T.atom_mean) ** 2
     assert np.all(a**2 <= c * (1.0 + a) + 1e-12)
     # minimality: shrinking c breaks the inequality somewhere
     if c > 1e-12:

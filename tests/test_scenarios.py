@@ -85,9 +85,9 @@ def test_symmetric_interval_mirror_pairing():
 def test_symmetric_interval_averaging_identities_exact():
     sc = build_symmetric_interval(64)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    x = sc.space.labels[:, 0]
-    assert np.max(np.abs(T.symbol_mean.values - np.cosh(x))) < 1e-14
-    assert np.max(np.abs(T.symbol_sq_mean.values - np.cosh(2 * x))) < 1e-14
+    x, atom_of = sc.space.labels[:, 0], sc.partition.atom_of
+    assert np.max(np.abs(T.atom_mean[atom_of] - np.cosh(x))) < 1e-14
+    assert np.max(np.abs(T.atom_sq_mean[atom_of] - np.cosh(2 * x))) < 1e-14
 
 
 def test_poisson_truncation_and_atoms():
