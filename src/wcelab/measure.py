@@ -257,6 +257,12 @@ class CountableSpaceSpec:
     nonincreasing bound.  ``divergent_atoms`` maps an atom identifier to a
     witness: given a target B it names an index by which that atom's
     weighted partial sum provably exceeds B (verified numerically).
+
+    ``mass_at``, ``symbol_at`` and ``atom_of`` must be deterministic: each
+    point is read once per spec object and kept in its ``__dict__`` (see
+    ``read_points``), so a later question on the same spec sees the values
+    of the first read.  ``dataclasses.replace`` gives a fresh spec, which
+    reads its points anew.  Equality, hashing and repr use the fields only.
     """
 
     mass_at: Callable[[int], float]
@@ -288,13 +294,41 @@ def read_points(
     symbol values, the atom index of each point, and the atom identifiers
     in order of first appearance (atom index k is ``atom_ids[k]``).
 
-    Each of ``mass_at``, ``symbol_at`` and ``atom_of`` is called once per point.
+    Each of ``mass_at``, ``symbol_at`` and ``atom_of`` is called once per
+    point per spec: the points read are kept in the spec's ``__dict__``, and
+    a longer read only reads the indices past them.  The arrays returned
+    are read-only views of what is kept.
     """
-    masses = np.array([spec.mass_at(i) for i in range(size)], dtype=float)
-    symbol = np.array([spec.symbol_at(i) for i in range(size)], dtype=complex)
-    seen: dict[Hashable, int] = {}
-    atom_of = [seen.setdefault(spec.atom_of(i), len(seen)) for i in range(size)]
-    return masses, symbol, np.array(atom_of, dtype=int), tuple(seen)
+    kept = spec.__dict__.get("_points")
+    if kept is None or kept[0].size < size:
+        kept = spec.__dict__["_points"] = _read_more(spec, kept, size)
+    masses, symbol, atom_of, seen = kept
+    atom_of = atom_of[:size]
+    # atoms are numbered by first appearance, so the first size points
+    # meet exactly the atoms 0..max
+    atom_ids = tuple(seen)[: int(atom_of.max()) + 1] if size else ()
+    return masses[:size], symbol[:size], atom_of, atom_ids
+
+
+def _read_more(spec: CountableSpaceSpec, kept, size: int):
+    """``kept`` (masses, symbol, atom labels, first-appearance map of the
+    atom identifiers), or nothing, extended to the first ``size`` points.
+    The map grows in place: after a spec function raises it may name atoms
+    past the kept labels, which ``read_points`` trims away."""
+    if kept is None:
+        kept = (np.empty(0), np.empty(0, dtype=complex), np.empty(0, dtype=int), {})
+    masses, symbol, atom_of, seen = kept
+    new = range(masses.size, size)
+    parts = (
+        np.concatenate([masses, np.array([spec.mass_at(i) for i in new], dtype=float)]),
+        np.concatenate([symbol, np.array([spec.symbol_at(i) for i in new], dtype=complex)]),
+        np.concatenate(
+            [atom_of, np.array([seen.setdefault(spec.atom_of(i), len(seen)) for i in new], dtype=int)]
+        ),
+    )
+    for a in parts:
+        a.flags.writeable = False
+    return (*parts, seen)
 
 
 def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = False) -> Truncation:

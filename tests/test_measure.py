@@ -16,6 +16,7 @@ from wcelab.measure import (
     TRUNCATION_CAP,
     Partition,
     ess_range,
+    read_points,
     realize,
     support,
     tail_cutoff,
@@ -377,6 +378,65 @@ def test_truncate_non_summable_errors():
         truncate(spec, 1e-6)
     # N = 1, 2, 4, ..., 2^17 and TRUNCATION_CAP
     assert bound.calls == 19
+
+
+# ------------------------------------------------------------ kept points
+
+
+def three_atom_spec():
+    """Atoms "b" and "a" alternate; atom "c" first appears at index 24."""
+    return CountableSpaceSpec(
+        mass_at=lambda i: 0.1 * 0.9**i,
+        tail_bound=lambda N: 0.9**N,
+        atom_of=lambda i: "c" if i % 25 == 24 else ("a" if i % 2 else "b"),
+        symbol_at=lambda i: complex(i, -i),
+    )
+
+
+def assert_same_points(got, want):
+    for g, w in zip(got[:3], want[:3]):
+        assert g.dtype == w.dtype
+        assert g.shape == w.shape and (g == w).all()
+    assert got[3] == want[3]
+
+
+@pytest.mark.parametrize("sizes", [(40, 20), (20, 40), (24, 25, 24), (30, 30)])
+def test_read_points_of_a_prefix_match_a_fresh_read(sizes):
+    spec = three_atom_spec()
+    for size in sizes:
+        got = read_points(spec, size)
+        assert_same_points(got, read_points(three_atom_spec(), size))
+    assert read_points(spec, 24)[3] == ("b", "a")
+    assert read_points(spec, 25)[3] == ("b", "a", "c")
+
+
+def assert_same_truncation(t, fresh):
+    assert t.size == fresh.size
+    assert t.space.masses.tolist() == fresh.space.masses.tolist()
+    assert t.symbol.values.tolist() == fresh.symbol.values.tolist()
+    assert t.partition.atom_of.tolist() == fresh.partition.atom_of.tolist()
+    assert t.atom_ids == fresh.atom_ids
+    assert t.discarded_mass_bound == fresh.discarded_mass_bound
+
+
+@pytest.mark.parametrize("tols", [(1e-6, 1e-9, 1e-12), (1e-12, 1e-9, 1e-6)])
+def test_truncations_of_one_spec_match_fresh_ones(tols):
+    # at theta = 1000 the lowest and highest masses read underflow to 0.0
+    spec = poisson_spec(1000.0)
+    for tol in tols:
+        for weighted in (False, True):
+            t = truncate(spec, tol, weighted=weighted)
+            assert_same_truncation(t, truncate(poisson_spec(1000.0), tol, weighted=weighted))
+
+
+def test_kept_points_cannot_be_written():
+    spec = three_atom_spec()
+    masses, symbol, atom_of, _ = read_points(spec, 30)
+    t = truncate(spec, 1e-3)
+    for a in (masses, symbol, atom_of, t.space.masses, t.symbol.values, t.partition.atom_of):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+    assert_same_points(read_points(spec, 30), read_points(three_atom_spec(), 30))
 
 
 # ---------------------------------------------------------------- tail cutoff

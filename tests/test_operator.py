@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from wcelab import scenarios
 from wcelab.condexp import BLOCK, atom_averages, atom_masses, cond_exp
 from wcelab.measure import (
     CountableSpaceSpec,
@@ -42,6 +44,7 @@ from wcelab.scenarios import (
     geometric_blowup_spec,
     poisson_parity_spec,
 )
+from wcelab.suite import TOLERANCES
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -694,28 +697,88 @@ def test_false_divergence_witness_rejected():
         densely_defined(spec, 1e-10)
 
 
-def test_densely_defined_reads_each_point_once():
+def counting(spec):
+    """The same spec, with mass_at, symbol_at and atom_of counting their calls."""
     calls = {"mass_at": 0, "symbol_at": 0, "atom_of": 0}
 
-    def counted(name, fn):
+    def counted(name):
+        fn = getattr(spec, name)
+
         def call(i):
             calls[name] += 1
             return fn(i)
 
         return call
 
+    return dataclasses.replace(spec, **{name: counted(name) for name in calls}), calls
+
+
+def three_atom_geometric_spec():
     r = 0.5
-    spec = CountableSpaceSpec(
-        mass_at=counted("mass_at", lambda i: (1 - r) * r**i),
+    return CountableSpaceSpec(
+        mass_at=lambda i: (1 - r) * r**i,
         tail_bound=lambda N: r**N,
-        atom_of=counted("atom_of", lambda i: i % 3),
-        symbol_at=counted("symbol_at", lambda i: 1.0 + i % 3),
+        atom_of=lambda i: i % 3,
+        symbol_at=lambda i: 1.0 + i % 3,
         weighted_tail_bound=lambda N: 9.0 * r**N,
     )
+
+
+def test_densely_defined_reads_each_point_once():
+    spec, calls = counting(three_atom_geometric_spec())
     rep = densely_defined(spec, 1e-9)
     scanned = sum(v.terms_used for v in rep.per_atom.values())
     assert scanned == math.ceil(math.log2(9e9))
     assert calls == {"mass_at": scanned, "symbol_at": scanned, "atom_of": scanned}
+
+
+def test_truncate_then_densely_defined_reads_each_point_once():
+    spec, calls = counting(three_atom_geometric_spec())
+    assert truncate(spec, 1e-9).size == math.ceil(math.log2(1e9))
+    densely_defined(spec, 1e-9)
+    read = math.ceil(math.log2(9e9))  # the weighted cut is the longer one
+    assert calls == {"mass_at": read, "symbol_at": read, "atom_of": read}
+
+
+def test_two_divergence_witnesses_read_each_point_once():
+    # mu_i |u_i|^2 = 2^i, so one term at index >= log2(target) reaches it
+    def witness(parity):
+        def end(target):  # the first index of this parity past log2(target)
+            e = math.ceil(math.log2(target))
+            return e + (e - parity) % 2
+
+        return end
+
+    spec, calls = counting(
+        CountableSpaceSpec(
+            mass_at=lambda i: 2.0 ** (-i),
+            tail_bound=lambda N: 2.0 ** (1 - N),
+            atom_of=lambda i: i % 2,
+            symbol_at=lambda i: complex(2.0**i),
+            divergent_atoms={0: witness(0), 1: witness(1)},
+        )
+    )
+    rep = densely_defined(spec, 1e-12)
+    assert not rep.densely_defined
+    # the witnesses name 40 and 41 for 1e12 (log2 1e12 ~ 39.9)
+    assert [v.terms_used for v in rep.per_atom.values()] == [41, 42]
+    assert calls == {"mass_at": 42, "symbol_at": 42, "atom_of": 42}
+
+
+def test_domain_of_a_built_scenario_reads_no_point(monkeypatch):
+    specs = []
+
+    def counted_spec(theta):
+        specs.append(counting(poisson_parity_spec(theta)))
+        return specs[-1][0]
+
+    monkeypatch.setattr(scenarios, "poisson_parity_spec", counted_spec)
+    sc = scenarios.build_poisson_parity(1.0)
+    [(spec, calls)] = specs
+    assert sc.countable_spec is spec
+    assert calls == dict.fromkeys(calls, sc.space.n)  # the scenario's own cut
+    assert densely_defined(spec, TOLERANCES["tail"]).densely_defined
+    assert calls == dict.fromkeys(calls, sc.space.n)
 
 
 @pytest.mark.parametrize("theta", [1.0, 10.0, 100.0, 700.0, 1000.0])
