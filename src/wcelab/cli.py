@@ -9,6 +9,7 @@ summary line instead.
 No command takes a tolerance: every verdict, the polar cut and every oracle
 check use ``suite.TOLERANCES["oracle"]``, and ``domain``'s certified cut uses
 ``suite.TOLERANCES["tail"]``, the table that ``suite --format json`` reports.
+``stability`` cuts at each of ``operator.STABILITY_TAIL_TOLS``.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .operator import (
     densely_defined,
     polar,
     spectrum_formula,
+    truncation_stability,
 )
 from .oracle import MATRIX_ORDER_CAP, OrderCapError, polar_check, residuals, spectrum_probe_check
 from .sampling import random_operator
@@ -177,6 +179,25 @@ def cmd_domain(args) -> int:
     return 0 if rep.verdicts_agree else 1
 
 
+def cmd_stability(args) -> int:
+    rep = truncation_stability(poisson_parity_spec(args.theta), TOL)
+    print(f"scenario: {args.scenario}  (theta={args.theta:g})")
+    for tail_tol, size, (sa, normal, quasi) in zip(rep.tail_tols, rep.sizes, rep.verdicts):
+        print(
+            f"cut at tail tol {tail_tol:.0e}: {size} points, self-adjoint {sa}, "
+            f"normal {normal}, quasinormal {quasi}"
+        )
+    for m in rep.moves:
+        print(
+            f"  atom {m.atom!r}, {m.coarse_tol:.0e} -> {m.fine_tol:.0e}: "
+            f"E(u) moved {m.mean_move:.3e} of {m.mean_allowed:.3e}, "
+            f"E(|u|^2) moved {m.sq_mean_move:.3e} of {m.sq_mean_allowed:.3e}"
+        )
+    print(f"verdicts stable:            {rep.verdicts_stable}")
+    print(f"means within tail bounds:   {rep.means_within_bounds}")
+    return 0 if rep.stable else 1
+
+
 def cmd_suite(args) -> int:
     report = run_claim_suite()
     if args.format == "json":
@@ -240,6 +261,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--theta", type=float, default=1.0)
     p.set_defaults(func=cmd_domain)
+
+    p = sub.add_parser(
+        "stability", help="verdicts and atom means on cuts at several tail tolerances"
+    )
+    p.add_argument("--scenario", choices=["poisson-parity"], default="poisson-parity")
+    p.add_argument("--theta", type=float, default=1.0)
+    p.set_defaults(func=cmd_stability)
 
     p = sub.add_parser("suite", help="run the full claims verification suite")
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -277,7 +277,9 @@ class CountableSpaceSpec:
 class Truncation:
     """Finite view of a countable space: the points of positive mass among
     the first ``size`` indices.  ``discarded_mass_bound`` covers the tail
-    and the points whose mass rounded to 0.0."""
+    and the points whose mass rounded to 0.0.  The arrays of ``space``,
+    ``partition`` and ``symbol`` are read-only: they are the points the
+    spec keeps (see ``read_points``), or copies marked the same way."""
 
     space: FiniteMeasureSpace
     partition: Partition
@@ -365,6 +367,8 @@ def truncate(spec: CountableSpaceSpec, tail_tol: float, *, weighted: bool = Fals
         seen: dict[int, int] = {}  # old atom index -> new, in order of first appearance
         atom_of = np.array([seen.setdefault(a, len(seen)) for a in atom_of[keep].tolist()])
         atom_ids = tuple(atom_ids[a] for a in seen)
+        for a in (masses, symbol, atom_of):
+            a.flags.writeable = False
     return Truncation(
         space=FiniteMeasureSpace(masses),
         partition=Partition(atom_of),

@@ -9,6 +9,7 @@ truth lives in :mod:`wcelab.oracle` and never reuses these formulas.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Hashable
 
@@ -17,6 +18,7 @@ import numpy as np
 from .condexp import atom_averages, atom_masses, cond_exp, is_A_measurable
 from .measure import (
     ROUNDING_GAP,
+    SMALLEST_SUBNORMAL,
     TRUNCATION_CAP,
     CountableSpaceSpec,
     FiniteMeasureSpace,
@@ -34,6 +36,8 @@ __all__ = [
     "PolarParts",
     "SpectrumReport",
     "DomainReport",
+    "AtomMove",
+    "StabilityReport",
     "InternalInconsistencyError",
     "UndecidableDomainError",
     "apply",
@@ -44,6 +48,7 @@ __all__ = [
     "apply_isometry",
     "spectrum_formula",
     "densely_defined",
+    "truncation_stability",
     "domain_invariance_min_c",
     "multiplication_domain_min_c",
 ]
@@ -382,6 +387,118 @@ def _sigma_finite_restriction(per_atom, tail) -> bool:
         v.converges and (tail is None or np.isfinite(v.partial_sum + tail))
         for v in per_atom.values()
     )
+
+
+#: tail tolerances of the cuts ``truncation_stability`` compares, coarse to fine
+STABILITY_TAIL_TOLS = (1e-6, 1e-9, 1e-12)
+
+
+@dataclass(frozen=True)
+class AtomMove:
+    """How far one atom's E(u) and E(|u|^2) moved from a coarse cut to a
+    finer one, and how far each was allowed to move."""
+
+    atom: Hashable
+    coarse_tol: float
+    fine_tol: float
+    mean_move: float
+    mean_allowed: float
+    sq_mean_move: float
+    sq_mean_allowed: float
+
+    @property
+    def within(self) -> bool:
+        return self.mean_move <= self.mean_allowed and self.sq_mean_move <= self.sq_mean_allowed
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    tail_tols: tuple[float, ...]
+    sizes: tuple[int, ...]  # points read by each cut
+    verdicts: tuple[tuple[bool, bool, bool], ...]  # self-adjoint, normal, quasinormal per cut
+    moves: tuple[AtomMove, ...]  # every atom of every cut, against each finer cut
+
+    @property
+    def verdicts_stable(self) -> bool:
+        return len(set(self.verdicts)) == 1
+
+    @property
+    def means_within_bounds(self) -> bool:
+        return all(m.within for m in self.moves)
+
+    @property
+    def stable(self) -> bool:
+        return self.verdicts_stable and self.means_within_bounds
+
+
+def truncation_stability(spec: CountableSpaceSpec, tol: float) -> StabilityReport:
+    """Classify the weighted cuts of one countable space at each tail
+    tolerance of STABILITY_TAIL_TOLS, coarse to fine, and check that the cut does not decide the
+    answer: the verdicts agree, and from each cut to every finer one each
+    atom's E(u) and E(|u|^2) move by no more than the coarse cut certifies.
+
+    On a cut whose dropped points carry mass at most M (``tail_bound`` at
+    the cut, plus SMALLEST_SUBNORMAL per underflowed point) and weighted
+    mass at most W (``discarded_mass_bound``), an atom of kept mass mu and
+    E(|u|^2) = e gains mass m <= M, weighted mass w <= W and, by
+    Cauchy-Schwarz, |sum of mu_i u_i| <= sqrt(w m) on any longer cut.  So
+    E(|u|^2) moves by at most max(W, e M) / mu and E(u) by at most
+    (sqrt(W M) + |E(u)| M) / mu.  Each cut's own rounding is allowed on
+    top: (2 n + 4) eps times e, or times sqrt(e) for E(u), on an atom of n
+    points.  The spectrum is the set of atom means, and the polar modulus
+    is built from E(|u|^2), so both are held by the same bounds.
+
+    Each cut is a ``truncate`` of the same spec, so its points are read
+    once in all: each finer cut reads only the points past the last one.
+    """
+    eps = float(np.finfo(float).eps)
+    cuts = []
+    for tail_tol in sorted(STABILITY_TAIL_TOLS, reverse=True):
+        tr = truncate(spec, tail_tol, weighted=True)
+        T = WeightedCondExpOperator(tr.space, tr.partition, tr.symbol)
+        rep = classify(T, tol)
+        M = spec.tail_bound(tr.size) + SMALLEST_SUBNORMAL * (tr.size - tr.space.n)
+        W = tr.discarded_mass_bound
+        atoms = {}
+        for a, mu, mean, e, n in zip(
+            tr.atom_ids,
+            T.atom_mass.tolist(),
+            T.atom_mean.tolist(),
+            T.atom_sq_mean.tolist(),
+            tr.partition.atom_sizes.tolist(),
+        ):
+            # in Python floats: a bound past the float range is inf, not a warning
+            rounding = (2 * n + 4) * eps
+            atoms[a] = (
+                mean,
+                e,
+                (math.sqrt(_times(W, M)) + _times(abs(mean), M)) / mu,
+                max(W, _times(e, M)) / mu,
+                rounding * math.sqrt(e),
+                rounding * e,
+            )
+        cuts.append((tail_tol, tr.size, (rep.self_adjoint, rep.normal, rep.quasinormal), atoms))
+    moves = []
+    for i, (coarse_tol, _, _, coarse) in enumerate(cuts):
+        for fine_tol, _, _, fine in cuts[i + 1:]:
+            for atom, (m, e, m_cert, e_cert, m_round, e_round) in coarse.items():
+                fm, fe, _, _, fm_round, fe_round = fine[atom]
+                moves.append(AtomMove(
+                    atom, coarse_tol, fine_tol,
+                    abs(fm - m), m_cert + m_round + fm_round,
+                    abs(fe - e), e_cert + e_round + fe_round,
+                ))
+    return StabilityReport(
+        tail_tols=tuple(c[0] for c in cuts),
+        sizes=tuple(c[1] for c in cuts),
+        verdicts=tuple(c[2] for c in cuts),
+        moves=tuple(moves),
+    )
+
+
+def _times(a: float, b: float) -> float:
+    """a * b, where 0 times any bound, even an infinite one, is 0."""
+    return a * b if a and b else 0.0
 
 
 def domain_invariance_min_c(T: WeightedCondExpOperator) -> float:

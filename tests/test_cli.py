@@ -235,6 +235,31 @@ def test_domain_exits_1_on_a_weighted_bound_that_never_reaches_the_tolerance(cap
     assert err.startswith("error: tail bound never dropped below 1e-12")
 
 
+@pytest.mark.parametrize("theta", ["1", "1000"])
+def test_stability_command(capsys, theta):
+    code, out, err = run(capsys, "stability", "--theta", theta)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"scenario: poisson-parity  (theta={theta})"
+    assert [l.split(":")[0] for l in lines[1:4]] == [
+        f"cut at tail tol {t}" for t in ("1e-06", "1e-09", "1e-12")
+    ]
+    assert all(l.endswith("self-adjoint False, normal False, quasinormal False") for l in lines[1:4])
+    assert lines[-2:] == ["verdicts stable:            True", "means within tail bounds:   True"]
+
+
+def test_stability_exits_1_when_the_cut_moves_a_mean_too_far(capsys, monkeypatch):
+    spec = cli.poisson_parity_spec(10.0)
+    lying = dataclasses.replace(spec, weighted_tail_bound=lambda N: 1e-6 * spec.weighted_tail_bound(N))
+    monkeypatch.setattr(cli, "poisson_parity_spec", lambda theta: lying)
+    code, out, _ = run(capsys, "stability")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "verdicts stable:            True",
+        "means within tail bounds:   False",
+    ]
+
+
 def test_suite_text(capsys):
     code, out, _ = run(capsys, "suite")
     assert code == 0
@@ -296,6 +321,7 @@ FULL = ["--scenario", "full-algebra"]
         ["classify", *FULL, "--params", "n=nan"],
         ["classify", *FULL, "--params", "n=inf"],
         ["domain", "--theta", "nan"],
+        ["stability", "--theta", "0"],
         # tail_tol is no scenario parameter: the cut is measure.TAIL_TOL
         *(
             ["classify", "--scenario", "poisson-parity", "--params", f"tail_tol={v}"]

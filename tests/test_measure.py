@@ -439,6 +439,15 @@ def test_kept_points_cannot_be_written():
     assert_same_points(read_points(spec, 30), read_points(three_atom_spec(), 30))
 
 
+@pytest.mark.parametrize("weighted", [False, True])
+def test_a_cut_that_drops_underflowed_points_cannot_be_written(weighted):
+    t = truncate(poisson_spec(1000.0), 1e-12, weighted=weighted)
+    assert t.space.n < t.size  # the zero masses were dropped, so these are copies
+    for a in (t.space.masses, t.symbol.values, t.partition.atom_of):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7
+
+
 # ---------------------------------------------------------------- tail cutoff
 
 #: evaluations allowed to tail_cutoff: doubling, the cap, then bisection
