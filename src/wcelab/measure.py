@@ -72,10 +72,6 @@ class FiniteMeasureSpace:
     def n(self) -> int:
         return self.masses.size
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.masses.sum())
-
 
 @dataclass(frozen=True)
 class MFunction:

@@ -110,27 +110,14 @@ class WeightedCondExpOperator:
 
 def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T f = E(u f)."""
-    f.check_aligned(T.space)
     return cond_exp(f, T.partition, T.space, mass=T.atom_mass, times=T.symbol.values)
 
 
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
-    f.check_aligned(T.space)
-    return _conj_symbol_times(T, cond_exp(f, T.partition, T.space, mass=T.atom_mass))
-
-
-def _conj_symbol_times(T: WeightedCondExpOperator, g: MFunction) -> MFunction:
-    """conj(u) * g for a g that ``cond_exp`` just returned, which no caller
-    holds.  For complex u and g it is formed in g's own array as
-    conj(u * conj(g)): the same real products as conj(u) * g, bit for bit,
-    with no n-sized temporary.  A real u or g takes conj(u) * g."""
-    u, out = T.symbol.values, g.values
-    if u.dtype.kind != "c" or out.dtype.kind != "c":
-        return MFunction(np.conj(u) * out)
-    np.conjugate(out, out=out)
-    np.multiply(u, out, out=out)
-    return MFunction(np.conjugate(out, out=out))
+    return MFunction(
+        np.conj(T.symbol.values) * cond_exp(f, T.partition, T.space, mass=T.atom_mass).values
+    )
 
 
 @dataclass(frozen=True)
@@ -244,13 +231,12 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """|T| f = conj(u) s E(u f), with s = ``parts.atom_scale``."""
-    return _conj_symbol_times(T, apply_isometry(T, parts, f))
+    return MFunction(np.conj(T.symbol.values) * apply_isometry(T, parts, f).values)
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """U f = s E(u f), with s = ``parts.atom_scale`` applied to the atom
     values before they are gathered: it costs what ``apply`` costs."""
-    f.check_aligned(T.space)
     return cond_exp(
         f, T.partition, T.space, mass=T.atom_mass, times=T.symbol.values, scale=parts.atom_scale
     )

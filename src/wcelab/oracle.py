@@ -35,7 +35,7 @@ import numpy as np
 
 from .measure import realize
 from .operator import ClassificationReport, PolarParts, SpectrumReport, WeightedCondExpOperator
-from .operator import apply, apply_adjoint, apply_isometry, apply_modulus
+from .operator import apply, apply_isometry, apply_modulus
 
 __all__ = [
     "MATRIX_ORDER_CAP",
@@ -43,7 +43,6 @@ __all__ = [
     "NotHermitianError",
     "NotPSDError",
     "matrix_of",
-    "adjoint_matrix_of",
     "hermitian_eig",
     "psd_sqrt",
     "min_singular_value",
@@ -94,12 +93,6 @@ def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
         M.flags.writeable = False
         T.__dict__["_oracle_matrix"] = M
     return M
-
-
-def adjoint_matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
-    """Matrix of the adjoint, built from its own action (not by transposing)."""
-    _check_order(T.n)
-    return realize(T.space, lambda f: apply_adjoint(T, f))
 
 
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -297,9 +290,12 @@ class SpectrumProbeResult:
         return tuple(min_singular_value(self.matrix, p) for p in self.probe_points)
 
     def candidates_ok(self, tol: float = 1e-8) -> bool:
-        # a matrix with norm below tol is the zero operator up to
-        # tolerance; its only spectral statement is {0} and every check
-        # on it degenerates to noise ratios
+        # an overflowed ||M||_F makes every bound infinite, so no claim
+        # passes.  A matrix with norm below tol is the zero operator up to
+        # tolerance; its only spectral statement is {0} and every check on
+        # it degenerates to noise ratios
+        if not np.isfinite(self.matrix_norm):
+            return False
         if self.matrix_norm <= tol:
             return True
         bound = tol * self.matrix_norm
@@ -313,8 +309,10 @@ class SpectrumProbeResult:
         by about sqrt(eps) * ||M||_F: over ``random_operator`` seeds 0-2999
         at max_n 64 and 0-599 at max_n 256 the largest distance was
         1.3e-8 * ||M||_F.  A left-out value closer than the bound to a
-        claimed one is not seen.  Skipped, as in candidates_ok, when
-        ||M||_F <= tol."""
+        claimed one is not seen.  As in candidates_ok, False when ||M||_F
+        is not finite and skipped when ||M||_F <= tol."""
+        if not np.isfinite(self.matrix_norm):
+            return False
         if self.matrix_norm <= tol:
             return True
         return max(self.eigenvalue_distances) <= _COMPLETE * self.matrix_norm

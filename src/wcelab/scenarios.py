@@ -219,7 +219,8 @@ def load_space_file(path: str) -> Scenario:
     for all points), ``atoms`` (lists of zero-based point indices
     that must partition the index range), ``u`` (either ``values``: list of
     [re, im] pairs, or ``builtin``: one of exp_label0 / identity_label0 /
-    sign_alternating), optional ``name``.
+    sign_alternating), optional ``name``.  Every |u|^2 must be a finite
+    float, so |u| stays below about 1.34e154.
     """
     try:
         with open(path) as fh:
@@ -291,7 +292,16 @@ def load_space_file(path: str) -> Scenario:
             if not have_labels or not labels[0]:
                 raise SpaceFileError(f"builtin {builtin!r} needs nonempty point labels")
             first = np.array([lab[0] for lab in labels])
-            u = np.exp(first).astype(complex) if builtin == "exp_label0" else first.astype(complex)
+            with np.errstate(over="ignore"):
+                u = np.exp(first).astype(complex) if builtin == "exp_label0" else first.astype(complex)
+    with np.errstate(over="ignore"):
+        overflow = np.flatnonzero(~np.isfinite(np.abs(u) ** 2))
+    if overflow.size:
+        i = int(overflow[0])
+        raise SpaceFileError(
+            f"|u|^2 is not a finite float at point {i} (u = {complex(u[i])}); "
+            "|u| must stay below about 1.34e154"
+        )
 
     return Scenario(
         name=str(doc.get("name", "space-file")),

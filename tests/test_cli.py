@@ -235,7 +235,9 @@ def test_domain_exits_1_on_a_weighted_bound_that_never_reaches_the_tolerance(cap
     assert err.startswith("error: tail bound never dropped below 1e-12")
 
 
-@pytest.mark.parametrize("theta", ["1", "1000"])
+# at theta = 100000 the leading points underflow and the atoms first
+# appear in the order ('even', 'odd')
+@pytest.mark.parametrize("theta", ["1", "1000", "100000"])
 def test_stability_command(capsys, theta):
     code, out, err = run(capsys, "stability", "--theta", theta)
     assert code == 0 and err == ""
@@ -299,6 +301,20 @@ def test_space_file_schema_error_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "classify", "--space-file", str(path))
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", [["classify"], ["spectrum", "--oracle"], ["polar"]])
+def test_space_file_whose_u_squared_overflows_is_usage_error(tmp_path, capsys, command):
+    doc = {
+        "points": [{"weight": 0.5}, {"weight": 0.5}, {"weight": 1.0}],
+        "atoms": [[0, 1], [2]],
+        "u": {"values": [[1e200, 0.0], [1e200, 0.0], [2.0, 0.0]]},
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command, "--space-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: |u|^2 is not a finite float at point 0")
 
 
 def test_unknown_subcommand_exits_2():

@@ -13,6 +13,7 @@ from wcelab import scenarios
 from wcelab.condexp import BLOCK, atom_averages, atom_masses, cond_exp
 from wcelab.measure import (
     CountableSpaceSpec,
+    DimensionMismatchError,
     FiniteMeasureSpace,
     MFunction,
     NotSummableError,
@@ -145,6 +146,25 @@ def test_actions_past_one_block_match_point_level_formulas(atoms, symbol):
     got_modulus = apply_modulus(T, parts, MFunction(f)).values
     np.testing.assert_allclose(got_U, Uf, rtol=1e-14, atol=0)
     np.testing.assert_allclose(got_modulus, np.conj(u) * Uf, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("atoms", [3, None], ids=["coarse", "singletons"])
+@pytest.mark.parametrize("n", [8, BLOCK + 1])
+def test_actions_reject_a_misaligned_function(atoms, n):
+    rng = np.random.default_rng(12)
+    sp, p = _long_partition(rng, n, atoms)
+    T = WeightedCondExpOperator(sp, p, MFunction(rng.standard_normal(n)))
+    parts = polar(T, 1e-8)
+    actions = (
+        lambda f: apply(T, f),
+        lambda f: apply_adjoint(T, f),
+        lambda f: apply_isometry(T, parts, f),
+        lambda f: apply_modulus(T, parts, f),
+    )
+    for f in (MFunction(np.ones(n - 1)), MFunction(np.ones(n + 1))):
+        for action in actions:
+            with pytest.raises(DimensionMismatchError):
+                action(f)
 
 
 def _polar_reference(T, tol):

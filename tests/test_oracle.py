@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from wcelab.operator import (
     SpectrumReport,
     WeightedCondExpOperator,
     apply,
+    apply_adjoint,
     classify,
     polar,
     spectrum_formula,
@@ -20,7 +22,6 @@ from wcelab.oracle import (
     NotHermitianError,
     NotPSDError,
     OrderCapError,
-    adjoint_matrix_of,
     hermitian_eig,
     matrix_of,
     min_singular_value,
@@ -64,7 +65,7 @@ def test_adjoint_matrix_is_conjugate_transpose():
     for _ in range(10):
         T = random_operator(rng, max_n=32)
         M = matrix_of(T)
-        Ms = adjoint_matrix_of(T)
+        Ms = realize(T.space, lambda f: apply_adjoint(T, f))  # T*'s own action, not Mᴴ
         assert np.allclose(Ms, M.conj().T, atol=1e-12 * max(np.linalg.norm(M), 1.0))
 
 
@@ -482,6 +483,22 @@ def test_probe_check_on_the_zero_operator():
     assert probe.candidate_sigmas == (0.0,)
     assert probe.candidates_ok(1e-8)
     assert probe.probes_ok(1e-8)
+
+
+def test_probe_check_passes_no_claim_when_the_norm_overflows():
+    # |u|^2 = 1e400 overflows, so ||M||_F is inf and tol * ||M||_F bounds nothing
+    sp = FiniteMeasureSpace(np.array([0.5, 0.5, 1.0]))
+    u = MFunction(np.array([1e200, 1e200, 2.0], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        T = WeightedCondExpOperator(sp, Partition(np.array([0, 0, 1])), u)
+        claims = [spectrum_formula(T), SpectrumReport(values=(0j, 5 + 5j), includes_zero=True)]
+        probes = [spectrum_probe_check(T, claim) for claim in claims]
+    for probe in probes:
+        assert probe.matrix_norm == np.inf
+        assert not probe.candidates_ok(1e-8)
+        assert not probe.eigenvalues_ok(1e-8)
+        assert not probe.ok(1e-8)
 
 
 def test_bogus_value_reports_the_svd():

@@ -204,6 +204,11 @@ def test_builtin_symbols(tmp_path):
         lambda d: d["points"][0].update(weight=10**400),  # beyond float range
         lambda d: d["u"]["values"].__setitem__(0, [float("inf"), 0.0]),
         lambda d: d["u"]["values"].__setitem__(0, [1.0]),  # not a pair
+        lambda d: d["u"]["values"].__setitem__(0, [1e200, 0.0]),  # |u|^2 overflows
+        lambda d: (  # exp of a large label: |u|^2 overflows
+            d["points"][0].update(label=[400.0]),
+            d.update(u={"builtin": "exp_label0"}),
+        ),
     ],
 )
 def test_invalid_space_files_rejected(tmp_path, mutate):
