@@ -11,7 +11,7 @@ from .measure import (
     truncate,
     weighted_inner_product,
 )
-from .condexp import cond_exp, is_A_measurable, projection_matrix
+from .condexp import cond_exp, is_A_measurable
 from .operator import (
     WeightedCondExpOperator,
     apply,
@@ -37,7 +37,6 @@ __all__ = [
     "weighted_inner_product",
     "cond_exp",
     "is_A_measurable",
-    "projection_matrix",
     "WeightedCondExpOperator",
     "apply",
     "apply_adjoint",

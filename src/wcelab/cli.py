@@ -7,8 +7,9 @@ Discrepancy entries never affect the exit code; they are counted in the
 summary line instead.
 
 No command takes a tolerance: every verdict, the polar cut and every oracle
-check use ``suite.TOLERANCES["oracle"]``, and ``domain``'s certified cut uses
-``suite.TOLERANCES["tail"]``, the table that ``suite --format json`` reports.
+check use ``measure.TOLERANCES["oracle"]``, and ``domain``'s certified cut
+uses ``measure.TOLERANCES["tail"]``, the table that ``suite --format json``
+reports.
 ``stability`` cuts at each of ``operator.STABILITY_TAIL_TOLS``.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .measure import NotSummableError
+from .measure import TOLERANCES, NotSummableError
 from .operator import (
     UndecidableDomainError,
     WeightedCondExpOperator,
@@ -42,7 +43,7 @@ from .scenarios import (
     load_space_file,
     poisson_parity_spec,
 )
-from .suite import TOLERANCES, run_claim_suite
+from .suite import run_claim_suite
 
 USAGE_ERROR = 2
 TOL = TOLERANCES["oracle"]

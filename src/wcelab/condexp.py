@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DimensionMismatchError, FiniteMeasureSpace, MFunction, Partition, realize
+from .measure import DimensionMismatchError, FiniteMeasureSpace, MFunction, Partition
 
 __all__ = [
     "atom_masses",
     "atom_averages",
     "cond_exp",
-    "projection_matrix",
     "is_A_measurable",
     "MeasurabilityVerdict",
     "BLOCK",
@@ -155,15 +154,6 @@ def cond_exp(
     if scale is not None:
         avg *= scale
     return MFunction(avg[p.atom_of])
-
-
-def projection_matrix(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
-    """Matrix of the averaging projection in orthonormal coordinates.
-
-    Coordinates are e_i = delta_i / sqrt(mu_i) (see ``measure.realize``), so
-    the matrix is Hermitian and idempotent with rank equal to the atom count.
-    """
-    return realize(sp, lambda f: cond_exp(f, p, sp))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,13 @@ __all__ = [
 
 #: hard cap on the points read from a countable spec
 TRUNCATION_CAP = 200_000
-#: certified tail bound of poisson-parity's cut, the cut ``domain`` makes too
-TAIL_TOL = 1e-12
+#: every fixed tolerance, by name; ``suite --format json`` reports this table
+TOLERANCES = {
+    "identity": 1e-10,  # closed-form identities
+    "oracle": 1e-8,  # formula-vs-dense-matrix comparisons
+    "exact": 1e-12,  # exact-by-construction checks
+    "tail": 1e-12,  # certified tail bound of a countable truncation
+}
 #: the smallest positive double; a mass that rounds to 0.0 is below it
 SMALLEST_SUBNORMAL = 2.0**-1074
 #: values closer than this times their scale are rounding copies of one value

@@ -180,6 +180,8 @@ class OracleResiduals:
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     """Commutator-style residuals backing each classification verdict,
     computed once per operator and kept beside its matrix."""
+    # checked before the memo, which matrix_of is not called to read: a
+    # memo made under a higher cap is not handed out under the real one
     _check_order(T.n)
     res = T.__dict__.get("_oracle_residuals")
     if res is None:
@@ -289,7 +291,7 @@ class SpectrumProbeResult:
         read.  No verdict uses it; outside the tests only perfbench reads it."""
         return tuple(min_singular_value(self.matrix, p) for p in self.probe_points)
 
-    def candidates_ok(self, tol: float = 1e-8) -> bool:
+    def candidates_ok(self, tol: float) -> bool:
         # an overflowed ||M||_F makes every bound infinite, so no claim
         # passes.  A matrix with norm below tol is the zero operator up to
         # tolerance; its only spectral statement is {0} and every check on
@@ -301,7 +303,7 @@ class SpectrumProbeResult:
         bound = tol * self.matrix_norm
         return all(s <= bound for s in self.candidate_sigmas)
 
-    def eigenvalues_ok(self, tol: float = 1e-8) -> bool:
+    def eigenvalues_ok(self, tol: float) -> bool:
         """Completeness: every computed eigenvalue of M lies within
         _COMPLETE * ||M||_F of a claimed value, so a claim that leaves a
         value out fails.  The bound is loose because a zero-mean atom makes
@@ -317,14 +319,14 @@ class SpectrumProbeResult:
             return True
         return max(self.eigenvalue_distances) <= _COMPLETE * self.matrix_norm
 
-    def floor_applies(self, slack: float = 1e-8) -> bool:
+    def floor_applies(self, slack: float) -> bool:
         """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 is
         a theorem for normal M only: for non-normal M the pseudospectrum
         reaches beyond the spectrum.  No verdict uses it; outside the tests
         only perfbench reads it."""
         return self.normal_rel <= slack
 
-    def probes_ok(self, slack: float = 1e-8) -> bool:
+    def probes_ok(self, slack: float) -> bool:
         """The floor at every probe, where it applies; vacuously True elsewhere,
         and then no probe sigma_min is computed.  Not part of ``ok``:
         completeness already fails a claim that leaves a value out.  Outside
@@ -336,7 +338,7 @@ class SpectrumProbeResult:
             for s, d in zip(self.probe_sigmas, self.probe_distances)
         )
 
-    def ok(self, tol: float = 1e-8) -> bool:
+    def ok(self, tol: float) -> bool:
         """The spectrum verdict: every claimed value checks out (soundness)
         and every eigenvalue is claimed (completeness)."""
         return self.candidates_ok(tol) and self.eigenvalues_ok(tol)

@@ -20,7 +20,7 @@ from .measure import (
     FiniteMeasureSpace,
     MFunction,
     Partition,
-    TAIL_TOL,
+    TOLERANCES,
     truncate,
 )
 
@@ -176,9 +176,9 @@ def build_poisson_parity(theta: float) -> Scenario:
 
     The cut uses the weighted tail bound on sum mu_i |u_i|^2 (the symbol
     grows), so the densely-defined evidence survives truncation.  It is
-    made at ``measure.TAIL_TOL``, which no caller can change.
+    made at ``measure.TOLERANCES["tail"]``, which no caller can change.
     """
-    return _truncated("poisson-parity", poisson_parity_spec(theta), TAIL_TOL, weighted=True)
+    return _truncated("poisson-parity", poisson_parity_spec(theta), TOLERANCES["tail"], weighted=True)
 
 
 def geometric_blowup_spec() -> CountableSpaceSpec:

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .condexp import cond_exp
-from .measure import TAIL_TOL, MFunction
+from .measure import TOLERANCES, MFunction
 from .operator import (
     WeightedCondExpOperator,
     classify,
@@ -35,13 +35,6 @@ from .scenarios import (
 )
 
 __all__ = ["ClaimEntry", "SuiteReport", "run_claim_suite", "TOLERANCES"]
-
-TOLERANCES = {
-    "identity": 1e-10,  # closed-form identities
-    "oracle": 1e-8,  # formula-vs-dense-matrix comparisons
-    "exact": 1e-12,  # exact-by-construction checks
-    "tail": TAIL_TOL,  # certified tail bound of a countable truncation
-}
 
 STATUSES = ("pass", "fail", "discrepancy")
 

@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -236,18 +237,23 @@ def test_domain_exits_1_on_a_weighted_bound_that_never_reaches_the_tolerance(cap
 
 
 # at theta = 100000 the leading points underflow and the atoms first
-# appear in the order ('even', 'odd')
-@pytest.mark.parametrize("theta", ["1", "1000", "100000"])
+# appear in the order ('even', 'odd').  At theta = 0.001 the 1e-6 cut keeps
+# x = 0, 1, 2, one point per atom, so every atom reads normal; the 1e-9 cut
+# adds x = 3 to the odd atom, which then does not: the cut decides the verdict
+@pytest.mark.parametrize("theta", ["0.001", "1", "1000", "100000"])
 def test_stability_command(capsys, theta):
     code, out, err = run(capsys, "stability", "--theta", theta)
-    assert code == 0 and err == ""
+    stable = theta != "0.001"
+    assert code == (0 if stable else 1) and err == ""
     lines = out.splitlines()
     assert lines[0] == f"scenario: poisson-parity  (theta={theta})"
     assert [l.split(":")[0] for l in lines[1:4]] == [
         f"cut at tail tol {t}" for t in ("1e-06", "1e-09", "1e-12")
     ]
-    assert all(l.endswith("self-adjoint False, normal False, quasinormal False") for l in lines[1:4])
-    assert lines[-2:] == ["verdicts stable:            True", "means within tail bounds:   True"]
+    no = "self-adjoint False, normal False, quasinormal False"
+    first = no if stable else "self-adjoint True, normal True, quasinormal True"
+    assert [l.split(" points, ")[1] for l in lines[1:4]] == [first, no, no]
+    assert lines[-2:] == [f"verdicts stable:            {stable}", "means within tail bounds:   True"]
 
 
 def test_stability_exits_1_when_the_cut_moves_a_mean_too_far(capsys, monkeypatch):
@@ -338,7 +344,7 @@ FULL = ["--scenario", "full-algebra"]
         ["classify", *FULL, "--params", "n=inf"],
         ["domain", "--theta", "nan"],
         ["stability", "--theta", "0"],
-        # tail_tol is no scenario parameter: the cut is measure.TAIL_TOL
+        # tail_tol is no scenario parameter: the cut is measure.TOLERANCES["tail"]
         *(
             ["classify", "--scenario", "poisson-parity", "--params", f"tail_tol={v}"]
             for v in ("0", "-1", "nan", "inf")
@@ -583,3 +589,20 @@ def test_a_session_matches_fresh_parsers(capsys, monkeypatch):
 
 def test_build_parser_returns_a_new_parser():
     assert cli.build_parser() is not cli.build_parser()
+
+
+def _readme_cli_examples():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("wcelab ")]
+
+
+def test_readme_lists_its_cli_examples():
+    # an empty list would leave the test below with no case to run
+    assert _readme_cli_examples()
+
+
+@pytest.mark.parametrize("line", _readme_cli_examples())
+def test_readme_cli_example_exits_0(capsys, line):
+    code, _, err = run(capsys, *shlex.split(line)[1:])
+    assert code == 0 and err == ""

@@ -9,13 +9,13 @@ from wcelab.condexp import (
     atom_masses,
     cond_exp,
     is_A_measurable,
-    projection_matrix,
 )
 from wcelab.measure import (
     DimensionMismatchError,
     FiniteMeasureSpace,
     MFunction,
     Partition,
+    realize,
     weighted_inner_product,
 )
 
@@ -300,7 +300,7 @@ def test_projection_matrix_hermitian_idempotent_and_ranked():
     rng = np.random.default_rng(7)
     for _ in range(5):
         sp, p, _ = random_instance(rng, n=int(rng.integers(3, 20)))
-        P = projection_matrix(p, sp)
+        P = realize(sp, lambda f: cond_exp(f, p, sp))
         assert np.allclose(P, P.conj().T, atol=1e-12)
         assert np.allclose(P @ P, P, atol=1e-12)
         assert round(float(np.trace(P).real)) == p.atom_count
@@ -309,7 +309,7 @@ def test_projection_matrix_hermitian_idempotent_and_ranked():
 def test_projection_matrix_matches_cond_exp_action():
     rng = np.random.default_rng(8)
     sp, p, f = random_instance(rng, n=15)
-    P = projection_matrix(p, sp)
+    P = realize(sp, lambda f: cond_exp(f, p, sp))
     # coordinates: c_i = f_i sqrt(mu_i)
     coords = f.values * np.sqrt(sp.masses)
     via_matrix = (P @ coords) / np.sqrt(sp.masses)

@@ -23,8 +23,6 @@ from wcelab.measure import (
     weighted_inner_product,
 )
 from wcelab.operator import (
-    ClassificationReport,
-    InternalInconsistencyError,
     UndecidableDomainError,
     WeightedCondExpOperator,
     apply,
@@ -165,6 +163,19 @@ def test_actions_reject_a_misaligned_function(atoms, n):
         for action in actions:
             with pytest.raises(DimensionMismatchError):
                 action(f)
+
+
+@pytest.mark.parametrize("atoms", [3, None], ids=["coarse", "singletons"])
+@pytest.mark.parametrize("n", [8, BLOCK + 1])
+def test_construction_rejects_a_misaligned_symbol_or_partition(atoms, n):
+    rng = np.random.default_rng(13)
+    sp, p = _long_partition(rng, n, atoms)
+    for m in (n - 1, n + 1):
+        with pytest.raises(DimensionMismatchError):
+            WeightedCondExpOperator(sp, p, MFunction(np.ones(m)))
+        bad = Partition(np.arange(m) if atoms is None else np.arange(m) % atoms)
+        with pytest.raises(DimensionMismatchError):
+            WeightedCondExpOperator(sp, bad, MFunction(np.ones(n)))
 
 
 def _polar_reference(T, tol):
@@ -313,33 +324,12 @@ def test_classify_zero_mean_delegates_to_oracle():
     assert not rep.normal
 
 
-def test_report_ordering_enforced():
-    with pytest.raises(InternalInconsistencyError):
-        ClassificationReport(
-            self_adjoint=True,
-            normal=False,
-            quasinormal=True,
-            residuals={},
-            witnesses={},
-            quasinormal_source="formula",
-        )
-    with pytest.raises(InternalInconsistencyError):
-        ClassificationReport(
-            self_adjoint=False,
-            normal=True,
-            quasinormal=False,
-            residuals={},
-            witnesses={},
-            quasinormal_source="formula",
-        )
-
-
 @given(seeds)
 @settings(max_examples=80, deadline=None)
 def test_classify_ordering_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     T = random_operator(rng, max_n=32)
-    rep = classify(T, 1e-8)  # raises InternalInconsistencyError on violation
+    rep = classify(T, 1e-8)
     if rep.self_adjoint:
         assert rep.normal
     if rep.normal:

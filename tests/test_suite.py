@@ -4,7 +4,7 @@ import math
 import pytest
 
 from claim_ids import EXPECTED_CLAIM_IDS
-from wcelab import operator, suite
+from wcelab import measure, operator, suite
 from wcelab.measure import ess_range
 from wcelab.suite import run_claim_suite
 
@@ -94,6 +94,7 @@ def test_zero_inclusion_noted_not_failed():
 def test_json_round_trip():
     doc = json.loads(REPORT.to_json())
     assert doc["tolerances"] == suite.TOLERANCES
+    assert suite.TOLERANCES is measure.TOLERANCES
     assert doc["summary"] == REPORT.counts()
     assert len(doc["entries"]) == len(REPORT.entries)
     ids = {e["claim_id"] for e in doc["entries"]}
