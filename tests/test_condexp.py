@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,19 +259,63 @@ def test_blocked_averages_equal_one_full_array_bincount(n, m):
     sp, p = _blocked_instance(rng, n, m)
     f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     zero_mean = MFunction(f.values - cond_exp(f, p, sp).values)
+    constant = MFunction((rng.standard_normal(m) + 1j * rng.standard_normal(m))[p.atom_of])
     real = MFunction(f.values.real.copy())
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     mass = atom_masses(p, sp)
-    for g in (f, zero_mean, real):
+    for g in (f, zero_mean, constant, real):
         avg = atom_averages(g, p, sp)
         assert avg.tobytes() == _full_array_reference(g.values, p, sp).tobytes()
         assert avg.tobytes() == atom_averages(g, p, sp, mass=mass).tobytes()
         for times in (u, u.real.copy()):
             product = atom_averages(MFunction(times * g.values), p, sp)
             assert atom_averages(g, p, sp, mass=mass, times=times).tobytes() == product.tobytes()
+        var = _full_array_reference(np.abs(g.values - avg[p.atom_of]) ** 2, p, sp)
+        dev = np.sqrt(np.maximum(var, 0.0))
+        verdict = is_A_measurable(g, p, sp, 1e-8)
+        assert np.float64(verdict.max_deviation).tobytes() == dev.max().tobytes()
+        assert verdict.worst_atom == int(np.argmax(dev))
     np.testing.assert_array_equal(
         atom_averages(real, p, sp), atom_averages(MFunction(real.values.astype(complex)), p, sp)
     )
+
+
+def test_blocked_sums_keep_an_infinite_part_to_itself():
+    """mu * Re(f) and mu * Im(f) are real products, so an infinite part
+    puts no 0 * inf into the other part's sum."""
+    n = BLOCK + 1
+    rng = np.random.default_rng(11)
+    sp, p = _blocked_instance(rng, n, 16)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shared = np.flatnonzero(np.bincount(p.atom_of)[p.atom_of] > 1)
+    values[shared[0]], values[shared[-1]] = np.inf, complex(0.0, -np.inf)
+    avg = atom_averages(MFunction(values), p, sp)
+    assert avg.tobytes() == _full_array_reference(values, p, sp).tobytes()
+
+
+@pytest.mark.parametrize("m", [16, 10**4])
+def test_long_inputs_make_no_point_sized_temporaries(m):
+    """numpy reports its buffers to tracemalloc; at 8 * BLOCK points one
+    complex n-sized array alone takes 4 MiB."""
+    n = 8 * BLOCK
+    rng = np.random.default_rng(m)
+    sp, p = _blocked_instance(rng, n, m)
+    f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    calls = (
+        lambda: is_A_measurable(f, p, sp, 1e-8),
+        lambda: atom_averages(f, p, sp),
+        lambda: atom_averages(f, p, sp, times=u),
+    )
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [8, BLOCK + 1])
