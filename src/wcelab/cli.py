@@ -23,6 +23,7 @@ import numpy as np
 
 from .measure import TOLERANCES, NotSummableError
 from .operator import (
+    STABILITY_TAIL_TOLS,
     UndecidableDomainError,
     WeightedCondExpOperator,
     classify,
@@ -181,9 +182,9 @@ def cmd_domain(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    rep = truncation_stability(poisson_parity_spec(args.theta), TOL)
+    rep = truncation_stability(poisson_parity_spec(args.theta))
     print(f"scenario: {args.scenario}  (theta={args.theta:g})")
-    for tail_tol, size, (sa, normal, quasi) in zip(rep.tail_tols, rep.sizes, rep.verdicts):
+    for tail_tol, size, (sa, normal, quasi) in zip(STABILITY_TAIL_TOLS, rep.sizes, rep.verdicts):
         print(
             f"cut at tail tol {tail_tol:.0e}: {size} points, self-adjoint {sa}, "
             f"normal {normal}, quasinormal {quasi}"
@@ -226,7 +227,10 @@ def cmd_oracle_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process, since building it
+    costs more than most commands; each parse still makes a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="wcelab",
         description=(
@@ -282,16 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses: built once per process, since building it
-    costs more than most commands; each parse still makes a fresh Namespace."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
     # argparse exits with code 2 on usage errors already
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

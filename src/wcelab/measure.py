@@ -122,7 +122,11 @@ class Partition:
     singleton_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        atom_of = np.asarray(self.atom_of, dtype=int)
+        atom_of = np.asarray(self.atom_of)
+        if atom_of.dtype.kind == "f":  # astype would truncate a fractional label into an atom
+            if not (np.isfinite(atom_of) & (np.floor(atom_of) == atom_of)).all():
+                raise ValueError("atom indices must be whole numbers")
+        atom_of = atom_of.astype(int, copy=False)
         object.__setattr__(self, "atom_of", atom_of)
         if atom_of.ndim != 1 or atom_of.size < 1:
             raise ValueError("atom_of must be a nonempty 1-d index array")

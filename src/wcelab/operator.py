@@ -19,6 +19,7 @@ from .condexp import atom_averages, atom_masses, cond_exp, is_A_measurable
 from .measure import (
     ROUNDING_GAP,
     SMALLEST_SUBNORMAL,
+    TOLERANCES,
     TRUNCATION_CAP,
     CountableSpaceSpec,
     FiniteMeasureSpace,
@@ -391,8 +392,7 @@ class AtomMove:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    tail_tols: tuple[float, ...]
-    sizes: tuple[int, ...]  # points read by each cut
+    sizes: tuple[int, ...]  # points read by each cut, at each of STABILITY_TAIL_TOLS
     verdicts: tuple[tuple[bool, bool, bool], ...]  # self-adjoint, normal, quasinormal per cut
     moves: tuple[AtomMove, ...]  # every atom of every cut, against each finer cut
 
@@ -409,11 +409,12 @@ class StabilityReport:
         return self.verdicts_stable and self.means_within_bounds
 
 
-def truncation_stability(spec: CountableSpaceSpec, tol: float) -> StabilityReport:
+def truncation_stability(spec: CountableSpaceSpec) -> StabilityReport:
     """Classify the weighted cuts of one countable space at each tail
-    tolerance of STABILITY_TAIL_TOLS, coarse to fine, and check that the cut does not decide the
-    answer: the verdicts agree, and from each cut to every finer one each
-    atom's E(u) and E(|u|^2) move by no more than the coarse cut certifies.
+    tolerance of STABILITY_TAIL_TOLS, coarse to fine, at TOLERANCES["oracle"],
+    and check that the cut does not decide the answer: the verdicts agree,
+    and from each cut to every finer one each atom's E(u) and E(|u|^2) move
+    by no more than the coarse cut certifies.
 
     On a cut whose dropped points carry mass at most M (``tail_bound`` at
     the cut, plus SMALLEST_SUBNORMAL per underflowed point) and weighted
@@ -434,7 +435,7 @@ def truncation_stability(spec: CountableSpaceSpec, tol: float) -> StabilityRepor
     for tail_tol in STABILITY_TAIL_TOLS:
         tr = truncate(spec, tail_tol, weighted=True)
         T = WeightedCondExpOperator(tr.space, tr.partition, tr.symbol)
-        rep = classify(T, tol)
+        rep = classify(T, TOLERANCES["oracle"])
         M = spec.tail_bound(tr.size) + SMALLEST_SUBNORMAL * (tr.size - tr.space.n)
         W = tr.discarded_mass_bound
         atoms = {}
@@ -467,7 +468,6 @@ def truncation_stability(spec: CountableSpaceSpec, tol: float) -> StabilityRepor
                     abs(fe - e), e_cert + e_round + fe_round,
                 ))
     return StabilityReport(
-        tail_tols=tuple(c[0] for c in cuts),
         sizes=tuple(c[1] for c in cuts),
         verdicts=tuple(c[2] for c in cuts),
         moves=tuple(moves),

@@ -7,9 +7,7 @@ symbol-average formulas.  ``matrix_of`` realizes M once per operator
 instance and hands every later caller the same read-only array, and
 ``residuals`` is kept beside it, so the checks on one operator share one
 realization.  ``spectrum_probe_check`` takes ||M||_F itself and forms no
-commutator products; the ``normal_rel`` on its result is read from the
-``residuals`` memo on first access, and only perfbench and the tests read
-it.  No computed eigenvalue is taken on trust.  A
+commutator products.  No computed eigenvalue is taken on trust.  A
 claimed spectral value is certified by a witness vector x, since
 sigma_min(M - lambda I) <= ||(M - lambda I) x|| for any unit x: one general
 eigendecomposition per check proposes the trial vectors, the residuals are
@@ -33,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .measure import realize
+from .measure import TOLERANCES, realize
 from .operator import ClassificationReport, PolarParts, SpectrumReport, WeightedCondExpOperator
 from .operator import apply, apply_isometry, apply_modulus
 
@@ -54,6 +52,7 @@ __all__ = [
 ]
 
 MATRIX_ORDER_CAP = 256
+# the oracle's own thresholds; every other one is read from TOLERANCES
 _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
 _WITNESS_ACCEPT = 1e-12  # largest witness residual reported without an SVD, relative to ||M||_F
 _COMPLETE = 1e-6  # largest eigenvalue distance to a claimed value, relative to ||M||_F
@@ -220,7 +219,11 @@ def polar_check(
     # not residuals(T).matrix_norm: where polar is checked alone (``wcelab
     # polar``) that would add the O(n^3) commutators for an O(n^2) norm
     norm = max(float(np.linalg.norm(M)), 1e-300)
-    ok = recon <= 1e-10 * norm and sqrt_err <= 1e-8 * norm and off_sq <= tol * atoms_off
+    ok = (
+        recon <= TOLERANCES["identity"] * norm
+        and sqrt_err <= TOLERANCES["oracle"] * norm
+        and off_sq <= tol * atoms_off
+    )
     return recon, sqrt_err, ok
 
 
@@ -265,25 +268,17 @@ class SpectrumProbeResult:
     candidate_sigmas: tuple[float, ...]
     # each computed eigenvalue's distance to the nearest claimed value (see _eig_checks)
     eigenvalue_distances: tuple[float, ...]
-    # probe_points, probe_distances, normal_rel, probe_sigmas, floor_applies
-    # and probes_ok belong to the probe floor, which no verdict of the
-    # library, the CLI or the suite uses; outside the tests only the
-    # benchmark in perfbench/ reads them, and they go with the benchmark
-    # change that releases its pins (ROADMAP item 1).  matrix_norm is
-    # ||M||_F, taken by the check itself; the check forms no commutator
-    # products, and normal_rel reads the residuals memo on first access
+    # probe_points, probe_distances, probe_sigmas and probes_ok belong to
+    # the probe floor, which no verdict of the library, the CLI or the suite
+    # uses; outside the tests only the benchmark in perfbench/ reads them,
+    # and they go with the benchmark change that releases its pins (ROADMAP
+    # item 1).  matrix_norm is ||M||_F, taken by the check itself, which
+    # forms no commutator products
     probe_points: tuple[complex, ...]
     probe_distances: tuple[float, ...]  # distance of each probe to the claimed set
     matrix_norm: float
     matrix: np.ndarray = field(repr=False, compare=False)
     operator: WeightedCondExpOperator = field(repr=False, compare=False)
-
-    @cached_property
-    def normal_rel(self) -> float:
-        """||M*M - MM*||_F / ||M||_F^2, ``residuals(operator).normal_rel``,
-        formed on first read unless the memo already holds it.  No verdict
-        uses it; outside the tests only perfbench reads it."""
-        return residuals(self.operator).normal_rel
 
     @cached_property
     def probe_sigmas(self) -> tuple[float, ...]:
@@ -319,19 +314,15 @@ class SpectrumProbeResult:
             return True
         return max(self.eigenvalue_distances) <= _COMPLETE * self.matrix_norm
 
-    def floor_applies(self, slack: float) -> bool:
-        """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 is
-        a theorem for normal M only: for non-normal M the pseudospectrum
-        reaches beyond the spectrum.  No verdict uses it; outside the tests
-        only perfbench reads it."""
-        return self.normal_rel <= slack
-
     def probes_ok(self, slack: float) -> bool:
-        """The floor at every probe, where it applies; vacuously True elsewhere,
-        and then no probe sigma_min is computed.  Not part of ``ok``:
-        completeness already fails a claim that leaves a value out.  Outside
-        the tests only perfbench reads it."""
-        if self.matrix_norm <= slack or not self.floor_applies(slack):
+        """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 at
+        every probe, where it applies: it is a theorem for normal M only,
+        since for non-normal M the pseudospectrum reaches beyond the
+        spectrum.  Vacuously True elsewhere, and then no probe sigma_min is
+        computed.  Not part of ``ok``: completeness already fails a claim
+        that leaves a value out.  Outside the tests only perfbench reads it."""
+        # not ... <=: a NaN residual skips the floor
+        if self.matrix_norm <= slack or not residuals(self.operator).normal_rel <= slack:
             return True
         return all(
             s >= d / 2.0 - slack
@@ -351,12 +342,11 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
     eigenvector witness from one eigendecomposition of M, and every
     eigenvalue of that decomposition must lie near a claimed value
     (``_eig_checks``).  It takes ||M||_F itself and forms no commutator
-    products: ``normal_rel`` on the result is read from the ``residuals``
-    memo on first access, and only perfbench and the tests read it.  The
-    result also carries probe points, at midpoints between sorted claimed
-    values and at four random points outside their convex hull (the
-    draws of a seed-0 generator, so every call on the same input probes
-    alike), and their distances to the claimed set; no verdict reads them.
+    products.  The result also carries probe points, at midpoints between
+    sorted claimed values and at four random points outside their convex
+    hull (the draws of a seed-0 generator, so every call on the same input
+    probes alike), and their distances to the claimed set; no verdict
+    reads them.
     """
     M = matrix_of(T)
     norm = float(np.linalg.norm(M))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -57,7 +57,6 @@ class Scenario:
     space: FiniteMeasureSpace
     partition: Partition
     symbol: MFunction
-    countable_spec: CountableSpaceSpec | None = field(default=None, repr=False)
 
 
 def _uniform(name: str, atom_of, symbol=None, labels=None) -> Scenario:
@@ -127,9 +126,9 @@ def build_symmetric_interval(N: int) -> Scenario:
 
 def _truncated(name: str, spec: CountableSpaceSpec, tail_tol: float, weighted: bool) -> Scenario:
     """The first points of a countable space, cut where the (weighted) tail
-    bound drops below tail_tol; the spec rides along for domain questions."""
+    bound drops below tail_tol."""
     trunc = truncate(spec, tail_tol, weighted=weighted)
-    return Scenario(name, trunc.space, trunc.partition, trunc.symbol, countable_spec=spec)
+    return Scenario(name, trunc.space, trunc.partition, trunc.symbol)
 
 
 def _poisson_mass(theta: float, x: int) -> float:
@@ -220,7 +219,10 @@ def load_space_file(path: str) -> Scenario:
     that must partition the index range), ``u`` (either ``values``: list of
     [re, im] pairs, or ``builtin``: one of exp_label0 / identity_label0 /
     sign_alternating), optional ``name``.  Every |u|^2 must be a finite
-    float, so |u| stays below about 1.34e154.
+    float, so |u| stays below about 1.34e154, and so must the sums of the
+    weights and of weight * |u|^2 over all points; since
+    weight * |u| <= (weight + weight * |u|^2) / 2, every sum the closed forms
+    take is then finite too.
     """
     try:
         with open(path) as fh:
@@ -294,20 +296,24 @@ def load_space_file(path: str) -> Scenario:
             first = np.array([lab[0] for lab in labels])
             with np.errstate(over="ignore"):
                 u = np.exp(first).astype(complex) if builtin == "exp_label0" else first.astype(complex)
+    masses = np.array(masses)
     with np.errstate(over="ignore"):
-        overflow = np.flatnonzero(~np.isfinite(np.abs(u) ** 2))
+        u_sq = np.abs(u) ** 2
+        overflow = np.flatnonzero(~np.isfinite(u_sq))
+        sums = (masses.sum(), (masses * u_sq).sum())
     if overflow.size:
         i = int(overflow[0])
         raise SpaceFileError(
             f"|u|^2 is not a finite float at point {i} (u = {complex(u[i])}); "
             "|u| must stay below about 1.34e154"
         )
+    for what, total in zip(("the weights", "weight * |u|^2"), sums):
+        if not np.isfinite(total):
+            raise SpaceFileError(f"the sum of {what} over all points is not a finite float")
 
     return Scenario(
         name=str(doc.get("name", "space-file")),
-        space=FiniteMeasureSpace(
-            np.array(masses), labels=np.array(labels) if have_labels else None
-        ),
+        space=FiniteMeasureSpace(masses, labels=np.array(labels) if have_labels else None),
         partition=partition,
         symbol=MFunction(u),
     )
@@ -337,13 +343,11 @@ def build_scenario(name: str, overrides: dict[str, float | int] | None = None) -
                 f"scenario {name!r} takes parameters {sorted(defaults)}, not {key!r}"
             )
         params[key] = value
-    # integer parameters stay integers after CLI parsing; float ones must
-    # be positive and finite
+    # integer parameters stay integers after CLI parsing; the builders
+    # check the range of every parameter
     for key, default in defaults.items():
         if isinstance(default, int):
             if not float(params[key]).is_integer():
                 raise ScenarioParameterError(f"{key} must be an integer, got {params[key]}")
             params[key] = int(params[key])
-        elif not (math.isfinite(params[key]) and params[key] > 0):
-            raise ScenarioParameterError(f"{key} must be positive and finite, got {params[key]}")
     return builder(**params)

@@ -311,16 +311,23 @@ def test_space_file_schema_error_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["classify"], ["spectrum", "--oracle"], ["polar"]])
 def test_space_file_whose_u_squared_overflows_is_usage_error(tmp_path, capsys, command):
-    doc = {
-        "points": [{"weight": 0.5}, {"weight": 0.5}, {"weight": 1.0}],
-        "atoms": [[0, 1], [2]],
-        "u": {"values": [[1e200, 0.0], [1e200, 0.0], [2.0, 0.0]]},
-    }
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, *command, "--space-file", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("error: |u|^2 is not a finite float at point 0")
+    for weights, u, error in (
+        ((0.5, 0.5, 1.0), (1e200, 1e200, 2.0), "|u|^2 is not a finite float at point 0"),
+        # the total weight overflows
+        ((1e308, 1e308, 1.0), (1.0, 2.0, 3.0), "the sum of the weights over all points"),
+        # the total weight is finite, but weight * |u|^2 overflows
+        ((1e300, 1e300, 1.0), (1e5, 2e5, 3.0), "the sum of weight * |u|^2 over all points"),
+    ):
+        doc = {
+            "points": [{"weight": w} for w in weights],
+            "atoms": [[0, 1], [2]],
+            "u": {"values": [[x, 0.0] for x in u]},
+        }
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *command, "--space-file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {error}")
 
 
 def test_unknown_subcommand_exits_2():
@@ -491,7 +498,7 @@ def test_no_verdict_reads_the_probe_floor(capsys, monkeypatch):
     def unread(self, *args):
         raise AssertionError("the probe floor was read")
 
-    for name in ("probe_sigmas", "probes_ok", "floor_applies", "normal_rel"):
+    for name in ("probe_sigmas", "probes_ok"):
         monkeypatch.setattr(oracle.SpectrumProbeResult, name, property(unread))
     for argv, last in (
         (["spectrum", "--oracle", "--scenario", "full-algebra"], "oracle verdict: pass"),
@@ -575,8 +582,8 @@ def run_session(capsys):
 
 def test_a_session_matches_fresh_parsers(capsys, monkeypatch):
     cached = run_session(capsys)
-    assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
     fresh = run_session(capsys)
     assert cached == fresh
     assert [code for code, _, _ in cached] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 0, 0, 0, 0]
@@ -585,10 +592,6 @@ def test_a_session_matches_fresh_parsers(capsys, monkeypatch):
     assert "(n=5," in cached[2][1] and "(n=5," not in cached[3][1]
     assert "invalid choice: 'no-such-scenario'" in cached[5][2]
     assert cached[7][2] == "" and "verdict: pass" in cached[7][1]
-
-
-def test_build_parser_returns_a_new_parser():
-    assert cli.build_parser() is not cli.build_parser()
 
 
 def _readme_cli_examples():

@@ -72,3 +72,23 @@ def test_a_small_non_constant_symbol_is_not_normal():
     instance = _small_symbol(Fraction(1, 10**9))
     rep = classify(_operator(*instance), 1e-8)
     assert (rep.self_adjoint, rep.normal, rep.quasinormal) == exact_oracle.verdicts(*instance)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="averages over subnormal masses lose u's variation")
+def test_subnormal_masses_keep_a_non_constant_symbol_non_normal():
+    # at masses of 1e-310 the verdict holds, but the atom deviation already
+    # reads 0.12500000000006484 for 0.125
+    instance = [Fraction(5e-324)] * 2, [0, 0], [(Fraction(1), Fraction(0)), (Fraction(5, 4), Fraction(0))]
+    rep = classify(_operator(*instance), 1e-8)
+    assert (rep.self_adjoint, rep.normal, rep.quasinormal) == exact_oracle.verdicts(*instance)
+
+
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="quasinormal_rel cubes ||M||_F as a Python float")
+def test_dense_verdicts_on_a_large_symbol_match_the_exact_ones():
+    # u = c (1, 2, 3) on atoms {0, 1}, {2}, with |u| below the 1.34e154
+    # that space files accept; the quasinormal residual already reads inf
+    # for some c between 1e40 and 1e60
+    c = Fraction(10**103)
+    instance = [Fraction(1, 2), Fraction(1, 2), Fraction(1)], [0, 0, 1], [(k * c, Fraction(0)) for k in (1, 2, 3)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert residuals(_operator(*instance)).verdicts(1e-8) == exact_oracle.verdicts(*instance)

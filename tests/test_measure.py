@@ -53,6 +53,16 @@ def test_partition_requires_contiguous_atoms():
             Partition(np.array(atom_of))
 
 
+def test_partition_rejects_fractional_atom_labels():
+    # from_blocks rejects non-integer indices; a label array must not
+    # truncate them into atoms either
+    for atom_of in ([0, 1.5, 2.7], [0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="atom indices must be whole numbers"):
+            Partition(np.array(atom_of))
+    p = Partition(np.array([0.0, 1.0, 1.0]))
+    assert p.atom_of.dtype == int and p.atom_of.tolist() == [0, 1, 1]
+
+
 @pytest.mark.parametrize(
     "atom_of, points",
     [([0, 1, 2], []), ([1, 0, 1, 2], [1, 3]), ([0, 0, 1, 1], [])],

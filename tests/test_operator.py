@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wcelab import operator as operator_module
-from wcelab import scenarios
 from wcelab.condexp import BLOCK, atom_averages, atom_masses, cond_exp
 from wcelab.measure import (
     CountableSpaceSpec,
@@ -45,7 +44,6 @@ from wcelab.scenarios import (
     geometric_blowup_spec,
     poisson_parity_spec,
 )
-from wcelab.suite import TOLERANCES
 
 seeds = st.integers(min_value=0, max_value=10_000)
 
@@ -777,31 +775,16 @@ def test_two_divergence_witnesses_read_each_point_once():
     assert calls == {"mass_at": 42, "symbol_at": 42, "atom_of": 42}
 
 
-def test_densely_defined_after_a_built_scenario_reads_no_point(monkeypatch):
-    specs = []
-
-    def counted_spec(theta):
-        specs.append(counting(poisson_parity_spec(theta)))
-        return specs[-1][0]
-
-    monkeypatch.setattr(scenarios, "poisson_parity_spec", counted_spec)
-    sc = scenarios.build_poisson_parity(1.0)
-    [(spec, calls)] = specs
-    assert sc.countable_spec is spec
-    assert calls == dict.fromkeys(calls, sc.space.n)  # the scenario's own cut
-    assert densely_defined(spec, TOLERANCES["tail"]).densely_defined
-    assert calls == dict.fromkeys(calls, sc.space.n)
-
-
 @pytest.mark.parametrize("theta", [1.0, 10.0, 100.0, 700.0, 1000.0])
 def test_poisson_parity_is_stable_in_the_truncation(theta):
-    rep = truncation_stability(poisson_parity_spec(theta), 1e-8)
-    assert rep.tail_tols == (1e-6, 1e-9, 1e-12)
-    cuts = [truncate(poisson_parity_spec(theta), t, weighted=True) for t in rep.tail_tols]
+    rep = truncation_stability(poisson_parity_spec(theta))
+    tols = operator_module.STABILITY_TAIL_TOLS
+    assert tols == (1e-6, 1e-9, 1e-12)
+    cuts = [truncate(poisson_parity_spec(theta), t, weighted=True) for t in tols]
     assert rep.sizes == tuple(c.size for c in cuts)
     assert rep.verdicts == ((False, False, False),) * 3
     assert [(m.atom, m.coarse_tol, m.fine_tol) for m in rep.moves] == [
-        (a, rep.tail_tols[i], rep.tail_tols[j])
+        (a, tols[i], tols[j])
         for i in range(3)
         for j in range(i + 1, 3)
         for a in cuts[i].atom_ids
@@ -812,7 +795,7 @@ def test_poisson_parity_is_stable_in_the_truncation(theta):
 def test_stability_bounds_hold_against_a_much_finer_cut(monkeypatch):
     # the coarse cut's bound covers any longer cut, here one at 1e-15
     monkeypatch.setattr(operator_module, "STABILITY_TAIL_TOLS", (1e-3, 1e-15))
-    rep = truncation_stability(poisson_parity_spec(10.0), 1e-8)
+    rep = truncation_stability(poisson_parity_spec(10.0))
     assert rep.sizes[0] < rep.sizes[1]
     assert rep.means_within_bounds
     assert max(m.sq_mean_move for m in rep.moves) > 1e-6  # the cut at 1e-3 moved
@@ -820,7 +803,7 @@ def test_stability_bounds_hold_against_a_much_finer_cut(monkeypatch):
 
 def test_truncation_stability_reads_each_point_once():
     spec, calls = counting(poisson_parity_spec(1000.0))
-    rep = truncation_stability(spec, 1e-8)
+    rep = truncation_stability(spec)
     assert calls == dict.fromkeys(calls, max(rep.sizes))
     assert densely_defined(spec, 1e-12).densely_defined  # the finest cut again
     assert calls == dict.fromkeys(calls, max(rep.sizes))
@@ -829,10 +812,10 @@ def test_truncation_stability_reads_each_point_once():
 def test_a_weighted_bound_that_under_reports_moves_the_means_too_far():
     spec = poisson_parity_spec(10.0)
     lying = dataclasses.replace(spec, weighted_tail_bound=lambda N: 1e-6 * spec.weighted_tail_bound(N))
-    rep = truncation_stability(lying, 1e-8)
+    rep = truncation_stability(lying)
     assert rep.verdicts_stable
     assert not rep.means_within_bounds and not rep.stable
-    assert truncation_stability(spec, 1e-8).stable
+    assert truncation_stability(spec).stable
 
 
 def test_an_infinite_mass_bound_certifies_only_through_the_weighted_bound():
@@ -846,7 +829,7 @@ def test_an_infinite_mass_bound_certifies_only_through_the_weighted_bound():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = truncation_stability(spec, 1e-8)
+        rep = truncation_stability(spec)
     assert rep.stable
     for m in rep.moves:
         assert m.mean_allowed == math.inf
@@ -862,7 +845,7 @@ def test_a_verdict_the_cut_decides_is_not_stable():
         symbol_at=lambda i: 1.0 if i < 40 else 2.0,
         weighted_tail_bound=lambda N: 4.0 * 2.0 ** (-N),
     )
-    rep = truncation_stability(spec, 1e-8)
+    rep = truncation_stability(spec)
     assert rep.sizes[0] < 40 < rep.sizes[-1]
     assert rep.verdicts[0] == (True, True, True) and rep.verdicts[-1] == (False, False, False)
     assert rep.means_within_bounds

@@ -16,6 +16,7 @@ from wcelab.scenarios import (
     build_scenario,
     build_symmetric_interval,
     build_trivial_algebra,
+    geometric_blowup_spec,
     load_space_file,
     poisson_parity_spec,
 )
@@ -92,9 +93,8 @@ def test_symmetric_interval_averaging_identities_exact():
 
 def test_poisson_truncation_and_atoms():
     sc = build_poisson_parity(1.0)
-    assert sc.countable_spec is not None
     # atom of point i follows parity with 0 split off
-    spec = sc.countable_spec
+    spec = poisson_parity_spec(1.0)
     assert spec.atom_of(0) == "zero"
     assert spec.atom_of(3) == "odd"
     assert spec.atom_of(4) == "even"
@@ -118,7 +118,7 @@ def test_poisson_tail_bounds_are_honest():
 def test_geometric_blowup_scenario():
     sc = build_geometric_blowup()
     assert sc.partition.atom_count == 1
-    spec = sc.countable_spec
+    spec = geometric_blowup_spec()
     assert "all" in spec.divergent_atoms
     # witness really reaches its target
     for target in (1e3, 1e6):
@@ -208,6 +208,14 @@ def test_builtin_symbols(tmp_path):
         lambda d: (  # exp of a large label: |u|^2 overflows
             d["points"][0].update(label=[400.0]),
             d.update(u={"builtin": "exp_label0"}),
+        ),
+        lambda d: d.update(  # the total weight overflows
+            points=[{"weight": 1e308}, {"weight": 1e308}, {"weight": 1}],
+            u={"values": [[1, 0], [2, 0], [3, 0]]},
+        ),
+        lambda d: d.update(  # the total weight is finite, weight * |u|^2 overflows
+            points=[{"weight": 1e300}, {"weight": 1e300}, {"weight": 1}],
+            u={"values": [[1e5, 0], [2e5, 0], [3, 0]]},
         ),
     ],
 )
