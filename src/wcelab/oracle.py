@@ -19,6 +19,17 @@ both hold: soundness (every claimed value checks out) and completeness
 (every eigenvalue is claimed).  Matrices are kept at order <= 256: the
 oracle is O(n^3), the formula layer O(n).
 
+Above order _SPLIT_ORDER both eigensolvers, the general one of the
+spectrum check and the Hermitian one under ``psd_sqrt``, split a matrix
+along the connected components of the graph of its nonzero entries
+(``_blocks``), with one stacked call per component size.  T acts on each
+atom alone, so in atom order M is block diagonal: at N = 256 the
+symmetric-interval scenario's M is 128 blocks of order 2.  The components
+are read from the matrix alone, never from the partition or the symbol, so
+the split reuses nothing of the closed-form layer.  Every entry off the
+blocks is exactly 0, so a block's eigenpair padded with zeros is one of the
+whole matrix, and the witness residuals are still taken on the whole M.
+
 Every formula-vs-oracle verdict is decided here: ``polar_check``,
 ``OracleResiduals.agrees`` and ``SpectrumProbeResult.ok``.  Each takes the
 formula layer's output (polar factors, a classification, a claimed
@@ -56,6 +67,11 @@ MATRIX_ORDER_CAP = 256
 _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
 _WITNESS_ACCEPT = 1e-12  # largest witness residual reported without an SVD, relative to ||M||_F
 _COMPLETE = 1e-6  # largest eigenvalue distance to a claimed value, relative to ||M||_F
+# the largest order solved whole.  A split costs one pass of _blocks (about
+# 80 us at order 65) and one stacked call per distinct block size: on
+# random_operator instances it loses to a dense eig at order <= 32 on most
+# and wins above order 64 on nearly all (the table is in ROADMAP.md)
+_SPLIT_ORDER = 64
 # (angle, radius) draws of the four outer probe points, made once: the same
 # doubles a fresh default_rng(0) gives to eight scalar uniform() calls
 _PROBE_DRAWS = np.random.default_rng(0).random(8).reshape(4, 2)
@@ -94,10 +110,63 @@ def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     return M
 
 
+def _blocks(A: np.ndarray) -> list[np.ndarray] | None:
+    """The connected components of the graph with an edge i - j wherever
+    A[i, j] != 0 or A[j, i] != 0, as one (k, s) array of indices per
+    component size s: row c lists the s points of the c-th such component,
+    ascending.  Every entry of A off these blocks is exactly 0.  None when
+    A is one block: at order <= _SPLIT_ORDER, where a split saves little or
+    loses, and when the graph is connected.
+    """
+    n = A.shape[0]
+    if n <= _SPLIT_ORDER:
+        return None
+    nz = A.astype(bool)  # A != 0, three times faster on complex A
+    adj = nz | nz.T
+    # each point takes the least label among itself and its neighbours, and
+    # then the label of that label, until no label moves.  A label is always
+    # a point of the same component and at most the point's own index, so
+    # the fixed point labels each component by its least index
+    lab = np.arange(n)
+    while True:
+        new = np.minimum(np.where(adj, lab, n).min(axis=1), lab)
+        new = new[new]
+        if np.array_equal(new, lab):
+            break
+        lab = new
+    if not lab.any():
+        return None
+    order = np.argsort(lab, kind="stable")
+    _, first, sizes = np.unique(lab[order], return_index=True, return_counts=True)
+    return [order[first[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
+
+
+def _solve_blocks(solve, A: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``solve`` (np.linalg.eig or eigh) of A, one stacked call per entry of
+    ``blocks``; the eigenpairs of all blocks, w in ascending order (by real
+    part, then imaginary part) and column j of V, zero off its block, the
+    eigenvector of w[j].  V is filled in that order, not permuted after:
+    a permuted copy would add a second order-n matrix to the peak memory."""
+    n = A.shape[0]
+    parts = [(idx, *solve(A[idx[:, :, None], idx[:, None, :]])) for idx in blocks]
+    w = np.empty(n, dtype=np.result_type(*(bw for _, bw, _ in parts)))
+    for idx, bw, _ in parts:
+        w[idx] = bw
+    order = np.argsort(w, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    V = np.zeros((n, n), dtype=complex)
+    for idx, _, bv in parts:
+        V[idx[:, :, None], rank[idx][:, None, :]] = bv
+    return w[order], V
+
+
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix; eigenvalues ascending, V unitary.
 
-    Rejects inputs whose anti-Hermitian part exceeds 1e-8 * ||H||_F.
+    Rejects inputs whose anti-Hermitian part exceeds 1e-8 * ||H||_F.  Both
+    checks look at the whole H; above order _SPLIT_ORDER the eigensolve
+    runs per connected component of H's nonzero pattern (``_blocks``).
     """
     H = np.asarray(H, dtype=complex)
     _check_order(H.shape[0])
@@ -107,8 +176,9 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitianError(
             f"anti-Hermitian part {skew:.3e} exceeds {_TOL:.1e} * ||H|| = {_TOL * norm:.3e}"
         )
-    w, v = np.linalg.eigh((H + H.conj().T) / 2.0)
-    return w, v
+    H = (H + H.conj().T) / 2.0
+    blocks = _blocks(H)
+    return np.linalg.eigh(H) if blocks is None else _solve_blocks(np.linalg.eigh, H, blocks)
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
@@ -118,15 +188,21 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
     negative is an error.  Eigenvalues at the eigensolver's noise floor
     (order n * eps * ||H||) are also treated as exact zeros: taking their
     square root would otherwise inflate pure rounding noise on a true
-    null space into sqrt(eps)-sized spurious singular values.
+    null space into sqrt(eps)-sized spurious singular values.  H is first
+    scaled by an exact power of four that brings max|H| near 1, so ||H||
+    does not overflow on a large symbol; the root is scaled back by the
+    power of two, which changes no bit where nothing over- or underflows.
     """
     H = np.asarray(H, dtype=complex)
+    # the floor on k keeps 4^-k finite when max|H| is subnormal
+    k = max(int(np.frexp(np.abs(H).max(initial=0.0))[1]) // 2, -511)
+    H = H * np.ldexp(1.0, -2 * k)
     w, v = hermitian_eig(H)
     norm = float(np.linalg.norm(H))
     if w.size and w[0] < -_TOL * max(norm, 1e-300):
-        raise NotPSDError(f"eigenvalue {w[0]:.3e} below -{_TOL:.1e} * ||H||")
+        raise NotPSDError(f"eigenvalue {np.ldexp(w[0], 2 * k):.3e} below -{_TOL:.1e} * ||H||")
     noise_floor = H.shape[0] * np.finfo(float).eps * norm
-    root = np.sqrt(np.where(w <= noise_floor, 0.0, w))
+    root = np.sqrt(np.where(w <= noise_floor, 0.0, w)) * np.ldexp(1.0, k)
     return (v * root) @ v.conj().T
 
 
@@ -240,12 +316,17 @@ def _eig_checks(
     A residual above _WITNESS_ACCEPT * norm, or a failed eigensolve, falls
     back to the SVD, so a value is never reported above the SVD's by more
     than that bound, and never below sigma_min by more than rounding.  A
-    failed eigensolve reports one infinite distance: completeness is then
-    unchecked, and fails.
+    failed eigensolve, of M or of any block of it, reports one infinite
+    distance: completeness is then unchecked, and fails.
+
+    Above order _SPLIT_ORDER the eigendecomposition runs per connected
+    component of M's nonzero pattern (``_blocks``), padded with zeros to
+    eigenpairs of M; the witness residuals are taken on the whole M.
     """
     lams = np.asarray(values, dtype=complex)
+    blocks = _blocks(M)
     try:
-        w, V = np.linalg.eig(M)
+        w, V = np.linalg.eig(M) if blocks is None else _solve_blocks(np.linalg.eig, M, blocks)
     except np.linalg.LinAlgError:
         r = np.full(lams.size, np.inf)
         dists = (np.inf,)

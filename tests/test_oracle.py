@@ -164,6 +164,17 @@ def test_psd_sqrt_squares_back():
     assert w[0] >= -1e-10
 
 
+@pytest.mark.parametrize("e", [-1060, 0, 1000])
+def test_psd_sqrt_is_exact_across_the_exponent_range(e):
+    # 2^e diag(4, 1) has root 2^(e/2) diag(2, 1), exactly; at e = 1000 its
+    # ||H||_F overflows and at e = -1060 its entries are subnormal
+    H = np.ldexp(np.diag([4.0, 1.0]), e)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        R = psd_sqrt(H)
+    assert np.array_equal(R, np.ldexp(np.diag([2.0, 1.0]), e // 2))
+
+
 def test_psd_sqrt_rejects_indefinite():
     with pytest.raises(NotPSDError):
         psd_sqrt(np.diag([1.0, -1.0]))
@@ -172,6 +183,121 @@ def test_psd_sqrt_rejects_indefinite():
 def test_psd_sqrt_clamps_tiny_negatives():
     R = psd_sqrt(np.diag([1.0, -1e-14]))
     assert np.allclose(R, np.diag([1.0, 0.0]), atol=1e-6)
+
+
+# ------------------------------------------------------ split eigensolvers
+
+# instances above the split order, drawn as oracle-check draws them at max-n 256
+_SPLIT_SEEDS = [s for s in range(64) if random_operator(np.random.default_rng(s), max_n=256).n > 64][:40]
+
+
+def _dense_eig_checks(M, values, norm):
+    """_eig_checks' candidate sigmas and eigenvalue distances from one
+    np.linalg.eig of the whole M"""
+    lams = np.asarray(values, dtype=complex)
+    w, V = np.linalg.eig(M)
+    gaps = np.abs(lams[:, None] - w[None, :])
+    X = V[:, gaps.argmin(axis=1)]
+    r = np.linalg.norm(M @ X - X * lams, axis=0)
+    sigmas = [s if s <= 1e-12 * norm else min_singular_value(M, lam) for s, lam in zip(r, values)]
+    return np.array(sigmas), gaps.min(axis=0, initial=np.inf)
+
+
+def _dense_psd_sqrt(H):
+    w, v = np.linalg.eigh(H)
+    floor = H.shape[0] * np.finfo(float).eps * np.linalg.norm(H)
+    return (v * np.sqrt(np.where(w <= floor, 0.0, w))) @ v.conj().T
+
+
+def _assert_split_matches_dense(M, values):
+    """The split eigensolvers against dense ones on M and on M*M."""
+    norm = np.linalg.norm(M)
+    blocks = oracle._blocks(M)
+    if blocks is not None:  # None when M is one component
+        w, V = oracle._solve_blocks(np.linalg.eig, M, blocks)
+        assert np.linalg.norm(M @ V - V * w) <= 1e-12 * norm
+    sigmas, dists = oracle._eig_checks(M, values, norm)
+    ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
+    assert np.abs(np.array(sigmas) - ref_sigmas).max(initial=0.0) <= 1e-12 * norm
+    # a zero-mean atom makes 0 a defective eigenvalue, which rounding moves
+    # by about sqrt(eps) * ||M||_F in either solve (see eigenvalues_ok)
+    tol = 1e-12 * norm if ref_dists.max() <= 1e-12 * norm else 1e-7 * norm
+    assert np.abs(np.sort(dists) - np.sort(ref_dists)).max() <= tol
+    H = M.conj().T @ M
+    h_norm = np.linalg.norm(H)
+    hw, hv = hermitian_eig(H)
+    assert np.all(np.diff(hw) >= 0)
+    assert np.linalg.norm(H @ hv - hv * hw) <= 1e-12 * h_norm
+    assert np.abs(hw - np.linalg.eigvalsh(H)).max() <= 1e-12 * h_norm
+    assert np.linalg.norm(psd_sqrt(H) - _dense_psd_sqrt(H)) <= 1e-12 * h_norm
+    return ref_sigmas, ref_dists
+
+
+@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
+def test_split_eigensolvers_match_dense_ones(seed):
+    T = random_operator(np.random.default_rng(seed), max_n=256)
+    M = matrix_of(T)
+    rep = spectrum_formula(T)
+    values = sorted(rep.values, key=lambda z: (z.real, z.imag))
+    ref_sigmas, ref_dists = _assert_split_matches_dense(M, values)
+    probe = spectrum_probe_check(T, rep)
+    ref = dataclasses.replace(
+        probe, candidate_sigmas=tuple(ref_sigmas), eigenvalue_distances=tuple(ref_dists)
+    )
+    assert probe.ok(1e-8) == ref.ok(1e-8)
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_split_merges_blocks_coupled_by_one_entry(upper):
+    # three dense blocks of order 20, 30 and 46, and one entry coupling the
+    # first and the third: a pattern that is not read both ways, or is read
+    # in one pass, leaves them apart
+    rng = np.random.default_rng(3)
+    A = np.zeros((96, 96), dtype=complex)
+    for lo, hi in ((0, 20), (20, 50), (50, 96)):
+        A[lo:hi, lo:hi] = rng.standard_normal((hi - lo,) * 2) + 1j * rng.standard_normal((hi - lo,) * 2)
+    A[(5, 60) if upper else (60, 5)] = 0.5
+    blocks = oracle._blocks(A)
+    assert [idx.tolist() for idx in blocks] == [
+        [list(range(20, 50))],
+        [list(range(20)) + list(range(50, 96))],
+    ]
+    # a claim of some of A's eigenvalues and one value off the spectrum
+    _assert_split_matches_dense(A, [*np.linalg.eigvals(A)[::8], 100.0 + 100.0j])
+
+
+def test_split_is_gated_on_the_order():
+    # two components split at order 65 and stay one block at order 64; one
+    # component at order 65 stays whole
+    A = np.zeros((65, 65))
+    A[:32, :32] = A[32:, 32:] = 1.0
+    assert [idx.shape for idx in oracle._blocks(A)] == [(1, 32), (1, 33)]
+    assert oracle._blocks(A[:64, :64]) is None
+    assert oracle._blocks(np.ones((65, 65))) is None
+
+
+def test_failed_block_eigensolve_reports_the_svd(monkeypatch):
+    # atoms of 51 and 52 points: a failure in the stacked call of either
+    # size leaves no eigendecomposition, as a failed dense solve does
+    sc = build_block_partition(256, 5)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    M = matrix_of(T)
+    assert [idx.shape for idx in oracle._blocks(M)] == [(4, 51), (1, 52)]
+    rep = spectrum_formula(T)
+    values = sorted(rep.values, key=lambda z: (z.real, z.imag))
+    eig = np.linalg.eig
+
+    def fail_on_52(A):
+        if A.shape[-1] == 52:
+            raise np.linalg.LinAlgError("no convergence")
+        return eig(A)
+
+    monkeypatch.setattr(np.linalg, "eig", fail_on_52)
+    probe = spectrum_probe_check(T, rep)
+    monkeypatch.undo()
+    assert probe.candidate_sigmas == tuple(min_singular_value(M, v) for v in values)
+    assert probe.eigenvalue_distances == (np.inf,)
+    assert not probe.ok(1e-8)
 
 
 # -------------------------------------------------------- min_singular_value
@@ -291,18 +417,15 @@ def test_polar_check_rejects_factors_cut_too_high():
     assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="psd_sqrt's ||H||_F overflows, so its noise floor is inf and every eigenvalue is zeroed",
-)
-def test_polar_check_accepts_correct_factors_of_a_large_symbol():
+@pytest.mark.parametrize("c", [1e80, 1e100])
+def test_polar_check_accepts_correct_factors_of_a_large_symbol(c):
     # u = c (1, 2, 3) on atoms {0, 1}, {2}: |u| is far below the 1.34e154
-    # that space files accept, and the factors are correct
-    c = 1e80
+    # that space files accept, and the factors are correct.  ||M*M||_F
+    # overflows, so psd_sqrt must scale before it takes the norm
     sp = FiniteMeasureSpace(np.array([0.5, 0.5, 1.0]))
     T = WeightedCondExpOperator(sp, Partition(np.array([0, 0, 1])), MFunction(c * np.array([1.0, 2.0, 3.0])))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
 
 
