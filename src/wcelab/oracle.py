@@ -289,7 +289,15 @@ def polar_check(
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
     recon = float(np.linalg.norm(U_mat @ A_mat - np.where(P_S, M, 0)))
-    sqrt_err = float(np.linalg.norm(A_mat - np.where(P_S, psd_sqrt(M.conj().T @ M), 0)))
+    # M*M is formed from M * 2^-k, so a tiny M's squares do not underflow;
+    # the clamp keeps 2^-k and 2^k finite.  The scaled copies are
+    # temporaries, so neither is held through psd_sqrt's peak memory.
+    # ROADMAP item 14 moves this scaling into matrix_of.
+    k = min(max(int(np.frexp(np.abs(M).max(initial=0.0))[1]), -1022), 1023)
+    s = np.ldexp(1.0, -k)
+    root = psd_sqrt((M.conj().T * s) @ (M * s))
+    root *= np.ldexp(1.0, k)
+    sqrt_err = float(np.linalg.norm(A_mat - np.where(P_S, root, 0)))
     off_sq = float(np.linalg.norm(M[~on]) ** 2)
     atoms_off = np.unique(T.partition.atom_of[~on]).size
     # not residuals(T).matrix_norm: where polar is checked alone (``wcelab

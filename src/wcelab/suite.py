@@ -94,12 +94,6 @@ class SuiteReport:
 def _jsonify(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -130,6 +130,23 @@ def test_polar_tiny_atom_below_tol(tmp_path, capsys):
     assert code == 0
 
 
+def test_polar_on_a_tiny_symbol_forms_M_star_M_at_unit_scale(tmp_path, capsys):
+    # M's largest entry is about 1e-160, so M*M formed from M itself has
+    # subnormal entries, and their rounding gave it a negative eigenvalue
+    doc = {
+        "points": [{"weight": w} for w in (7, 1e300, 7, 1e-310, 1e-310)],
+        "atoms": [[0, 1, 4], [2, 3]],
+        "u": {"values": [[x, 0.0] for x in (1e-12, 1e-160, 1e-160, 1e-160, -1.0)]},
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "polar", "--space-file", str(path))
+    assert code == 0
+    assert "verdict: pass" in out.splitlines()
+
+
 def test_domain_poisson(capsys):
     code, out, _ = run(capsys, "domain", "--scenario", "poisson-parity")
     assert code == 0

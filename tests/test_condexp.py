@@ -271,6 +271,7 @@ def test_blocked_averages_equal_one_full_array_bincount(n, m):
             product = atom_averages(MFunction(times * g.values), p, sp)
             assert atom_averages(g, p, sp, mass=mass, times=times).tobytes() == product.tobytes()
         var = _full_array_reference(np.abs(g.values - avg[p.atom_of]) ** 2, p, sp)
+        assert atom_averages(g, p, sp, center=avg).tobytes() == var.tobytes()
         dev = np.sqrt(np.maximum(var, 0.0))
         verdict = is_A_measurable(g, p, sp, 1e-8)
         assert np.float64(verdict.max_deviation).tobytes() == dev.max().tobytes()

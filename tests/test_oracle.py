@@ -60,6 +60,23 @@ def test_matrix_of_by_hand():
     assert np.allclose(M, expected, atol=1e-14)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeWarning,
+    reason="realize applies the action to delta_i / sqrt(mu_i), which overflows on a subnormal mass",
+)
+def test_realize_overflows_on_a_subnormal_mass():
+    # every |M[j, i]| = |u_i| sqrt(mu_i mu_j) / mu(atom) is at most max|u|,
+    # but the basis vector of point 0 is 1e160 delta_0
+    u = MFunction(np.array([-2 + 1e150j, 1e60 + 1e60j]))
+    sp = FiniteMeasureSpace(np.array([1e-320, 1e150]))
+    T = WeightedCondExpOperator(sp, Partition(np.zeros(2, dtype=int)), u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        M = matrix_of(T)
+    assert np.isfinite(M).all() and np.abs(M).max() <= np.abs(u.values).max()
+
+
 def test_adjoint_matrix_is_conjugate_transpose():
     rng = np.random.default_rng(0)
     for _ in range(10):
