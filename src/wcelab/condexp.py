@@ -96,16 +96,17 @@ def atom_averages(
     """
     _check_aligned(f, p, sp, times)
     values, atom_of, lone = f.values, p.atom_of, p.singleton_points
-    if values.size <= BLOCK or p.is_singletons:
+    singletons = p.is_singletons
+    short = singletons or values.size <= BLOCK
+    if short:
         v = _term(values, times, center, atom_of)
         out = np.empty(p.atom_count, v.dtype)
-        if p.is_singletons:
+        if singletons:
             out[atom_of] = v
             return out
         re = np.bincount(atom_of, weights=sp.masses * v.real, minlength=p.atom_count)
         if v.dtype.kind == "c":
             im = np.bincount(atom_of, weights=sp.masses * v.imag, minlength=p.atom_count)
-        lone_terms = v[lone]
     else:
         if center is not None:
             dtype = np.dtype(float)
@@ -123,14 +124,17 @@ def atom_averages(
                 np.multiply(mu, v.imag, out=w.imag)
             np.add.at(sums, labels, w)
         re, im = sums.real, sums.imag
-        t = None if times is None else times[lone]
-        lone_terms = _term(values[lone], t, center, atom_of[lone])
     if mass is None:
         mass = atom_masses(p, sp)
     np.divide(re, mass, out=out.real)
     if out.dtype.kind == "c":
         np.divide(im, mass, out=out.imag)
-    if lone.size:  # an empty write still costs two fancy-indexing calls
+    if lone.size:  # an empty read or write still costs a fancy-indexing call
+        if short:
+            lone_terms = v[lone]
+        else:
+            t = None if times is None else times[lone]
+            lone_terms = _term(values[lone], t, center, atom_of[lone])
         out[atom_of[lone]] = lone_terms
     return out
 

@@ -143,7 +143,7 @@ class Partition:
 
     @property
     def is_singletons(self) -> bool:
-        return self.atom_count == self.n
+        return self.atom_count == self.atom_of.size
 
     @property
     def atom_sizes(self) -> np.ndarray:
@@ -188,16 +188,20 @@ def weighted_inner_product(f: MFunction, g: MFunction, sp: FiniteMeasureSpace) -
 def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) -> np.ndarray:
     """Matrix of a linear map on L^2(mu) in the orthonormal coordinates
     e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>.  The
-    action is applied once per basis vector, and only its result is used."""
+    action is applied once per basis vector and must not keep its input,
+    since every basis vector is the same array: it is set at point i for
+    column i and reset to zero once column i is written."""
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
+    inv_sqrt_m = 1.0 / sqrt_m
     mat = np.empty((n, n), dtype=complex)
+    basis = MFunction(np.zeros(n, dtype=complex))
     for i in range(n):
-        basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0 / sqrt_m[i]
-        col = action(MFunction(basis))
+        basis.values[i] = inv_sqrt_m[i]
+        col = action(basis)
         col.check_aligned(sp)
-        mat[:, i] = col.values * sqrt_m
+        np.multiply(col.values, sqrt_m, out=mat[:, i])
+        basis.values[i] = 0.0
     return mat
 
 

@@ -68,10 +68,15 @@ _TOL = 1e-8  # hermitian_eig's and psd_sqrt's input checks, relative to ||H||
 _WITNESS_ACCEPT = 1e-12  # largest witness residual reported without an SVD, relative to ||M||_F
 _COMPLETE = 1e-6  # largest eigenvalue distance to a claimed value, relative to ||M||_F
 # the largest order solved whole.  A split costs one pass of _blocks (about
-# 80 us at order 65) and one stacked call per distinct block size: on
-# random_operator instances it loses to a dense eig at order <= 32 on most
-# and wins above order 64 on nearly all (the table is in ROADMAP.md)
-_SPLIT_ORDER = 64
+# 80 us at order 65) and one stacked call per distinct block size.  On the
+# benchmark's 100 oracle-verify instances (max_n 64), _eig_checks per batch
+# takes, by gate (min of 7, 2-core Xeon, numpy 2.4.6, 1 BLAS thread):
+#   gate   64       32       16       8        0
+#   time   37.6 ms  21.5 ms  22.8 ms  24.1 ms  25.0 ms
+# On its 42 instances above order 32 a dense eig takes 31.4 ms, _blocks and
+# the stacked calls 2.5-3.5 + 10-14 ms.  Below order 33 a split saves little
+# or loses, and splitting at every order raised the p50 query time by 13-19%
+_SPLIT_ORDER = 32
 # (angle, radius) draws of the four outer probe points, made once: the same
 # doubles a fresh default_rng(0) gives to eight scalar uniform() calls
 _PROBE_DRAWS = np.random.default_rng(0).random(8).reshape(4, 2)
@@ -393,10 +398,10 @@ class SpectrumProbeResult:
         value out fails.  The bound is loose because a zero-mean atom makes
         0 a defective eigenvalue (2 x 2 Jordan blocks), which rounding moves
         by about sqrt(eps) * ||M||_F: over ``random_operator`` seeds 0-2999
-        at max_n 64 and 0-599 at max_n 256 the largest distance was
-        1.3e-8 * ||M||_F.  A left-out value closer than the bound to a
-        claimed one is not seen.  As in candidates_ok, False when ||M||_F
-        is not finite and skipped when ||M||_F <= tol."""
+        at max_n 64 and 0-599 at max_n 256, split above order 32, the
+        largest distance was 1.3e-8 * ||M||_F.  A left-out value closer
+        than the bound to a claimed one is not seen.  As in candidates_ok,
+        False when ||M||_F is not finite and skipped when ||M||_F <= tol."""
         if not np.isfinite(self.matrix_norm):
             return False
         if self.matrix_norm <= tol:

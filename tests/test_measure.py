@@ -23,6 +23,14 @@ from wcelab.measure import (
     truncate,
     weighted_inner_product,
 )
+from wcelab.operator import (
+    WeightedCondExpOperator,
+    apply,
+    apply_adjoint,
+    apply_isometry,
+    apply_modulus,
+    polar,
+)
 
 
 def uniform_space(n):
@@ -121,6 +129,46 @@ def test_realize_in_orthonormal_coordinates():
     assert np.allclose(realize(sp, lambda f: f), np.eye(3))
     with pytest.raises(DimensionMismatchError):
         realize(sp, lambda f: MFunction(f.values[:2]))
+
+
+def _reference_realize(sp, action):
+    # a fresh basis vector per column and a fresh product per column
+    n = sp.n
+    sqrt_m = np.sqrt(sp.masses)
+    mat = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        basis = np.zeros(n, dtype=complex)
+        basis[i] = 1.0 / sqrt_m[i]
+        mat[:, i] = action(MFunction(basis)).values * sqrt_m
+    return mat
+
+
+@pytest.mark.parametrize("kind", ["coarse", "mixed", "singletons"])
+@pytest.mark.parametrize("n", [1, 2, 33, 64, 256])
+def test_realize_keeps_the_bits_of_a_fresh_basis_per_column(kind, n):
+    # coarse: atoms of up to 4 points; mixed: pairs on half the points and
+    # singleton atoms on the rest; the labels are shuffled over the points
+    rng = np.random.default_rng(n)
+    pairs = 2 * (n // 4)
+    atom_of = {
+        "coarse": np.arange(n) // 4,
+        "mixed": np.concatenate([np.arange(pairs) // 2, pairs // 2 + np.arange(n - pairs)]),
+        "singletons": np.arange(n),
+    }[kind]
+    sp = FiniteMeasureSpace(rng.uniform(0.1, 3.0, n))
+    u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    T = WeightedCondExpOperator(sp, Partition(atom_of[rng.permutation(n)]), u)
+    parts = polar(T, 1e-8)
+    for action in (
+        lambda f: apply(T, f),
+        lambda f: apply_adjoint(T, f),
+        lambda f: apply_isometry(T, parts, f),
+        lambda f: apply_modulus(T, parts, f),
+    ):
+        calls = []
+        mat = realize(sp, lambda f: calls.append(f) or action(f))
+        assert len(calls) == n
+        assert np.array_equal(mat, _reference_realize(sp, action))
 
 
 # -------------------------------------------------------------- inner product

@@ -204,8 +204,10 @@ def test_psd_sqrt_clamps_tiny_negatives():
 
 # ------------------------------------------------------ split eigensolvers
 
-# instances above the split order, drawn as oracle-check draws them at max-n 256
+# instances above order 64, drawn as oracle-check draws them at max-n 256,
+# and instances of order 33-64, the lowest split orders, drawn at max-n 64
 _SPLIT_SEEDS = [s for s in range(64) if random_operator(np.random.default_rng(s), max_n=256).n > 64][:40]
+_LOW_SPLIT_SEEDS = [s for s in range(64) if random_operator(np.random.default_rng(s), max_n=64).n > 32][:20]
 
 
 def _dense_eig_checks(M, values, norm):
@@ -250,9 +252,7 @@ def _assert_split_matches_dense(M, values):
     return ref_sigmas, ref_dists
 
 
-@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
-def test_split_eigensolvers_match_dense_ones(seed):
-    T = random_operator(np.random.default_rng(seed), max_n=256)
+def _assert_split_check_matches_dense(T):
     M = matrix_of(T)
     rep = spectrum_formula(T)
     values = sorted(rep.values, key=lambda z: (z.real, z.imag))
@@ -262,6 +262,16 @@ def test_split_eigensolvers_match_dense_ones(seed):
         probe, candidate_sigmas=tuple(ref_sigmas), eigenvalue_distances=tuple(ref_dists)
     )
     assert probe.ok(1e-8) == ref.ok(1e-8)
+
+
+@pytest.mark.parametrize("seed", _SPLIT_SEEDS)
+def test_split_eigensolvers_match_dense_ones(seed):
+    _assert_split_check_matches_dense(random_operator(np.random.default_rng(seed), max_n=256))
+
+
+@pytest.mark.parametrize("seed", _LOW_SPLIT_SEEDS)
+def test_split_eigensolvers_match_dense_ones_at_orders_33_to_64(seed):
+    _assert_split_check_matches_dense(random_operator(np.random.default_rng(seed), max_n=64))
 
 
 @pytest.mark.parametrize("upper", [True, False])
@@ -284,13 +294,13 @@ def test_split_merges_blocks_coupled_by_one_entry(upper):
 
 
 def test_split_is_gated_on_the_order():
-    # two components split at order 65 and stay one block at order 64; one
-    # component at order 65 stays whole
-    A = np.zeros((65, 65))
-    A[:32, :32] = A[32:, 32:] = 1.0
-    assert [idx.shape for idx in oracle._blocks(A)] == [(1, 32), (1, 33)]
-    assert oracle._blocks(A[:64, :64]) is None
-    assert oracle._blocks(np.ones((65, 65))) is None
+    # two components split at order 33 and stay one block at order 32; one
+    # component at order 33 stays whole
+    A = np.zeros((33, 33))
+    A[:16, :16] = A[16:, 16:] = 1.0
+    assert [idx.shape for idx in oracle._blocks(A)] == [(1, 16), (1, 17)]
+    assert oracle._blocks(A[:32, :32]) is None
+    assert oracle._blocks(np.ones((33, 33))) is None
 
 
 def test_failed_block_eigensolve_reports_the_svd(monkeypatch):
