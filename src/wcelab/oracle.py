@@ -17,7 +17,9 @@ each computed eigenvalue must lie near a claimed value, within a bound
 that covers the eigensolver's error.  A claimed spectrum is correct when
 both hold: soundness (every claimed value checks out) and completeness
 (every eigenvalue is claimed).  Matrices are kept at order <= 256: the
-oracle is O(n^3), the formula layer O(n).
+oracle is O(n^3), the formula layer O(n).  ``_exponent`` alone picks the
+power of two that brings the residuals, M*M and ``psd_sqrt``'s H to unit
+scale; M stays at true scale.
 
 Above order _SPLIT_ORDER both eigensolvers, the general one of the
 spectrum check and the Hermitian one under ``psd_sqrt``, split a matrix
@@ -115,6 +117,12 @@ def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     return M
 
 
+def _exponent(A: np.ndarray) -> int:
+    """k with max|A_ij| = m * 2^k, m in [0.5, 1), clamped to [-1022, 1023] so
+    2^-k and 2^k are finite: A * 2^-k is A at unit scale, exactly."""
+    return min(max(int(np.frexp(np.abs(A).max(initial=0.0))[1]), -1022), 1023)
+
+
 def _blocks(A: np.ndarray) -> list[np.ndarray] | None:
     """The connected components of the graph with an edge i - j wherever
     A[i, j] != 0 or A[j, i] != 0, as one (k, s) array of indices per
@@ -199,8 +207,7 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
     power of two, which changes no bit where nothing over- or underflows.
     """
     H = np.asarray(H, dtype=complex)
-    # the floor on k keeps 4^-k finite when max|H| is subnormal
-    k = max(int(np.frexp(np.abs(H).max(initial=0.0))[1]) // 2, -511)
+    k = _exponent(H) // 2
     H = H * np.ldexp(1.0, -2 * k)
     w, v = hermitian_eig(H)
     norm = float(np.linalg.norm(H))
@@ -220,29 +227,37 @@ def min_singular_value(M: np.ndarray, lam: complex = 0.0) -> float:
 
 @dataclass(frozen=True)
 class OracleResiduals:
-    normal: float
-    self_adjoint: float
-    quasinormal: float
+    """||M - M*|| / ||M||, ||M*M - MM*|| / ||M||^2, ||M M*M - M*M M|| / ||M||^3
+    (Frobenius norms) and ||M||_F itself, inf where it overflows."""
+
+    self_adjoint_rel: float
+    normal_rel: float
+    quasinormal_rel: float
     matrix_norm: float
 
-    @property
-    def normal_rel(self) -> float:
-        return self.normal / max(self.matrix_norm**2, 1e-300)
-
-    @property
-    def self_adjoint_rel(self) -> float:
-        return self.self_adjoint / max(self.matrix_norm, 1e-300)
-
-    @property
-    def quasinormal_rel(self) -> float:
-        return self.quasinormal / max(self.matrix_norm**3, 1e-300)
+    @classmethod
+    def of(cls, M: np.ndarray) -> OracleResiduals:
+        """Formed at unit scale, where ||M||_F >= 0.5 unless M = 0 and no
+        product or norm over- or underflows: M * 2^j gives the same ratios."""
+        k = _exponent(M)
+        M = M * np.ldexp(1.0, -k)
+        Mh = M.conj().T
+        G = Mh @ M  # |M|^2, no square root needed
+        norm = float(np.linalg.norm(M))
+        d = norm or 1.0
+        return cls(
+            self_adjoint_rel=float(np.linalg.norm(M - Mh)) / d,
+            normal_rel=float(np.linalg.norm(G - M @ Mh)) / d**2,
+            quasinormal_rel=float(np.linalg.norm(M @ G - G @ M)) / d**3,
+            matrix_norm=norm * 2.0**k,
+        )
 
     def verdicts(self, tol: float) -> tuple[bool, bool, bool]:
         """(self_adjoint, normal, quasinormal) at relative tolerance tol.
 
-        A matrix whose norm is itself below tol is the zero operator up to
-        tolerance; its relative residuals are pure noise ratios, so all
-        three verdicts hold trivially.
+        A matrix whose norm is itself below tol is taken as the zero
+        operator, an absolute cut, so all three verdicts hold though its
+        relative residuals, taken at unit scale, are not noise.
         """
         if self.matrix_norm <= tol:
             return (True, True, True)
@@ -258,22 +273,14 @@ class OracleResiduals:
 
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
-    """Commutator-style residuals backing each classification verdict,
-    computed once per operator and kept beside its matrix."""
+    """``OracleResiduals.of(matrix_of(T))``, the residuals backing each
+    classification verdict, computed once per operator and kept beside M."""
     # checked before the memo, which matrix_of is not called to read: a
     # memo made under a higher cap is not handed out under the real one
     _check_order(T.n)
     res = T.__dict__.get("_oracle_residuals")
     if res is None:
-        M = matrix_of(T)
-        Mh = M.conj().T
-        G = Mh @ M  # |M|^2, no square root needed
-        res = T.__dict__["_oracle_residuals"] = OracleResiduals(
-            normal=float(np.linalg.norm(G - M @ Mh)),
-            self_adjoint=float(np.linalg.norm(M - Mh)),
-            quasinormal=float(np.linalg.norm(M @ G - G @ M)),
-            matrix_norm=float(np.linalg.norm(M)),
-        )
+        res = T.__dict__["_oracle_residuals"] = OracleResiduals.of(matrix_of(T))
     return res
 
 
@@ -294,11 +301,9 @@ def polar_check(
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
     recon = float(np.linalg.norm(U_mat @ A_mat - np.where(P_S, M, 0)))
-    # M*M is formed from M * 2^-k, so a tiny M's squares do not underflow;
-    # the clamp keeps 2^-k and 2^k finite.  The scaled copies are
-    # temporaries, so neither is held through psd_sqrt's peak memory.
-    # ROADMAP item 14 moves this scaling into matrix_of.
-    k = min(max(int(np.frexp(np.abs(M).max(initial=0.0))[1]), -1022), 1023)
+    del U_mat
+    # M*M at unit scale: a tiny M's squares do not underflow (temporary copies)
+    k = _exponent(M)
     s = np.ldexp(1.0, -k)
     root = psd_sqrt((M.conj().T * s) @ (M * s))
     root *= np.ldexp(1.0, k)

@@ -147,6 +147,38 @@ def test_polar_on_a_tiny_symbol_forms_M_star_M_at_unit_scale(tmp_path, capsys):
     assert "verdict: pass" in out.splitlines()
 
 
+_RESIDUALS_AT_EVERY_SCALE = {
+    (1, 2, 3): "self-adjoint 2.085e-01, normal 9.722e-02, quasinormal 3.205e-02",
+    (1, -1, 3): "self-adjoint 4.472e-01, normal 1.414e-01, quasinormal 3.162e-02",
+}
+
+
+@pytest.mark.parametrize(
+    "signs, c",
+    [((1, 2, 3), c) for c in (1.0, 1e60, 1e80, 1e103)] + [((1, -1, 3), c) for c in (1.0, 1e60, 1e103)],
+)
+def test_classify_on_a_large_symbol_takes_the_residuals_at_unit_scale(tmp_path, capsys, signs, c):
+    # u = c (1, 2, 3) on atoms {0, 1}, {2} with masses (0.5, 0.5, 1), and the
+    # zero-mean u = c (1, -1, 3), which takes classify's dense fallback: the
+    # relative residuals do not depend on c, and |M|^2 and M |M|^2 formed
+    # from M itself overflowed from c = 1e60
+    doc = {
+        "points": [{"weight": w} for w in (0.5, 0.5, 1.0)],
+        "atoms": [[0, 1], [2]],
+        "u": {"values": [[k * c, 0.0] for k in signs]},
+    }
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, "classify", "--space-file", str(path))
+    assert code == 0
+    assert f"  oracle residuals: {_RESIDUALS_AT_EVERY_SCALE[signs]}" in out.splitlines()
+    if signs[1] < 0:
+        assert "quasinormal:  False  (via oracle)" in out.splitlines()
+        assert "  residual quasinormal_rel: 3.162e-02" in out.splitlines()
+
+
 def test_domain_poisson(capsys):
     code, out, _ = run(capsys, "domain", "--scenario", "poisson-parity")
     assert code == 0

@@ -83,12 +83,10 @@ def test_subnormal_masses_keep_a_non_constant_symbol_non_normal():
     assert (rep.self_adjoint, rep.normal, rep.quasinormal) == exact_oracle.verdicts(*instance)
 
 
-@pytest.mark.xfail(strict=True, raises=OverflowError, reason="quasinormal_rel cubes ||M||_F as a Python float")
 def test_dense_verdicts_on_a_large_symbol_match_the_exact_ones():
     # u = c (1, 2, 3) on atoms {0, 1}, {2}, with |u| below the 1.34e154
-    # that space files accept; the quasinormal residual already reads inf
-    # for some c between 1e40 and 1e60
+    # that space files accept; residuals taken from M itself read inf for
+    # the quasinormal one from some c between 1e40 and 1e60
     c = Fraction(10**103)
     instance = [Fraction(1, 2), Fraction(1, 2), Fraction(1)], [0, 0, 1], [(k * c, Fraction(0)) for k in (1, 2, 3)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert residuals(_operator(*instance)).verdicts(1e-8) == exact_oracle.verdicts(*instance)
+    assert residuals(_operator(*instance)).verdicts(1e-8) == exact_oracle.verdicts(*instance)

@@ -428,6 +428,18 @@ def test_oracle_normal_and_quasinormal_verdicts_coincide(seed):
     assert normal == quasinormal
 
 
+@given(seeds, st.integers(min_value=-1000, max_value=500))
+@settings(max_examples=80, deadline=None)
+def test_relative_residuals_do_not_depend_on_the_scale_of_u(seed, j):
+    # u -> 2^j u scales M by 2^j exactly, and the residuals are taken at
+    # unit scale, so every ratio keeps its bits; j <= 500 keeps |u|^2 finite
+    T = random_operator(np.random.default_rng(seed), max_n=32)
+    S = WeightedCondExpOperator(T.space, T.partition, MFunction(T.symbol.values * 2.0**j))
+    r, s = residuals(T), residuals(S)
+    assert dataclasses.replace(s, matrix_norm=r.matrix_norm) == r
+    assert s.matrix_norm == r.matrix_norm * 2.0**j
+
+
 # ---------------------------------------------------------------- polar check
 
 
