@@ -21,16 +21,25 @@ oracle is O(n^3), the formula layer O(n).  ``_exponent`` alone picks the
 power of two that brings the residuals, M*M and ``psd_sqrt``'s H to unit
 scale; M stays at true scale.
 
-Above order _SPLIT_ORDER both eigensolvers, the general one of the
-spectrum check and the Hermitian one under ``psd_sqrt``, split a matrix
-along the connected components of the graph of its nonzero entries
-(``_blocks``), with one stacked call per component size.  T acts on each
-atom alone, so in atom order M is block diagonal: at N = 256 the
-symmetric-interval scenario's M is 128 blocks of order 2.  The components
-are read from the matrix alone, never from the partition or the symbol, so
-the split reuses nothing of the closed-form layer.  Every entry off the
-blocks is exactly 0, so a block's eigenpair padded with zeros is one of the
-whole matrix, and the witness residuals are still taken on the whole M.
+Above order _SPLIT_ORDER the eigensolvers (the general one of the
+spectrum check, the Hermitian one of ``hermitian_eig``), ``psd_sqrt`` and
+all of ``polar_check`` split their matrices along the connected components
+of the graph of their nonzero entries (``_blocks``), with one stacked call
+per component size.  T acts on each atom alone, so in atom order M is
+block diagonal: at N = 256 the symmetric-interval scenario's M is 128
+blocks of order 2.  The components are read from the matrices alone, never
+from the partition or the symbol, so the split reuses nothing of the
+closed-form layer.  Every entry off the blocks is exactly 0, so a block's
+eigenpair padded with zeros is one of the whole matrix, and a product or
+root of whole matrices is the blocks' products or roots.  ``polar_check``
+forms no order-n product or root: per component size it forms the
+reconstruction residual, M*M, its root and the root residual, and only
+their Frobenius sums are combined.  The witness residuals,
+``OracleResiduals.of``'s products and ``min_singular_value`` stay whole:
+per block they are slower at orders 33-64, where most split instances lie
+(on the 42 oracle-verify benchmark instances above order 32, the residual
+products take 5.0 ms whole and 7.1 ms per block; min of 7, 2 cores,
+numpy 2.4.6, 1 BLAS thread).
 
 Every formula-vs-oracle verdict is decided here: ``polar_check``,
 ``OracleResiduals.agrees`` and ``SpectrumProbeResult.ok``.  Each takes the
@@ -123,18 +132,21 @@ def _exponent(A: np.ndarray) -> int:
     return min(max(int(np.frexp(np.abs(A).max(initial=0.0))[1]), -1022), 1023)
 
 
-def _blocks(A: np.ndarray) -> list[np.ndarray] | None:
+def _blocks(*mats: np.ndarray) -> list[np.ndarray] | None:
     """The connected components of the graph with an edge i - j wherever
-    A[i, j] != 0 or A[j, i] != 0, as one (k, s) array of indices per
-    component size s: row c lists the s points of the c-th such component,
-    ascending.  Every entry of A off these blocks is exactly 0.  None when
-    A is one block: at order <= _SPLIT_ORDER, where a split saves little or
-    loses, and when the graph is connected.
+    some A of ``mats`` has A[i, j] != 0 or A[j, i] != 0, as one (k, s)
+    array of indices per component size s: row c lists the s points of the
+    c-th such component, ascending.  Every entry of every A off these
+    blocks is exactly 0.  None when the matrices are one block: at order
+    <= _SPLIT_ORDER, where a split saves little or loses, and when the
+    graph is connected.
     """
-    n = A.shape[0]
+    n = mats[0].shape[0]
     if n <= _SPLIT_ORDER:
         return None
-    nz = A.astype(bool)  # A != 0, three times faster on complex A
+    nz = mats[0].astype(bool)  # A != 0, three times faster on complex A
+    for A in mats[1:]:
+        nz |= A.astype(bool)
     adj = nz | nz.T
     # each point takes the least label among itself and its neighbours, and
     # then the label of that label, until no label moves.  A label is always
@@ -154,6 +166,26 @@ def _blocks(A: np.ndarray) -> list[np.ndarray] | None:
     return [order[first[sizes == s][:, None] + np.arange(s)] for s in np.unique(sizes)]
 
 
+def _stacks(blocks: list[np.ndarray] | None, *mats: np.ndarray):
+    """For each entry idx of ``blocks``: idx, then each of ``mats`` gathered
+    to its (k, s, s) stack of blocks.  When blocks is None, one stack of
+    each whole matrix, a view, with idx every point: the callers then run
+    the same code on a stack of one block."""
+    if blocks is None:
+        yield (np.arange(mats[0].shape[0])[None], *(A[None] for A in mats))
+        return
+    for idx in blocks:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        yield (idx, *(A[rows, cols] for A in mats))
+
+
+def _sq(A: np.ndarray) -> float:
+    """||A||_F^2, summed as ``np.linalg.norm`` sums it, so that the square
+    root of one such sum has the bits of ``np.linalg.norm(A)``."""
+    x = A.ravel(order="K")
+    return float(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _solve_blocks(solve, A: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``solve`` (np.linalg.eig or eigh) of A, one stacked call per entry of
     ``blocks``; the eigenpairs of all blocks, w in ascending order (by real
@@ -161,7 +193,7 @@ def _solve_blocks(solve, A: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.nd
     eigenvector of w[j].  V is filled in that order, not permuted after:
     a permuted copy would add a second order-n matrix to the peak memory."""
     n = A.shape[0]
-    parts = [(idx, *solve(A[idx[:, :, None], idx[:, None, :]])) for idx in blocks]
+    parts = [(idx, *solve(S)) for idx, S in _stacks(blocks, A)]
     w = np.empty(n, dtype=np.result_type(*(bw for _, bw, _ in parts)))
     for idx, bw, _ in parts:
         w[idx] = bw
@@ -174,6 +206,19 @@ def _solve_blocks(solve, A: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.nd
     return w[order], V
 
 
+def _hermitian_part(H: np.ndarray) -> tuple[np.ndarray, float]:
+    """(H + H*) / 2 and ||H||_F, for a complex H whose anti-Hermitian part
+    is at most 1e-8 * ||H||_F; NotHermitianError otherwise."""
+    _check_order(H.shape[0])
+    norm = float(np.linalg.norm(H))
+    skew = np.linalg.norm(H - H.conj().T)
+    if skew > _TOL * max(norm, 1e-300):
+        raise NotHermitianError(
+            f"anti-Hermitian part {skew:.3e} exceeds {_TOL:.1e} * ||H|| = {_TOL * norm:.3e}"
+        )
+    return (H + H.conj().T) / 2.0, norm
+
+
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix; eigenvalues ascending, V unitary.
 
@@ -181,17 +226,25 @@ def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     checks look at the whole H; above order _SPLIT_ORDER the eigensolve
     runs per connected component of H's nonzero pattern (``_blocks``).
     """
-    H = np.asarray(H, dtype=complex)
-    _check_order(H.shape[0])
-    norm = np.linalg.norm(H)
-    skew = np.linalg.norm(H - H.conj().T)
-    if skew > _TOL * max(norm, 1e-300):
-        raise NotHermitianError(
-            f"anti-Hermitian part {skew:.3e} exceeds {_TOL:.1e} * ||H|| = {_TOL * norm:.3e}"
-        )
-    H = (H + H.conj().T) / 2.0
+    H, _ = _hermitian_part(np.asarray(H, dtype=complex))
     blocks = _blocks(H)
     return np.linalg.eigh(H) if blocks is None else _solve_blocks(np.linalg.eigh, H, blocks)
+
+
+def _psd_roots(H: np.ndarray, k: int, norm: float, n: int) -> np.ndarray:
+    """Positive square roots of a (b, s, s) stack of Hermitian PSD blocks
+    of one matrix H of order n, given at scale 4^-k with ||H||_F = norm at
+    that scale; each root is scaled back by 2^k.  One stacked eigh reads
+    each block's lower triangle.  Eigenvalues below -1e-8 * norm raise
+    NotPSDError; those at or below the noise floor n * eps * norm are
+    taken as exact zeros."""
+    w, v = np.linalg.eigh(H)
+    low = w.min(initial=0.0)
+    if low < -_TOL * max(norm, 1e-300):
+        raise NotPSDError(f"eigenvalue {np.ldexp(low, 2 * k):.3e} below -{_TOL:.1e} * ||H||")
+    floor = n * np.finfo(float).eps * norm
+    root = np.sqrt(np.where(w <= floor, 0.0, w)) * np.ldexp(1.0, k)
+    return (v * root[:, None, :]) @ v.conj().swapaxes(1, 2)
 
 
 def psd_sqrt(H: np.ndarray) -> np.ndarray:
@@ -201,21 +254,23 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
     negative is an error.  Eigenvalues at the eigensolver's noise floor
     (order n * eps * ||H||) are also treated as exact zeros: taking their
     square root would otherwise inflate pure rounding noise on a true
-    null space into sqrt(eps)-sized spurious singular values.  H is first
-    scaled by an exact power of four that brings max|H| near 1, so ||H||
-    does not overflow on a large symbol; the root is scaled back by the
-    power of two, which changes no bit where nothing over- or underflows.
+    null space into sqrt(eps)-sized spurious singular values.  Both bounds
+    are taken on the whole H.  H is first scaled by an exact power of four
+    that brings max|H| near 1, so ||H|| does not overflow on a large
+    symbol; the root is scaled back by the power of two, which changes no
+    bit where nothing over- or underflows.  Above order _SPLIT_ORDER the
+    roots are taken per connected component of H's nonzero pattern
+    (``_blocks``), one stacked ``_psd_roots`` call per component size, and
+    written into a zero matrix; ``polar_check`` calls ``_psd_roots`` itself.
     """
     H = np.asarray(H, dtype=complex)
     k = _exponent(H) // 2
-    H = H * np.ldexp(1.0, -2 * k)
-    w, v = hermitian_eig(H)
-    norm = float(np.linalg.norm(H))
-    if w.size and w[0] < -_TOL * max(norm, 1e-300):
-        raise NotPSDError(f"eigenvalue {np.ldexp(w[0], 2 * k):.3e} below -{_TOL:.1e} * ||H||")
-    noise_floor = H.shape[0] * np.finfo(float).eps * norm
-    root = np.sqrt(np.where(w <= noise_floor, 0.0, w)) * np.ldexp(1.0, k)
-    return (v * root) @ v.conj().T
+    H, norm = _hermitian_part(H * np.ldexp(1.0, -2 * k))
+    n = H.shape[0]
+    root = np.zeros_like(H)
+    for idx, Hb in _stacks(_blocks(H), H):
+        root[idx[:, :, None], idx[:, None, :]] = _psd_roots(Hb, k, norm, n)
+    return root
 
 
 def min_singular_value(M: np.ndarray, lam: complex = 0.0) -> float:
@@ -274,13 +329,15 @@ class OracleResiduals:
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     """``OracleResiduals.of(matrix_of(T))``, the residuals backing each
-    classification verdict, computed once per operator and kept beside M."""
-    # checked before the memo, which matrix_of is not called to read: a
+    classification verdict, computed once per operator and kept beside M.
+    M is read from ``matrix_of``'s memo when it is there, with no call."""
+    # checked before the memos, which matrix_of is not called to read: a
     # memo made under a higher cap is not handed out under the real one
     _check_order(T.n)
     res = T.__dict__.get("_oracle_residuals")
     if res is None:
-        res = T.__dict__["_oracle_residuals"] = OracleResiduals.of(matrix_of(T))
+        M = T.__dict__.get("_oracle_matrix")
+        res = T.__dict__["_oracle_residuals"] = OracleResiduals.of(matrix_of(T) if M is None else M)
     return res
 
 
@@ -294,21 +351,42 @@ def polar_check(
     adds exactly E_a(|u|^2) to ||(I - P_S) M||_F^2, so that is at most tol
     per atom off S; this fails when the factors were cut too high.
     Returns the two residuals and the verdict.
+
+    The check runs per connected component of the joint nonzero pattern of
+    M and the realized U and |T| (``_blocks``), one stacked pass per
+    component size: a claimed factor that leaks across M's components
+    merges them and is checked on the merged block.  Each pass forms
+    U_b |T|_b - P_S M_b, M_b*M_b at unit scale, its root (``_psd_roots``,
+    with the noise floor of the whole M*M) and |T|_b - P_S root_b; only
+    Frobenius sums leave it.  At order <= _SPLIT_ORDER, or when the
+    pattern is connected, the same code runs on a stack of one block.
     """
     M = matrix_of(T)
     on = parts.atom_support[T.partition.atom_of]
-    P_S = on[:, None]
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
-    recon = float(np.linalg.norm(U_mat @ A_mat - np.where(P_S, M, 0)))
-    del U_mat
-    # M*M at unit scale: a tiny M's squares do not underflow (temporary copies)
+    # M*M at unit scale: a tiny M's squares do not underflow
     k = _exponent(M)
     s = np.ldexp(1.0, -k)
-    root = psd_sqrt((M.conj().T * s) @ (M * s))
-    root *= np.ldexp(1.0, k)
-    sqrt_err = float(np.linalg.norm(A_mat - np.where(P_S, root, 0)))
-    off_sq = float(np.linalg.norm(M[~on]) ** 2)
+    recon_sq = off_sq = 0.0
+    moduli = []  # (P_S on the block, |T|_b, M_b*M_b at unit scale) per size
+    for idx, Mb, Ub, Ab in _stacks(_blocks(M, U_mat, A_mat), M, U_mat, A_mat):
+        on_b = on[idx]
+        R = Ub @ Ab
+        np.subtract(R, Mb, out=R, where=on_b[:, :, None])
+        recon_sq += _sq(R)
+        off_sq += _sq(Mb[~on_b])
+        Mb = Mb * s
+        moduli.append((on_b, Ab, Mb.conj().swapaxes(1, 2) @ Mb))
+    del U_mat, Ub, R, Mb  # U and the loop's views of it are read no more
+    h_norm = float(np.sqrt(sum(_sq(H) for _, _, H in moduli)))
+    sqrt_sq = 0.0
+    for on_b, Ab, H in moduli:
+        R = _psd_roots(H, k, h_norm, T.n)
+        R[~on_b] = 0.0
+        R -= Ab
+        sqrt_sq += _sq(R)
+    recon, sqrt_err = float(np.sqrt(recon_sq)), float(np.sqrt(sqrt_sq))
     atoms_off = np.unique(T.partition.atom_of[~on]).size
     # not residuals(T).matrix_norm: where polar is checked alone (``wcelab
     # polar``) that would add the O(n^3) commutators for an O(n^2) norm

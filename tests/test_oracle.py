@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wcelab import oracle
-from wcelab.measure import FiniteMeasureSpace, MFunction, Partition, realize
+from wcelab.cli import main
+from wcelab.measure import TOLERANCES, FiniteMeasureSpace, MFunction, Partition, realize
 from wcelab.operator import (
     SpectrumReport,
     WeightedCondExpOperator,
     apply,
     apply_adjoint,
+    apply_isometry,
+    apply_modulus,
     classify,
     polar,
     spectrum_formula,
@@ -21,6 +25,7 @@ from wcelab.oracle import (
     MATRIX_ORDER_CAP,
     NotHermitianError,
     NotPSDError,
+    OracleResiduals,
     OrderCapError,
     hermitian_eig,
     matrix_of,
@@ -466,6 +471,118 @@ def test_polar_check_accepts_correct_factors_of_a_large_symbol(c):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
+
+
+def _dense_polar_check(T, parts, tol):
+    """polar_check on whole matrices: U|T| - P_S M, the root of M*M at unit
+    scale with psd_sqrt's noise floor, |T| - P_S root, and the verdict;
+    also the realized U and |T|"""
+    M = matrix_of(T)
+    on = parts.atom_support[T.partition.atom_of]
+    P_S = on[:, None]
+    U = realize(T.space, lambda f: apply_isometry(T, parts, f))
+    A = realize(T.space, lambda f: apply_modulus(T, parts, f))
+    recon = float(np.linalg.norm(U @ A - np.where(P_S, M, 0)))
+    k = oracle._exponent(M)
+    Ms = M * np.ldexp(1.0, -k)
+    root = _dense_psd_sqrt(Ms.conj().T @ Ms) * np.ldexp(1.0, k)
+    sqrt_err = float(np.linalg.norm(A - np.where(P_S, root, 0)))
+    off_sq = np.linalg.norm(M[~on]) ** 2
+    norm = max(np.linalg.norm(M), 1e-300)
+    ok = bool(
+        recon <= TOLERANCES["identity"] * norm
+        and sqrt_err <= TOLERANCES["oracle"] * norm
+        and off_sq <= tol * np.unique(T.partition.atom_of[~on]).size
+    )
+    return (recon, sqrt_err, ok), U, A
+
+
+def _assert_split_polar_check_matches_dense(T):
+    parts = polar(T, 1e-8)
+    got = polar_check(T, parts, 1e-8)
+    ref, U, A = _dense_polar_check(T, parts, 1e-8)
+    M = matrix_of(T)
+    if oracle._blocks(M, U, A) is None:
+        assert got == ref
+    else:
+        bound = 1e-12 * np.linalg.norm(M)
+        assert abs(got[0] - ref[0]) <= bound and abs(got[1] - ref[1]) <= bound
+        assert got[2] == ref[2]
+    return got
+
+
+def _scenario_op(name, params):
+    sc = build_scenario(name, params)
+    return WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+
+
+@pytest.mark.parametrize(
+    "seed, max_n",
+    [(s, 256) for s in _SPLIT_SEEDS] + [(s, 64) for s in _LOW_SPLIT_SEEDS] + [(s, 32) for s in range(20)],
+)
+def test_split_polar_check_matches_dense_one(seed, max_n):
+    # at max_n 32 _blocks gives None, and the bits must be the dense ones
+    _assert_split_polar_check_matches_dense(random_operator(np.random.default_rng(seed), max_n=max_n))
+
+
+@pytest.mark.parametrize(
+    "name, params", [("product-grid", {"m": "16"}), ("symmetric-interval", {"N": "256"})]
+)
+def test_split_polar_check_matches_dense_one_on_the_cap_scenarios(name, params):
+    T = _scenario_op(name, params)
+    assert oracle._blocks(matrix_of(T)) is not None
+    assert _assert_split_polar_check_matches_dense(T)[2]
+
+
+@pytest.mark.parametrize("n, m", [(12, 3), (256, 5)])
+def test_polar_check_fails_an_isometry_that_leaks_across_atoms(monkeypatch, n, m):
+    # U also sends the first point, in the first atom, to the last point, in
+    # the last one: a check that split along M's components alone would
+    # drop that entry, and pass
+    sc = build_block_partition(n, m)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    parts = polar(T, 1e-8)
+    assert polar_check(T, parts, 1e-8)[2]
+
+    def leaky(T, parts, f):
+        v = apply_isometry(T, parts, f).values.copy()
+        v[-1] += f.values[0]
+        return MFunction(v)
+
+    monkeypatch.setattr(oracle, "apply_isometry", leaky)
+    recon, _, ok = polar_check(T, parts, 1e-8)
+    assert not ok and recon > TOLERANCES["identity"] * np.linalg.norm(matrix_of(T))
+    if n > 32:
+        U = realize(T.space, lambda f: leaky(T, parts, f))
+        A = realize(T.space, lambda f: apply_modulus(T, parts, f))
+        assert [idx.shape for idx in oracle._blocks(matrix_of(T))] == [(4, 51), (1, 52)]
+        assert [idx.shape for idx in oracle._blocks(matrix_of(T), U, A)] == [(3, 51), (1, 103)]
+
+
+def test_polar_check_holds_no_order_n_product():
+    # M is realized first: the peak is the realized U and |T| (1 MiB each
+    # at order 256), _blocks' pattern and the per-block stacks
+    T = _scenario_op("product-grid", {"m": "16"})
+    parts = polar(T, 1e-8)
+    matrix_of(T)
+    tracemalloc.start()
+    try:
+        assert polar_check(T, parts, 1e-8)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_oracle_check_forms_the_residuals_once_per_operator(monkeypatch, capsys):
+    # classify's dense fallback and oracle-check's residuals(T) share one
+    # OracleResiduals.of per operator
+    of = OracleResiduals.of
+    calls = []
+    monkeypatch.setattr(OracleResiduals, "of", classmethod(lambda cls, M: calls.append(M.shape) or of(M)))
+    assert main(["oracle-check", "--seeds", "100"]) == 0
+    assert "100/100 instances consistent" in capsys.readouterr().out
+    assert len(calls) == 100
 
 
 # ---------------------------------------------------------------- probe check
