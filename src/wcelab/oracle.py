@@ -21,11 +21,12 @@ oracle is O(n^3), the formula layer O(n).  ``_exponent`` alone picks the
 power of two that brings the residuals, M*M and ``psd_sqrt``'s H to unit
 scale; M stays at true scale.
 
-Above order _SPLIT_ORDER the eigensolvers (the general one of the
-spectrum check, the Hermitian one of ``hermitian_eig``), ``psd_sqrt`` and
-all of ``polar_check`` split their matrices along the connected components
-of the graph of their nonzero entries (``_blocks``), with one stacked call
-per component size.  T acts on each atom alone, so in atom order M is
+Above order _SPLIT_ORDER the two checks, the general eigensolve of the
+spectrum check (``_eig_checks``) and all of ``polar_check``, split their
+matrices along the connected components of the graph of their nonzero
+entries (``_blocks``), with one stacked call per component size; at lower
+orders and on a connected pattern they run the same code on a stack of
+one whole matrix.  T acts on each atom alone, so in atom order M is
 block diagonal: at N = 256 the symmetric-interval scenario's M is 128
 blocks of order 2.  The components are read from the matrices alone, never
 from the partition or the symbol, so the split reuses nothing of the
@@ -34,7 +35,8 @@ eigenpair padded with zeros is one of the whole matrix, and a product or
 root of whole matrices is the blocks' products or roots.  ``polar_check``
 forms no order-n product or root: per component size it forms the
 reconstruction residual, M*M, its root and the root residual, and only
-their Frobenius sums are combined.  The witness residuals,
+their Frobenius sums are combined.  ``hermitian_eig`` and ``psd_sqrt``,
+which no check calls, solve whole.  The witness residuals,
 ``OracleResiduals.of``'s products and ``min_singular_value`` stay whole:
 per block they are slower at orders 33-64, where most split instances lie
 (on the 42 oracle-verify benchmark instances above order 32, the residual
@@ -186,29 +188,19 @@ def _sq(A: np.ndarray) -> float:
     return float(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def _solve_blocks(solve, A: np.ndarray, blocks: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``solve`` (np.linalg.eig or eigh) of A, one stacked call per entry of
-    ``blocks``; the eigenpairs of all blocks, w in ascending order (by real
-    part, then imaginary part) and column j of V, zero off its block, the
-    eigenvector of w[j].  V is filled in that order, not permuted after:
-    a permuted copy would add a second order-n matrix to the peak memory."""
-    n = A.shape[0]
-    parts = [(idx, *solve(S)) for idx, S in _stacks(blocks, A)]
-    w = np.empty(n, dtype=np.result_type(*(bw for _, bw, _ in parts)))
-    for idx, bw, _ in parts:
-        w[idx] = bw
-    order = np.argsort(w, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    V = np.zeros((n, n), dtype=complex)
-    for idx, _, bv in parts:
-        V[idx[:, :, None], rank[idx][:, None, :]] = bv
-    return w[order], V
+def _finite(H) -> np.ndarray:
+    """H as a complex array, checked before any arithmetic on it: ValueError
+    if an entry is NaN or infinite, which ``_hermitian_part``'s relative
+    check would let through (a NaN compares False)."""
+    H = np.asarray(H, dtype=complex)
+    if not np.isfinite(H).all():
+        raise ValueError("matrix has a NaN or infinite entry")
+    return H
 
 
 def _hermitian_part(H: np.ndarray) -> tuple[np.ndarray, float]:
-    """(H + H*) / 2 and ||H||_F, for a complex H whose anti-Hermitian part
-    is at most 1e-8 * ||H||_F; NotHermitianError otherwise."""
+    """(H + H*) / 2 and ||H||_F, for a finite complex H whose anti-Hermitian
+    part is at most 1e-8 * ||H||_F; NotHermitianError otherwise."""
     _check_order(H.shape[0])
     norm = float(np.linalg.norm(H))
     skew = np.linalg.norm(H - H.conj().T)
@@ -222,13 +214,11 @@ def _hermitian_part(H: np.ndarray) -> tuple[np.ndarray, float]:
 def hermitian_eig(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalize a Hermitian matrix; eigenvalues ascending, V unitary.
 
-    Rejects inputs whose anti-Hermitian part exceeds 1e-8 * ||H||_F.  Both
-    checks look at the whole H; above order _SPLIT_ORDER the eigensolve
-    runs per connected component of H's nonzero pattern (``_blocks``).
+    Rejects a NaN or infinite entry, and inputs whose anti-Hermitian part
+    exceeds 1e-8 * ||H||_F.  One ``eigh`` of the whole H: no oracle check
+    calls this, so it is not split along components.
     """
-    H, _ = _hermitian_part(np.asarray(H, dtype=complex))
-    blocks = _blocks(H)
-    return np.linalg.eigh(H) if blocks is None else _solve_blocks(np.linalg.eigh, H, blocks)
+    return np.linalg.eigh(_hermitian_part(_finite(H))[0])
 
 
 def _psd_roots(H: np.ndarray, k: int, norm: float, n: int) -> np.ndarray:
@@ -254,23 +244,18 @@ def psd_sqrt(H: np.ndarray) -> np.ndarray:
     negative is an error.  Eigenvalues at the eigensolver's noise floor
     (order n * eps * ||H||) are also treated as exact zeros: taking their
     square root would otherwise inflate pure rounding noise on a true
-    null space into sqrt(eps)-sized spurious singular values.  Both bounds
-    are taken on the whole H.  H is first scaled by an exact power of four
+    null space into sqrt(eps)-sized spurious singular values.  A NaN or
+    infinite entry is rejected.  H is first scaled by an exact power of four
     that brings max|H| near 1, so ||H|| does not overflow on a large
     symbol; the root is scaled back by the power of two, which changes no
-    bit where nothing over- or underflows.  Above order _SPLIT_ORDER the
-    roots are taken per connected component of H's nonzero pattern
-    (``_blocks``), one stacked ``_psd_roots`` call per component size, and
-    written into a zero matrix; ``polar_check`` calls ``_psd_roots`` itself.
+    bit where nothing over- or underflows.  The root is one ``_psd_roots``
+    call on the whole H: no oracle check calls this, so it is not split
+    along components; ``polar_check`` calls ``_psd_roots`` per component.
     """
-    H = np.asarray(H, dtype=complex)
+    H = _finite(H)
     k = _exponent(H) // 2
     H, norm = _hermitian_part(H * np.ldexp(1.0, -2 * k))
-    n = H.shape[0]
-    root = np.zeros_like(H)
-    for idx, Hb in _stacks(_blocks(H), H):
-        root[idx[:, :, None], idx[:, None, :]] = _psd_roots(Hb, k, norm, n)
-    return root
+    return _psd_roots(H[None], k, norm, H.shape[0])[0]
 
 
 def min_singular_value(M: np.ndarray, lam: complex = 0.0) -> float:
@@ -415,18 +400,28 @@ def _eig_checks(
     failed eigensolve, of M or of any block of it, reports one infinite
     distance: completeness is then unchecked, and fails.
 
-    Above order _SPLIT_ORDER the eigendecomposition runs per connected
-    component of M's nonzero pattern (``_blocks``), padded with zeros to
-    eigenpairs of M; the witness residuals are taken on the whole M.
+    The eigendecomposition runs per connected component of M's nonzero
+    pattern (``_blocks``), one stacked ``eig`` per component size, and on a
+    stack of one whole M at order <= _SPLIT_ORDER or when M is connected.
+    The eigenvalues are taken in stack order, unsorted, and column j of V,
+    zero off its block, is the eigenvector of w[j]: a block's eigenpair
+    padded with zeros is one of M.  The witness residuals are taken on the
+    whole M.
     """
     lams = np.asarray(values, dtype=complex)
-    blocks = _blocks(M)
     try:
-        w, V = np.linalg.eig(M) if blocks is None else _solve_blocks(np.linalg.eig, M, blocks)
+        parts = [(idx, *np.linalg.eig(S)) for idx, S in _stacks(_blocks(M), M)]
     except np.linalg.LinAlgError:
         r = np.full(lams.size, np.inf)
         dists = (np.inf,)
     else:
+        w = np.concatenate([bw.ravel() for _, bw, _ in parts])
+        V = np.zeros(M.shape, dtype=complex)
+        start = 0
+        for idx, _, bv in parts:
+            cols = np.arange(start, start + idx.size).reshape(idx.shape)
+            V[idx[:, :, None], cols[:, None, :]] = bv
+            start += idx.size
         gaps = np.abs(lams[:, None] - w[None, :])
         X = V[:, gaps.argmin(axis=1)]
         r = np.linalg.norm(M @ X - X * lams, axis=0)

@@ -43,6 +43,7 @@ from wcelab.scenarios import (
     build_geometric_blowup,
     build_scenario,
     build_symmetric_interval,
+    build_trivial_algebra,
 )
 
 seeds = st.integers(min_value=0, max_value=10_000)
@@ -207,6 +208,19 @@ def test_psd_sqrt_clamps_tiny_negatives():
     assert np.allclose(R, np.diag([1.0, 0.0]), atol=1e-6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("solve", [hermitian_eig, psd_sqrt])
+def test_non_finite_input_is_rejected(solve, bad):
+    # a NaN fails every relative check silently, and an inf turns into NaN
+    # in the arithmetic; both are refused before any arithmetic on H
+    H = np.diag([1.0, 1.0]).astype(complex)
+    H[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            solve(H)
+
+
 # ------------------------------------------------------ split eigensolvers
 
 # instances above order 64, drawn as oracle-check draws them at max-n 256,
@@ -234,12 +248,9 @@ def _dense_psd_sqrt(H):
 
 
 def _assert_split_matches_dense(M, values):
-    """The split eigensolvers against dense ones on M and on M*M."""
+    """The split eigen check against the dense one on M, and
+    hermitian_eig and psd_sqrt, which solve whole, against numpy on M*M."""
     norm = np.linalg.norm(M)
-    blocks = oracle._blocks(M)
-    if blocks is not None:  # None when M is one component
-        w, V = oracle._solve_blocks(np.linalg.eig, M, blocks)
-        assert np.linalg.norm(M @ V - V * w) <= 1e-12 * norm
     sigmas, dists = oracle._eig_checks(M, values, norm)
     ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
     assert np.abs(np.array(sigmas) - ref_sigmas).max(initial=0.0) <= 1e-12 * norm
@@ -277,6 +288,26 @@ def test_split_eigensolvers_match_dense_ones(seed):
 @pytest.mark.parametrize("seed", _LOW_SPLIT_SEEDS)
 def test_split_eigensolvers_match_dense_ones_at_orders_33_to_64(seed):
     _assert_split_check_matches_dense(random_operator(np.random.default_rng(seed), max_n=64))
+
+
+@pytest.mark.parametrize("seed", [*range(40), None])
+def test_unsplit_eig_checks_are_the_dense_ones(seed):
+    # where _blocks gives None (order <= 32, or one component above it) the
+    # check runs on a stack of one whole M: the same eigenpairs in eig's
+    # order, so the same witnesses and the same numbers, bit for bit
+    if seed is None:  # trivial-algebra n=200, one component of order 200
+        sc = build_trivial_algebra(200)
+        T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    else:
+        T = random_operator(np.random.default_rng(seed), max_n=32)
+    M = matrix_of(T)
+    assert oracle._blocks(M) is None
+    values = sorted(spectrum_formula(T).values, key=lambda z: (z.real, z.imag))
+    norm = float(np.linalg.norm(M))
+    sigmas, dists = oracle._eig_checks(M, values, norm)
+    ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
+    assert sigmas == tuple(ref_sigmas.tolist())
+    assert dists == tuple(ref_dists.tolist())
 
 
 @pytest.mark.parametrize("upper", [True, False])
