@@ -142,7 +142,10 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
     positive constant E(|u|^2) at each point i and u is constant there.
     TT* f = E(|u|^2) E(f) gives normality the same way.  The normal and
     quasinormal witnesses are atoms, the self-adjoint one is a point.  The
-    supports of E(u) and E(|u|^2) are compared on the atoms.
+    supports of E(u) and E(|u|^2) are compared on the atoms: where they
+    differ (a zero-mean atom), the quasinormal verdict is read from the
+    dense oracle's residual (source "oracle") at order <= MATRIX_ORDER_CAP,
+    and above the cap the theorem alone decides it (source "formula").
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -157,15 +160,20 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
         "max_imag": float(imag_abs[worst_imag]),
     }
     source = "formula"
-    if not normal and not np.array_equal(
-        support(MFunction(T.atom_mean), tol), support(MFunction(T.atom_sq_mean), tol)
-    ):
-        # the theorem decides this case too; the oracle's residual stays only
-        # while perfbench's tiny-instance counter pins one zero-mean fallback,
-        # which counts this direct matrix_of call.  The residuals are the
-        # oracle's memo, so a later oracle.residuals(T) forms none again
-        from . import oracle
+    from . import oracle  # here, not at the top: oracle imports this module
 
+    if (
+        not normal
+        and T.n <= oracle.MATRIX_ORDER_CAP
+        and not np.array_equal(
+            support(MFunction(T.atom_mean), tol), support(MFunction(T.atom_sq_mean), tol)
+        )
+    ):
+        # the theorem decides this case too, and above the order cap it alone
+        # does; the oracle's residual stays only while perfbench's
+        # tiny-instance counter pins one zero-mean fallback, which counts
+        # this direct matrix_of call.  The residuals are the oracle's memo,
+        # so a later oracle.residuals(T) forms none again
         source = "oracle"
         oracle.matrix_of(T)
         res = residuals["quasinormal_rel"] = oracle.residuals(T).quasinormal_rel

@@ -18,8 +18,8 @@ that covers the eigensolver's error.  A claimed spectrum is correct when
 both hold: soundness (every claimed value checks out) and completeness
 (every eigenvalue is claimed).  Matrices are kept at order <= 256: the
 oracle is O(n^3), the formula layer O(n).  ``_exponent`` alone picks the
-power of two that brings the residuals, M*M and ``psd_sqrt``'s H to unit
-scale; M stays at true scale.
+power of two that brings the residuals, M*M, ``psd_sqrt``'s H, ||M||_F
+and the witness residuals to unit scale; M stays at true scale.
 
 Above order _SPLIT_ORDER the two checks, the general eigensolve of the
 spectrum check (``_eig_checks``) and all of ``polar_check``, split their
@@ -350,10 +350,10 @@ def polar_check(
     on = parts.atom_support[T.partition.atom_of]
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
-    # M*M at unit scale: a tiny M's squares do not underflow
+    # M*M and ||M||_F at unit scale, where no square over- or underflows
     k = _exponent(M)
     s = np.ldexp(1.0, -k)
-    recon_sq = off_sq = 0.0
+    recon_sq = off_sq = m_sq = 0.0
     moduli = []  # (P_S on the block, |T|_b, M_b*M_b at unit scale) per size
     for idx, Mb, Ub, Ab in _stacks(_blocks(M, U_mat, A_mat), M, U_mat, A_mat):
         on_b = on[idx]
@@ -362,6 +362,7 @@ def polar_check(
         recon_sq += _sq(R)
         off_sq += _sq(Mb[~on_b])
         Mb = Mb * s
+        m_sq += _sq(Mb)
         moduli.append((on_b, Ab, Mb.conj().swapaxes(1, 2) @ Mb))
     del U_mat, Ub, R, Mb  # U and the loop's views of it are read no more
     h_norm = float(np.sqrt(sum(_sq(H) for _, _, H in moduli)))
@@ -373,9 +374,7 @@ def polar_check(
         sqrt_sq += _sq(R)
     recon, sqrt_err = float(np.sqrt(recon_sq)), float(np.sqrt(sqrt_sq))
     atoms_off = np.unique(T.partition.atom_of[~on]).size
-    # not residuals(T).matrix_norm: where polar is checked alone (``wcelab
-    # polar``) that would add the O(n^3) commutators for an O(n^2) norm
-    norm = max(float(np.linalg.norm(M)), 1e-300)
+    norm = float(np.sqrt(m_sq) / s)
     ok = (
         recon <= TOLERANCES["identity"] * norm
         and sqrt_err <= TOLERANCES["oracle"] * norm
@@ -385,9 +384,9 @@ def polar_check(
 
 
 def _eig_checks(
-    M: np.ndarray, values: list[complex], norm: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """From one eigendecomposition of M: an upper bound on
+    M: np.ndarray, values: list[complex]
+) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
+    """||M||_F and, from one eigendecomposition of M, an upper bound on
     sigma_min(M - lam * I) for each claimed lam in values, at rounding
     level when lam is an eigenvalue, and each computed eigenvalue's
     distance to the nearest claimed value.
@@ -406,8 +405,10 @@ def _eig_checks(
     The eigenvalues are taken in stack order, unsorted, and column j of V,
     zero off its block, is the eigenvector of w[j]: a block's eigenpair
     padded with zeros is one of M.  The witness residuals are taken on the
-    whole M.
+    whole M; their squares, like those of ||M||_F, are summed at unit scale.
     """
+    s = np.ldexp(1.0, -_exponent(M))
+    norm = float(np.sqrt(_sq(M * s)) / s)
     lams = np.asarray(values, dtype=complex)
     try:
         parts = [(idx, *np.linalg.eig(S)) for idx, S in _stacks(_blocks(M), M)]
@@ -424,13 +425,15 @@ def _eig_checks(
             start += idx.size
         gaps = np.abs(lams[:, None] - w[None, :])
         X = V[:, gaps.argmin(axis=1)]
-        r = np.linalg.norm(M @ X - X * lams, axis=0)
+        R = M @ X - X * lams
+        R *= s
+        r = np.linalg.norm(R, axis=0) / s
         dists = tuple(gaps.min(axis=0, initial=np.inf).tolist())
     sigmas = tuple(
-        float(s) if s <= _WITNESS_ACCEPT * norm else min_singular_value(M, lam)  # False for NaN too
-        for s, lam in zip(r, values)
+        float(x) if x <= _WITNESS_ACCEPT * norm else min_singular_value(M, lam)  # False for NaN too
+        for x, lam in zip(r, values)
     )
-    return sigmas, dists
+    return norm, sigmas, dists
 
 
 @dataclass(frozen=True)
@@ -444,8 +447,8 @@ class SpectrumProbeResult:
     # the probe floor, which no verdict of the library, the CLI or the suite
     # uses; outside the tests only the benchmark in perfbench/ reads them,
     # and they go with the benchmark change that releases its pins (ROADMAP
-    # item 1).  matrix_norm is ||M||_F, taken by the check itself, which
-    # forms no commutator products
+    # item 1).  matrix_norm is ||M||_F, taken at unit scale by the check
+    # itself, which forms no commutator products
     probe_points: tuple[complex, ...]
     probe_distances: tuple[float, ...]  # distance of each probe to the claimed set
     matrix_norm: float
@@ -459,14 +462,9 @@ class SpectrumProbeResult:
         return tuple(min_singular_value(self.matrix, p) for p in self.probe_points)
 
     def candidates_ok(self, tol: float) -> bool:
-        # an overflowed ||M||_F makes every bound infinite, so no claim
-        # passes.  A matrix with norm below tol is the zero operator up to
-        # tolerance; its only spectral statement is {0} and every check on
-        # it degenerates to noise ratios
+        # an overflowed ||M||_F makes every bound infinite, so no claim passes
         if not np.isfinite(self.matrix_norm):
             return False
-        if self.matrix_norm <= tol:
-            return True
         bound = tol * self.matrix_norm
         return all(s <= bound for s in self.candidate_sigmas)
 
@@ -479,11 +477,9 @@ class SpectrumProbeResult:
         at max_n 64 and 0-599 at max_n 256, split above order 32, the
         largest distance was 1.3e-8 * ||M||_F.  A left-out value closer
         than the bound to a claimed one is not seen.  As in candidates_ok,
-        False when ||M||_F is not finite and skipped when ||M||_F <= tol."""
+        False when ||M||_F is not finite."""
         if not np.isfinite(self.matrix_norm):
             return False
-        if self.matrix_norm <= tol:
-            return True
         return max(self.eigenvalue_distances) <= _COMPLETE * self.matrix_norm
 
     def probes_ok(self, slack: float) -> bool:
@@ -521,9 +517,8 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
     reads them.
     """
     M = matrix_of(T)
-    norm = float(np.linalg.norm(M))
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
-    cand_sigmas, eig_dists = _eig_checks(M, values, norm)
+    norm, cand_sigmas, eig_dists = _eig_checks(M, values)
 
     probes: list[complex] = []
     for a, b in zip(values, values[1:]):

@@ -147,6 +147,27 @@ def test_polar_on_a_tiny_symbol_forms_M_star_M_at_unit_scale(tmp_path, capsys):
     assert "verdict: pass" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "command, verdict", [(["spectrum", "--oracle"], "oracle verdict: pass"), (["polar"], "verdict: pass")]
+)
+def test_dense_checks_on_a_symbol_whose_norm_squared_overflows(tmp_path, capsys, command, verdict):
+    # u = (1.3e154, 1.2e154) on two singletons of weight 0.5: every |u|^2 is
+    # finite, but ||M||_F^2 = 3.13e308 is not, so both checks take ||M||_F
+    # at unit scale
+    doc = {
+        "points": [{"weight": 0.5}, {"weight": 0.5}],
+        "atoms": [[0], [1]],
+        "u": {"values": [[1.3e154, 0.0], [1.2e154, 0.0]]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, _ = run(capsys, *command, "--space-file", str(path))
+    assert code == 0
+    assert verdict in out.splitlines()
+
+
 _RESIDUALS_AT_EVERY_SCALE = {
     (1, 2, 3): "self-adjoint 2.085e-01, normal 9.722e-02, quasinormal 3.205e-02",
     (1, -1, 3): "self-adjoint 4.472e-01, normal 1.414e-01, quasinormal 3.162e-02",
@@ -446,13 +467,30 @@ def test_no_command_takes_a_tolerance(capsys):
         assert "--tail-tol" not in parser.format_help(), name
 
 
-@pytest.mark.parametrize("scenario, verdict", [("full-algebra", "True"), ("trivial-algebra", "False")])
-def test_classify_above_the_order_cap(capsys, scenario, verdict):
+@pytest.mark.parametrize(
+    "scenario, verdict",
+    [("full-algebra", "True"), ("trivial-algebra", "False"), ("zero-mean-space-file", "False")],
+)
+def test_classify_above_the_order_cap(tmp_path, capsys, scenario, verdict):
     # the verdicts come from the formula layer alone; only the informational
-    # oracle residuals need the dense matrix
-    code, out, _ = run(capsys, "classify", "--scenario", scenario, "--params", "n=300")
+    # oracle residuals need the dense matrix.  The space file is one atom of
+    # 300 points with a zero-mean symbol, whose dense fallback runs only
+    # below the cap
+    if scenario == "zero-mean-space-file":
+        doc = {
+            "points": [{"weight": 1}] * 300,
+            "atoms": [list(range(300))],
+            "u": {"builtin": "sign_alternating"},
+        }
+        path = tmp_path / "alt300.json"
+        path.write_text(json.dumps(doc))
+        source = ["--space-file", str(path)]
+    else:
+        source = ["--scenario", scenario, "--params", "n=300"]
+    code, out, _ = run(capsys, "classify", *source)
     assert code == 0
     assert [line.split()[1] for line in out.splitlines()[1:4]] == [verdict] * 3
+    assert f"quasinormal:  {verdict}  (via formula)" in out.splitlines()
     assert "  oracle residuals: n/a (n > 256)" in out
 
 

@@ -251,7 +251,8 @@ def _assert_split_matches_dense(M, values):
     """The split eigen check against the dense one on M, and
     hermitian_eig and psd_sqrt, which solve whole, against numpy on M*M."""
     norm = np.linalg.norm(M)
-    sigmas, dists = oracle._eig_checks(M, values, norm)
+    got_norm, sigmas, dists = oracle._eig_checks(M, values)
+    assert got_norm == norm
     ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
     assert np.abs(np.array(sigmas) - ref_sigmas).max(initial=0.0) <= 1e-12 * norm
     # a zero-mean atom makes 0 a defective eigenvalue, which rounding moves
@@ -294,7 +295,8 @@ def test_split_eigensolvers_match_dense_ones_at_orders_33_to_64(seed):
 def test_unsplit_eig_checks_are_the_dense_ones(seed):
     # where _blocks gives None (order <= 32, or one component above it) the
     # check runs on a stack of one whole M: the same eigenpairs in eig's
-    # order, so the same witnesses and the same numbers, bit for bit
+    # order, so the same witnesses and the same numbers, bit for bit; the
+    # sums of squares taken at unit scale change no bit of a norm in range
     if seed is None:  # trivial-algebra n=200, one component of order 200
         sc = build_trivial_algebra(200)
         T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
@@ -304,7 +306,8 @@ def test_unsplit_eig_checks_are_the_dense_ones(seed):
     assert oracle._blocks(M) is None
     values = sorted(spectrum_formula(T).values, key=lambda z: (z.real, z.imag))
     norm = float(np.linalg.norm(M))
-    sigmas, dists = oracle._eig_checks(M, values, norm)
+    got_norm, sigmas, dists = oracle._eig_checks(M, values)
+    assert got_norm == norm
     ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
     assert sigmas == tuple(ref_sigmas.tolist())
     assert dists == tuple(ref_dists.tolist())
@@ -755,10 +758,9 @@ def _reference_verdicts(T, claim, probe, tol):
     """candidates_ok and probes_ok at tol, recomputed from one SVD per point."""
     M = matrix_of(T)
     norm = np.linalg.norm(M)
-    if norm <= tol:
-        return True, True
     cand = all(min_singular_value(M, v) <= tol * norm for v in claim.values)
-    if residuals(T).normal_rel > tol:
+    # only the probe floor keeps an absolute cut for the zero operator
+    if norm <= tol or residuals(T).normal_rel > tol:
         return cand, True
     floor = all(
         min_singular_value(M, p) >= d / 2.0 - tol
@@ -796,24 +798,53 @@ def test_probe_check_verdicts_match_svd_reference(seed, kind):
 
 def test_probe_check_on_the_zero_operator():
     # zero-mean symbol on singletons: u = 0 exactly, so M = 0, where every
-    # eigenvector is a witness with residual 0, the SVD's value
+    # eigenvector is a witness with residual 0, the SVD's value.  The
+    # spectrum of 0 is {0}: no absolute cut lets another value through
     n = 5
     sp = FiniteMeasureSpace(np.full(n, 1.0 / n))
     T = WeightedCondExpOperator(sp, Partition(np.arange(n)), MFunction(np.zeros(n, dtype=complex)))
-    probe = spectrum_probe_check(T, spectrum_formula(T))
+    rep = spectrum_formula(T)
+    assert rep.values == (0j,)
+    probe = spectrum_probe_check(T, rep)
     assert probe.matrix_norm == 0.0
     assert probe.candidate_sigmas == (0.0,)
-    assert probe.candidates_ok(1e-8)
+    assert probe.ok(1e-8)
     assert probe.probes_ok(1e-8)
+    for values in ((5 + 5j,), (0j, 5 + 5j)):
+        probe = spectrum_probe_check(T, SpectrumReport(values=values, includes_zero=0j in values))
+        assert not probe.candidates_ok(1e-8)
+        assert not probe.ok(1e-8)
 
 
-def test_probe_check_passes_no_claim_when_the_norm_overflows():
-    # |u|^2 = 1e400 overflows, so ||M||_F is inf and tol * ||M||_F bounds nothing
+def test_probe_check_takes_a_large_norm_at_unit_scale():
+    # |u| = 1e200: ||M||_F^2 = 1e400 overflows, but ||M||_F is taken at unit
+    # scale, so the true claim {0, 2, 1e200} passes.  The claim {0, 5+5i}
+    # leaves out 1e200 and fails completeness, and a value 5e199 (1 + i)
+    # off the spectrum fails soundness
     sp = FiniteMeasureSpace(np.array([0.5, 0.5, 1.0]))
     u = MFunction(np.array([1e200, 1e200, 2.0], dtype=complex))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         T = WeightedCondExpOperator(sp, Partition(np.array([0, 0, 1])), u)
+        rep = spectrum_formula(T)
+    probe = spectrum_probe_check(T, rep)
+    assert probe.matrix_norm == 1e200
+    assert probe.ok(1e-8)
+    probe = spectrum_probe_check(T, SpectrumReport(values=(0j, 5 + 5j), includes_zero=True))
+    assert not probe.eigenvalues_ok(1e-8)
+    assert not probe.ok(1e-8)
+    off = SpectrumReport(values=rep.values + (5e199 + 5e199j,), includes_zero=True)
+    assert not spectrum_probe_check(T, off).candidates_ok(1e-8)
+
+
+def test_probe_check_passes_no_claim_when_the_norm_overflows():
+    # |u| = 1.5e308 on two unit-mass singletons: M is finite, but
+    # ||M||_F = 2.1e308 leaves the float range, so tol * ||M||_F bounds nothing
+    sp = FiniteMeasureSpace(np.ones(2))
+    u = MFunction(np.array([1.5e308, 1.5e308], dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        T = WeightedCondExpOperator(sp, Partition(np.arange(2)), u)
         claims = [spectrum_formula(T), SpectrumReport(values=(0j, 5 + 5j), includes_zero=True)]
         probes = [spectrum_probe_check(T, claim) for claim in claims]
     for probe in probes:
@@ -821,6 +852,27 @@ def test_probe_check_passes_no_claim_when_the_norm_overflows():
         assert not probe.candidates_ok(1e-8)
         assert not probe.eigenvalues_ok(1e-8)
         assert not probe.ok(1e-8)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("j", [-997, -565, -30, 0, 498])
+def test_spectrum_verdicts_do_not_depend_on_the_scale_of_u(seed, j):
+    # u -> 2^j u scales M by 2^j.  One relative rule holds at every scale:
+    # the true claim passes, a claim with a value 0.3 * 2^j beyond the
+    # spectral radius fails soundness, and one without its largest value
+    # fails completeness.  An absolute cut for a small ||M||_F passes both
+    # wrong claims from j = -30 down, and a witness residual whose squares
+    # are summed at true scale underflows to 0 from j = -565 down
+    T = random_operator(np.random.default_rng(seed), max_n=32)
+    S = WeightedCondExpOperator(T.space, T.partition, MFunction(T.symbol.values * 2.0**j))
+    rep = spectrum_formula(S)
+    assert spectrum_probe_check(S, rep).ok(1e-8)
+    beyond = max(abs(v) for v in rep.values) + 0.3 * 2.0**j
+    extra = spectrum_probe_check(S, SpectrumReport(rep.values + (beyond,), rep.includes_zero))
+    assert not extra.candidates_ok(1e-8)
+    largest = max(rep.values, key=abs)
+    partial = SpectrumReport(tuple(v for v in rep.values if v != largest), rep.includes_zero)
+    assert not spectrum_probe_check(S, partial).eigenvalues_ok(1e-8)
 
 
 def test_bogus_value_reports_the_svd():
