@@ -15,16 +15,20 @@ a real function (``MFunction`` keeps real input as float64) takes one sum.
 Up to ``BLOCK`` points the term is formed for the whole input and summed
 with one ``bincount`` per part: at 64 points a call costs about 1.1 us
 against 2.2 us for ``np.add.at``, and such short calls are most of what
-the CLI makes.  Longer inputs are walked in blocks of ``BLOCK`` points, so
-that a block's labels and terms stay in cache and no n-sized array is
+the CLI makes.  Longer inputs take the one block walk, ``_block_walk``,
+so that a block's labels and terms stay in cache and no n-sized array is
 formed: the block's term and then its products with mu go to a buffer of
 one block, and one ``np.add.at`` adds it into sums that start at +0.0.
 Each atom's terms are then added in index order, as one ``bincount`` per
 part over all points adds them, and every bit is the same.  ``cond_exp``'s
-``scale=s`` multiplies the m atom values by s before they are gathered.
-A caller that averages several functions over the same partition may pass
-the atom masses as ``mass``; it must be exactly ``atom_masses(p, sp)``,
-which is then not recomputed.
+``scale=s`` multiplies the m atom values by s before they are gathered;
+on singleton atoms, where nothing is averaged, it multiplies the points
+in place by ``s[atom_of]`` on the same walk.  The operator's point-level
+epilogues take the walk too, at every length: conj(u) times E(f) or U f
+for T* and |T|, and max |Im u| for ``classify``.  A caller that averages
+several functions over the same partition may pass the atom masses as
+``mass``; it must be exactly ``atom_masses(p, sp)``, which is then not
+recomputed.
 """
 from __future__ import annotations
 
@@ -43,10 +47,29 @@ __all__ = [
     "BLOCK",
 ]
 
-#: points per block of the blocked sums: a block's labels, masses and
+#: points per block of ``_block_walk``: a block's labels, masses and
 #: complex terms take 1 MiB; the centered pass of a complex f holds real
 #: terms and adds 0.5 MiB each of gathered means and differences
 BLOCK = 2**15
+
+
+def _block_walk(n: int):
+    """(start, stop) of each block of the walk that every blocked pass
+    takes over range(n): ``BLOCK`` points a block, in order, and the rest
+    in a last block, except that a rest of one point joins the block
+    before it.  So every block starts at a multiple of ``BLOCK``, holds at
+    most ``BLOCK + 1`` points, and holds one point only when n = 1.  Both
+    keep bits: numpy's vector loops take a call's points in runs of the
+    vector width and then a shorter tail, so a block that starts at a
+    multiple of ``BLOCK`` takes each point through the path that one
+    whole-array call takes it; and numpy forms a one-element product in
+    place in another loop, whose complex products can differ in their
+    last bits and in the signs of zeros and NaNs."""
+    s = 0
+    while s < n:
+        e = n if n - s <= BLOCK + 1 else s + BLOCK
+        yield s, e
+        s = e
 
 
 def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
@@ -114,9 +137,8 @@ def atom_averages(
             dtype = values.dtype if times is None else np.result_type(times, values)
         out = np.empty(p.atom_count, dtype)
         sums = np.zeros(p.atom_count, dtype)
-        buf = np.empty(BLOCK, dtype)
-        for s in range(0, values.size, BLOCK):
-            e = min(s + BLOCK, values.size)
+        buf = np.empty(BLOCK + 1, dtype)
+        for s, e in _block_walk(values.size):
             labels, mu, w = atom_of[s:e], sp.masses[s:e], buf[: e - s]
             v = _term(values[s:e], None if times is None else times[s:e], center, labels, w)
             np.multiply(mu, v.real, out=w.real)
@@ -163,7 +185,8 @@ def cond_exp(
         _check_aligned(f, p, sp, times)
         out = f.values.copy() if times is None else times * f.values
         if scale is not None:
-            out *= scale[p.atom_of]
+            for s, e in _block_walk(out.size):
+                out[s:e] *= scale[p.atom_of[s:e]]
         return MFunction(out)
     avg = atom_averages(f, p, sp, mass=mass, times=times)
     if scale is not None:

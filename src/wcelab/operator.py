@@ -15,7 +15,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .condexp import atom_averages, atom_masses, cond_exp, is_A_measurable
+from .condexp import _block_walk, atom_averages, atom_masses, cond_exp, is_A_measurable
 from .measure import (
     ROUNDING_GAP,
     SMALLEST_SUBNORMAL,
@@ -92,7 +92,8 @@ class WeightedCondExpOperator:
     def __post_init__(self):
         sp, p, u = self.space, self.partition, self.symbol
         mass = atom_masses(p, sp)
-        sq = MFunction(np.abs(u.values) ** 2)
+        sq = np.abs(u.values)
+        sq = MFunction(np.square(sq, out=sq))
         mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
         sq_mean = atom_averages(sq, p, sp, mass=mass)
         object.__setattr__(self, "atom_mass", mass)
@@ -117,9 +118,36 @@ def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
 
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
-    return MFunction(
-        np.conj(T.symbol.values) * cond_exp(f, T.partition, T.space, mass=T.atom_mass).values
-    )
+    g = cond_exp(f, T.partition, T.space, mass=T.atom_mass).values
+    return MFunction(_conj_times(T.symbol.values, g))
+
+
+def _conj_times(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """conj(u) * g with the bits of ``np.multiply(np.conj(u), g)``, formed
+    block by block (``condexp._block_walk``) in g's own array when g has
+    the product's dtype, else in one fresh array; only one block of
+    conj(u) is formed at a time.  numpy forms a one-element product in
+    place in another loop, which can round otherwise, so a g of one point
+    also takes a fresh array."""
+    dtype = np.result_type(u, g)
+    out = g if g.dtype == dtype and g.size > 1 else np.empty(g.shape, dtype)
+    for s, e in _block_walk(u.size):
+        np.multiply(np.conj(u[s:e]), g[s:e], out=out[s:e])
+    return out
+
+
+def _max_abs_imag(u: np.ndarray) -> tuple[int, float]:
+    """The first index of max |Im u| and its value, as ``np.argmax`` finds
+    them on the whole array: the first maximum, or else the first NaN.
+    |Im u| is formed one block at a time."""
+    tops, where = [], []
+    for s, e in _block_walk(u.size):
+        w = np.abs(u[s:e].imag)
+        j = int(np.argmax(w))
+        tops.append(w[j])
+        where.append(s + j)
+    b = int(np.argmax(tops))
+    return where[b], float(tops[b])
 
 
 @dataclass(frozen=True)
@@ -151,14 +179,10 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
         raise ValueError("tol must be positive")
     meas = is_A_measurable(T.symbol, T.partition, T.space, tol, mass=T.atom_mass)
     normal = quasinormal = meas.measurable
-    imag_abs = np.abs(T.symbol.values.imag)
-    worst_imag = int(np.argmax(imag_abs))
-    self_adjoint = normal and bool(imag_abs[worst_imag] <= tol)
+    worst_imag, max_imag = _max_abs_imag(T.symbol.values)
+    self_adjoint = normal and max_imag <= tol
 
-    residuals = {
-        "atom_deviation": meas.max_deviation,
-        "max_imag": float(imag_abs[worst_imag]),
-    }
+    residuals = {"atom_deviation": meas.max_deviation, "max_imag": max_imag}
     source = "formula"
     from . import oracle  # here, not at the top: oracle imports this module
 
@@ -230,7 +254,7 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """|T| f = conj(u) s E(u f), with s = ``parts.atom_scale``."""
-    return MFunction(np.conj(T.symbol.values) * apply_isometry(T, parts, f).values)
+    return MFunction(_conj_times(T.symbol.values, apply_isometry(T, parts, f).values))
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
@@ -321,7 +345,8 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
         tr = truncate(spec, tail_tol, weighted=True)
         p, sp, tail = tr.partition, tr.space, tr.discarded_mass_bound
         mass = atom_masses(p, sp)
-        sq_mean = atom_averages(MFunction(np.abs(tr.symbol.values) ** 2), p, sp, mass=mass)
+        sq = np.abs(tr.symbol.values)
+        sq_mean = atom_averages(MFunction(np.square(sq, out=sq)), p, sp, mass=mass)
         for a, s, m, c in zip(tr.atom_ids, sq_mean.tolist(), mass.tolist(), p.atom_sizes.tolist()):
             if a not in per_atom:
                 per_atom[a] = AtomDomainVerdict(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from wcelab.condexp import (
     BLOCK,
+    _block_walk,
     atom_averages,
     atom_masses,
     cond_exp,
@@ -292,6 +293,19 @@ def test_blocked_sums_keep_an_infinite_part_to_itself():
     values[shared[0]], values[shared[-1]] = np.inf, complex(0.0, -np.inf)
     avg = atom_averages(MFunction(values), p, sp)
     assert avg.tobytes() == _full_array_reference(values, p, sp).tobytes()
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + 17]
+)
+def test_the_block_walk_covers_every_point_once_in_order(n):
+    """Blocks start at multiples of BLOCK, hold at most BLOCK + 1 points,
+    and hold one point only when n = 1."""
+    walk = list(_block_walk(n))
+    assert [s for s, _ in walk] == list(range(0, BLOCK * len(walk), BLOCK))
+    assert [e for _, e in walk[:-1]] == [s for s, _ in walk[1:]] and walk[-1][1] == n
+    assert all(1 <= e - s <= BLOCK + 1 for s, e in walk)
+    assert (min(e - s for s, e in walk) == 1) == (n == 1)
 
 
 @pytest.mark.parametrize("m", [16, 10**4])

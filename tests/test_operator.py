@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -537,6 +538,126 @@ def test_adjoint_is_conj_u_times_E_f_bit_for_bit(atoms, u_kind, f_kind):
     T = WeightedCondExpOperator(sp, p, MFunction(u))
     want = np.conj(u) * cond_exp(MFunction(f), p, sp).values
     assert _bits(apply_adjoint(T, MFunction(f)).values) == _bits(want)
+
+
+_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, np.nan)
+_WALK_LENGTHS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 3 * BLOCK + 17)
+
+
+def _with_specials(rng, n, kind):
+    """Gaussian values, real or complex, with entries from _SPECIALS, drawn
+    for each part apart, at the block edges, the last five points and 64
+    random points."""
+    v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "complex" else 0)
+    edges = [i for i in (0, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK) if i < n]
+    at = np.unique(np.concatenate([edges, np.arange(max(0, n - 5), n), rng.integers(0, n, 64)]))
+    for part in (v.real, v.imag) if kind == "complex" else (v,):
+        part[at] = rng.choice(_SPECIALS, at.size)
+    return v
+
+
+def _walk_labels(rng, n, labels):
+    if labels == "arange":
+        return np.arange(n)
+    if labels == "permuted":
+        return rng.permutation(n)
+    atom_of = np.concatenate([np.arange(min(n, 16)), rng.integers(0, 16, size=max(0, n - 16))])
+    rng.shuffle(atom_of)
+    return atom_of
+
+
+def _whole_array_epilogues(T, parts, f):
+    """T* f, U f and |T| f as whole-array expressions: conj(u) E(f), the
+    gathered scaled atom averages, or u f times the gathered scale in place
+    on singletons, and conj(u) U f.  Each product's second operand is
+    named: numpy elides a temporary operand of 256 KiB or more into the
+    output, and for a real u it would swap the operands of conj(u) * g,
+    which changes the sign of an underflowed zero or of a NaN."""
+    sp, p, u = T.space, T.partition, T.symbol.values
+    if p.is_singletons:
+        iso = u * f.values
+        iso *= parts.atom_scale[p.atom_of]
+    else:
+        avg = atom_averages(f, p, sp, times=u)
+        avg *= parts.atom_scale
+        iso = avg[p.atom_of]
+    g = cond_exp(f, p, sp).values
+    return np.conj(u) * g, iso, np.conj(u) * iso
+
+
+@pytest.mark.parametrize("n", _WALK_LENGTHS)
+@pytest.mark.parametrize("labels", ["arange", "permuted", "16 atoms"])
+@pytest.mark.parametrize("u_kind", ["real", "complex"])
+@pytest.mark.parametrize("f_kind", ["real", "complex"])
+def test_blocked_epilogues_keep_the_bits_of_whole_array_ones(n, labels, u_kind, f_kind):
+    """T*, U, |T| and classify's max |Im u| walk u in blocks; each output
+    is the whole-array one bit for bit, signed zeros, infinities and NaNs
+    included, at every length around the block edges."""
+    rng = np.random.default_rng([n, len(labels), len(u_kind), len(f_kind)])
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    u, f = _with_specials(rng, n, u_kind), MFunction(_with_specials(rng, n, f_kind))
+    with np.errstate(all="ignore"):
+        T = WeightedCondExpOperator(sp, Partition(_walk_labels(rng, n, labels)), MFunction(u))
+        parts = polar(T, 1e-8)
+        adjoint, iso, modulus = _whole_array_epilogues(T, parts, f)
+        assert _bits(apply_adjoint(T, f).values) == _bits(adjoint)
+        assert _bits(apply_isometry(T, parts, f).values) == _bits(iso)
+        assert _bits(apply_modulus(T, parts, f).values) == _bits(modulus)
+        rep = classify(T, 1e-8)
+    imag_abs = np.abs(u.imag)
+    worst = int(np.argmax(imag_abs))
+    assert _bits(rep.residuals["max_imag"]) == _bits(float(imag_abs[worst]))
+    assert rep.self_adjoint == (rep.normal and bool(imag_abs[worst] <= 1e-8))
+    assert rep.witnesses["self_adjoint"] == (None if rep.self_adjoint else worst)
+
+
+@pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK + 17])
+def test_max_imag_witness_is_the_first_maximum_or_the_first_nan(n):
+    """Ties and NaNs in |Im u| across block edges: as ``np.argmax`` on the
+    whole array, the first maximum wins, and any NaN beats every number."""
+    rng = np.random.default_rng(n)
+    sp, p = _long_partition(rng, n, None)
+    u = rng.standard_normal(n) + 1j * rng.uniform(-1.0, 1.0, n)
+    u.imag[[BLOCK - 1, BLOCK, 2 * BLOCK]] = 7.0, -7.0, 7.0
+    T = WeightedCondExpOperator(sp, p, MFunction(u))
+    rep = classify(T, 1e-8)
+    assert rep.witnesses["self_adjoint"] == BLOCK - 1 and rep.residuals["max_imag"] == 7.0
+    u.imag[[BLOCK + 5, 2 * BLOCK]] = np.nan
+    rep = classify(WeightedCondExpOperator(sp, p, MFunction(u)), 1e-8)
+    assert rep.witnesses["self_adjoint"] == BLOCK + 5 and math.isnan(rep.residuals["max_imag"])
+    assert not rep.self_adjoint
+
+
+@pytest.mark.parametrize("atoms", [16, None], ids=["16", "singletons"])
+def test_blocked_epilogues_make_no_throwaway_point_array(atoms):
+    """numpy reports its buffers to tracemalloc.  At 8 * BLOCK points T* f
+    and |T| f hold one complex n-sized result, and classify on singletons
+    none, each with two complex blocks of slack; a throwaway conj(u), a
+    gathered scale or an n-sized |Im u| would each break its bound."""
+    n = 8 * BLOCK
+    rng = np.random.default_rng(14)
+    sp, p = _long_partition(rng, n, atoms)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    T = WeightedCondExpOperator(sp, p, MFunction(u))
+    parts = polar(T, 1e-8)
+    f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    calls = {
+        "apply_adjoint": (lambda: apply_adjoint(T, f), 16 * n),
+        "apply_modulus": (lambda: apply_modulus(T, parts, f), 16 * n),
+    }
+    if atoms is None:
+        calls["classify"] = (lambda: classify(T, 1e-8), 0)
+    for name, (call, result_bytes) in calls.items():
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= result_bytes + 2 * 16 * (BLOCK + 1), (
+            f"{name} peaked at {peak / (16 * n):.2f}x 16n bytes"
+        )
 
 
 def test_isometry_is_isometric_on_modulus_range():
