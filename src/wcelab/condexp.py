@@ -13,9 +13,16 @@ Every average is of one term, formed by ``_term``: f, ``times * f`` for
 mu * Im(term) for a complex term, per atom and divides by the atom mass;
 a real function (``MFunction`` keeps real input as float64) takes one sum.
 Up to ``BLOCK`` points the term is formed for the whole input and summed
-with one ``bincount`` per part: at 64 points a call costs about 1.1 us
-against 2.2 us for ``np.add.at``, and such short calls are most of what
-the CLI makes.  Longer inputs take the one block walk, ``_block_walk``,
+with one ``bincount``: over the atom labels for a real term, and for a
+complex one over the labels 2a and 2a + 1 of its interleaved products
+mu * Re and mu * Im, whose sums one divide by the atom masses, each
+twice, turns into the complex means.  ``bincount`` adds each bin's
+weights in index order, so the sums are those of one ``bincount`` per
+part, bit for bit.  A partition keeps the interleaved labels and masses
+(``_pairs``) from its first complex short average on a space.  At 64
+points a ``bincount`` costs about 0.5 us against 0.95 us for
+``np.add.at``, and such short calls are most of what the CLI and
+``realize`` make.  Longer inputs take the one block walk, ``_block_walk``,
 so that a block's labels and terms stay in cache and no n-sized array is
 formed: the block's term and then its products with mu go to a buffer of
 one block, and one ``np.add.at`` adds it into sums that start at +0.0.
@@ -28,7 +35,7 @@ epilogues take the walk too, at every length: conj(u) times E(f) or U f
 for T* and |T|, and max |Im u| for ``classify``.  A caller that averages
 several functions over the same partition may pass the atom masses as
 ``mass``; it must be exactly ``atom_masses(p, sp)``, which is then not
-recomputed.
+recomputed (a complex short average reads the kept pair masses instead).
 """
 from __future__ import annotations
 
@@ -64,12 +71,12 @@ def _block_walk(n: int):
     multiple of ``BLOCK`` takes each point through the path that one
     whole-array call takes it; and numpy forms a one-element product in
     place in another loop, whose complex products can differ in their
-    last bits and in the signs of zeros and NaNs."""
-    s = 0
-    while s < n:
-        e = n if n - s <= BLOCK + 1 else s + BLOCK
-        yield s, e
-        s = e
+    last bits and in the signs of zeros and NaNs.  An input of one block,
+    as most inputs are, gets a one-pair tuple and no generator."""
+    if n <= BLOCK + 1:
+        return ((0, n),)
+    stops = range(BLOCK, n - 1, BLOCK)
+    return zip((0, *stops), (*stops, n))
 
 
 def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
@@ -79,10 +86,33 @@ def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
 
 
 def _check_aligned(f: MFunction, p: Partition, sp: FiniteMeasureSpace, times=None) -> None:
+    n = sp.masses.size
+    if f.values.size == n == p.atom_of.size and (times is None or times.shape == (n,)):
+        return
     f.check_aligned(sp)
     p.check_aligned(sp)
-    if times is not None and times.shape != f.values.shape:
-        raise DimensionMismatchError(f"times has shape {times.shape}, the function {f.values.shape}")
+    raise DimensionMismatchError(f"times has shape {times.shape}, the function {f.values.shape}")
+
+
+def _pairs(p: Partition, sp: FiniteMeasureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What one ``bincount`` of a complex term needs, interleaved: the
+    labels 2a and 2a + 1 of each point's atom a, each point's mass twice,
+    and each atom's mass twice.  Built on first use and kept in the
+    partition's ``__dict__`` beside the space they were built for; a call
+    on another space keeps the labels and builds the masses anew.  The
+    atom masses are sums of the points' masses in index order, bit for bit
+    those of ``atom_masses``."""
+    kept = p.__dict__.get("_pairs")
+    if kept is None or kept[0] is not sp:
+        if kept is None:
+            labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
+            odd = labels[1::2]
+            odd += 1
+        else:
+            labels = kept[1]
+        masses = sp.masses.repeat(2)
+        kept = p.__dict__["_pairs"] = (sp, labels, masses, np.bincount(labels, weights=masses))
+    return kept[1:]
 
 
 def _term(values, times, center, atom_of, out=None):
@@ -112,8 +142,10 @@ def atom_averages(
     arithmetic: complex division by a subnormal mass overflows to NaN, and
     real division is correctly rounded.  On a singleton atom the mean is
     the term itself, unrounded, placed in atom order.  The sums are those
-    of one ``bincount`` over all points, bit for bit, taken in one pass up
-    to ``BLOCK`` points and in a walk of blocks beyond.  ``center``, passed
+    of one ``bincount`` per part over all points, bit for bit.  Up to
+    ``BLOCK`` points they are taken in one pass, and a complex term's two
+    parts in one ``bincount`` over the labels 2a and 2a + 1 and one
+    divide; beyond, in a walk of blocks.  ``center``, passed
     only by ``is_A_measurable`` and never with ``times``, holds the atom
     means of f: the call then averages |f - center[atom]|^2.
     """
@@ -123,13 +155,19 @@ def atom_averages(
     short = singletons or values.size <= BLOCK
     if short:
         v = _term(values, times, center, atom_of)
-        out = np.empty(p.atom_count, v.dtype)
         if singletons:
+            out = np.empty(p.atom_count, v.dtype)
             out[atom_of] = v
             return out
-        re = np.bincount(atom_of, weights=sp.masses * v.real, minlength=p.atom_count)
         if v.dtype.kind == "c":
-            im = np.bincount(atom_of, weights=sp.masses * v.imag, minlength=p.atom_count)
+            labels, masses, pair_mass = _pairs(p, sp)
+            sums = np.bincount(labels, weights=masses * np.ascontiguousarray(v).view(np.float64))
+            out = np.divide(sums, pair_mass, out=sums).view(complex)
+        else:
+            if mass is None:
+                mass = atom_masses(p, sp)
+            sums = np.bincount(atom_of, weights=sp.masses * v, minlength=p.atom_count)
+            out = np.divide(sums, mass, out=sums)
     else:
         if center is not None:
             dtype = np.dtype(float)
@@ -145,12 +183,11 @@ def atom_averages(
             if dtype.kind == "c":
                 np.multiply(mu, v.imag, out=w.imag)
             np.add.at(sums, labels, w)
-        re, im = sums.real, sums.imag
-    if mass is None:
-        mass = atom_masses(p, sp)
-    np.divide(re, mass, out=out.real)
-    if out.dtype.kind == "c":
-        np.divide(im, mass, out=out.imag)
+        if mass is None:
+            mass = atom_masses(p, sp)
+        np.divide(sums.real, mass, out=out.real)
+        if dtype.kind == "c":
+            np.divide(sums.imag, mass, out=out.imag)
     if lone.size:  # an empty read or write still costs a fancy-indexing call
         if short:
             lone_terms = v[lone]

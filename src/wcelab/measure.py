@@ -8,6 +8,7 @@ immutable after construction and all operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -41,6 +42,8 @@ TOLERANCES = {
 SMALLEST_SUBNORMAL = 2.0**-1074
 #: values closer than this times their scale are rounding copies of one value
 ROUNDING_GAP = 2.0**-40
+#: the two dtypes ``MFunction`` keeps its values in
+_FLOAT, _COMPLEX = np.dtype(float), np.dtype(complex)
 
 
 class DimensionMismatchError(ValueError):
@@ -90,7 +93,15 @@ class MFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        values = self.values
+        if (
+            type(values) is np.ndarray
+            and (values.dtype is _FLOAT or values.dtype is _COMPLEX)
+            and values.ndim == 1
+            and values.size
+        ):
+            return  # kept as it is, as the conversion below would keep it
+        values = np.asarray(values)
         values = values.astype(float if values.dtype.kind in "biuf" else complex, copy=False)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("function values must be a nonempty 1-d array")
@@ -141,7 +152,7 @@ class Partition:
     def n(self) -> int:
         return self.atom_of.size
 
-    @property
+    @cached_property  # read on every average: kept after the first read
     def is_singletons(self) -> bool:
         return self.atom_count == self.atom_of.size
 
@@ -187,22 +198,29 @@ def weighted_inner_product(f: MFunction, g: MFunction, sp: FiniteMeasureSpace) -
 
 def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) -> np.ndarray:
     """Matrix of a linear map on L^2(mu) in the orthonormal coordinates
-    e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>.  The
-    action is applied once per basis vector and must not keep its input,
-    since every basis vector is the same array: it is set at point i for
-    column i and reset to zero once column i is written."""
+    e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>, in a
+    C-ordered complex array.  The action is applied once per basis vector
+    and must not keep its input, since every basis vector is the same
+    array: it is set at point i for column i and reset to zero once column
+    i is written.  Column i is written as row i of one buffer, a contiguous
+    write, and the buffer's transpose is copied out once at the end."""
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
-    inv_sqrt_m = 1.0 / sqrt_m
-    mat = np.empty((n, n), dtype=complex)
+    inv_sqrt_m = (1.0 / sqrt_m).tolist()
+    # numpy multiplies complex by real only after casting the real to
+    # complex, which this cast does once and exactly
+    sqrt_m = sqrt_m.astype(complex)
+    rows = np.empty((n, n), dtype=complex)
     basis = MFunction(np.zeros(n, dtype=complex))
+    e = basis.values
     for i in range(n):
-        basis.values[i] = inv_sqrt_m[i]
+        e[i] = inv_sqrt_m[i]
         col = action(basis)
-        col.check_aligned(sp)
-        np.multiply(col.values, sqrt_m, out=mat[:, i])
-        basis.values[i] = 0.0
-    return mat
+        if col.values.size != n:
+            col.check_aligned(sp)
+        np.multiply(col.values, sqrt_m, out=rows[i])
+        e[i] = 0.0
+    return rows.T.copy()
 
 
 def support(f: MFunction, tol: float) -> np.ndarray:

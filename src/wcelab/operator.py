@@ -126,20 +126,25 @@ def _conj_times(u: np.ndarray, g: np.ndarray) -> np.ndarray:
     """conj(u) * g with the bits of ``np.multiply(np.conj(u), g)``, formed
     block by block (``condexp._block_walk``) in g's own array when g has
     the product's dtype, else in one fresh array; only one block of
-    conj(u) is formed at a time.  numpy forms a one-element product in
-    place in another loop, which can round otherwise, so a g of one point
-    also takes a fresh array."""
+    conj(u) is formed at a time, and none for a real u, which is its own
+    conjugate.  numpy forms a one-element product in place in another
+    loop, which can round otherwise, so a g of one point also takes a
+    fresh array."""
     dtype = np.result_type(u, g)
     out = g if g.dtype == dtype and g.size > 1 else np.empty(g.shape, dtype)
+    real = u.dtype.kind != "c"
     for s, e in _block_walk(u.size):
-        np.multiply(np.conj(u[s:e]), g[s:e], out=out[s:e])
+        np.multiply(u[s:e] if real else np.conj(u[s:e]), g[s:e], out=out[s:e])
     return out
 
 
 def _max_abs_imag(u: np.ndarray) -> tuple[int, float]:
     """The first index of max |Im u| and its value, as ``np.argmax`` finds
     them on the whole array: the first maximum, or else the first NaN.
-    |Im u| is formed one block at a time."""
+    |Im u| is formed one block at a time; a real u has none, and gets
+    (0, 0.0) from its dtype."""
+    if u.dtype.kind != "c":
+        return 0, 0.0
     tops, where = [], []
     for s, e in _block_walk(u.size):
         w = np.abs(u[s:e].imag)

@@ -282,6 +282,43 @@ def test_blocked_averages_equal_one_full_array_bincount(n, m):
     )
 
 
+@pytest.mark.parametrize("n", [4, 29, 256])
+@pytest.mark.parametrize("m", [1, 3, "half"])
+def test_short_complex_averages_keep_the_bits_of_one_bincount_per_part(n, m):
+    """Up to BLOCK points the real and imaginary sums of a complex term
+    share one bincount over the labels 2a and 2a + 1, and one divide: each
+    bin still adds its terms in index order, so every bit is that of one
+    bincount per part, with infinities, NaNs, signed zeros and subnormal
+    masses."""
+    rng = np.random.default_rng([n, len(str(m))])
+    sp, p = _blocked_instance(rng, n, n // 2 if m == "half" else m)
+    values = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for part in (values.real, values.imag):
+        at = rng.integers(0, n, n // 3 + 1)
+        part[at] = rng.choice([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], at.size)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mass = atom_masses(p, sp)
+    with np.errstate(all="ignore"):
+        for g in (MFunction(values), MFunction(values[::-1])):
+            want = _full_array_reference(g.values, p, sp).tobytes()
+            assert atom_averages(g, p, sp).tobytes() == want
+            assert atom_averages(g, p, sp, mass=mass).tobytes() == want
+            product = _full_array_reference(u * g.values, p, sp).tobytes()
+            assert atom_averages(g, p, sp, mass=mass, times=u).tobytes() == product
+
+
+def test_short_complex_averages_read_the_masses_of_each_call():
+    """The interleaved labels and masses of a complex short average are
+    kept on the partition for one space: a call on another space over the
+    same partition reads that space's masses."""
+    rng = np.random.default_rng(5)
+    p = Partition(np.array([0, 1, 0, 2, 1, 0]))
+    f = MFunction(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    spaces = [FiniteMeasureSpace(rng.uniform(0.1, 1.0, 6)) for _ in range(2)]
+    for sp in spaces + spaces[::-1]:
+        assert atom_averages(f, p, sp).tobytes() == _full_array_reference(f.values, p, sp).tobytes()
+
+
 def test_blocked_sums_keep_an_infinite_part_to_itself():
     """mu * Re(f) and mu * Im(f) are real products, so an infinite part
     puts no 0 * inf into the other part's sum."""

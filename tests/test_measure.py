@@ -82,20 +82,39 @@ def test_partition_keeps_the_points_of_its_singleton_atoms(atom_of, points):
 
 
 @pytest.mark.parametrize(
-    "values, dtype",
+    "values, dtype, kept",
     [
-        ([True, False], float),
-        (np.arange(3), float),
-        (np.arange(3, dtype=np.float32), float),
-        ([1.0, 2.5], float),
-        ([1.0, 2.0j], complex),
-        (np.ones(2, dtype=np.complex64), complex),
+        ([True, False], float, False),
+        (np.arange(3), float, False),
+        (np.arange(3, dtype=np.float32), float, False),
+        ([1.0, 2.5], float, False),
+        ([1.0, 2.0j], complex, False),
+        (np.ones(2, dtype=np.complex64), complex, False),
+        (np.arange(3.0).astype(">f8"), float, False),
+        (np.array([1.0, -0.0, np.nan]), float, True),
+        (np.array([1.0, 2.0j, np.nan]), complex, True),
+        (np.arange(6.0)[::2], float, True),
+        (np.ma.masked_array([1.0, 2.0], mask=[False, True]), float, False),
     ],
 )
-def test_mfunction_keeps_real_input_real(values, dtype):
+def test_mfunction_keeps_real_input_real(values, dtype, kept):
+    # a 1-d float64 or complex128 ndarray, strided or not, is kept as the
+    # same object, as the conversion would keep it; anything else becomes
+    # a plain ndarray of one of those two dtypes
     f = MFunction(values)
-    assert f.values.dtype == dtype
+    assert f.values.dtype == dtype and type(f.values) is np.ndarray
+    assert (f.values is values) == kept
     np.testing.assert_array_equal(f.values, np.asarray(values))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [np.array(1.0), np.ones((2, 2)), np.ones((1, 3), dtype=complex), np.array([]), np.empty(0, complex)],
+    ids=["0-d", "2-d", "2-d-complex", "empty", "empty-complex"],
+)
+def test_mfunction_rejects_anything_but_a_nonempty_vector(values):
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        MFunction(values)
 
 
 def test_partition_from_blocks_rejects_overlap():
@@ -143,11 +162,16 @@ def _reference_realize(sp, action):
     return mat
 
 
+def _bits(a):
+    return a.dtype, a.shape, np.ascontiguousarray(a).view(np.uint64).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["coarse", "mixed", "singletons"])
 @pytest.mark.parametrize("n", [1, 2, 33, 64, 256])
 def test_realize_keeps_the_bits_of_a_fresh_basis_per_column(kind, n):
     # coarse: atoms of up to 4 points; mixed: pairs on half the points and
-    # singleton atoms on the rest; the labels are shuffled over the points
+    # singleton atoms on the rest; the labels are shuffled over the points.
+    # The matrix is C-ordered, the layout the gemms and SVDs downstream read
     rng = np.random.default_rng(n)
     pairs = 2 * (n // 4)
     atom_of = {
@@ -156,19 +180,22 @@ def test_realize_keeps_the_bits_of_a_fresh_basis_per_column(kind, n):
         "singletons": np.arange(n),
     }[kind]
     sp = FiniteMeasureSpace(rng.uniform(0.1, 3.0, n))
-    u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    T = WeightedCondExpOperator(sp, Partition(atom_of[rng.permutation(n)]), u)
-    parts = polar(T, 1e-8)
-    for action in (
-        lambda f: apply(T, f),
-        lambda f: apply_adjoint(T, f),
-        lambda f: apply_isometry(T, parts, f),
-        lambda f: apply_modulus(T, parts, f),
-    ):
-        calls = []
-        mat = realize(sp, lambda f: calls.append(f) or action(f))
-        assert len(calls) == n
-        assert np.array_equal(mat, _reference_realize(sp, action))
+    p = Partition(atom_of[rng.permutation(n)])
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for symbol in (MFunction(u), MFunction(u.real.copy())):  # complex and float64
+        T = WeightedCondExpOperator(sp, p, symbol)
+        parts = polar(T, 1e-8)
+        for action in (
+            lambda f: apply(T, f),
+            lambda f: apply_adjoint(T, f),
+            lambda f: apply_isometry(T, parts, f),
+            lambda f: apply_modulus(T, parts, f),
+        ):
+            calls = []
+            mat = realize(sp, lambda f: calls.append(f) or action(f))
+            assert len(calls) == n
+            assert mat.flags.c_contiguous
+            assert _bits(mat) == _bits(_reference_realize(sp, action))
 
 
 # -------------------------------------------------------------- inner product

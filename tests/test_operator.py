@@ -611,6 +611,42 @@ def test_blocked_epilogues_keep_the_bits_of_whole_array_ones(n, labels, u_kind, 
     assert rep.witnesses["self_adjoint"] == (None if rep.self_adjoint else worst)
 
 
+@pytest.mark.parametrize("n", [1, 2, 33, BLOCK + 1])
+@pytest.mark.parametrize("kind", ["coarse", "mixed", "singletons"])
+@pytest.mark.parametrize("f_kind", ["real", "complex"])
+def test_real_symbols_skip_imaginary_work_with_the_same_bits(n, kind, f_kind):
+    """A float64 u is its own conjugate and has no imaginary part: T* f and
+    |T| f multiply by u itself, and classify's max |Im u| and its witness
+    come from the dtype.  Each is the conj(u) reference bit for bit, with
+    NaN, -NaN and signed zero entries in u."""
+    rng = np.random.default_rng([n, len(kind), len(f_kind)])
+    pairs = 2 * (n // 4)
+    atom_of = {
+        "coarse": np.arange(n) // 4,
+        "mixed": np.concatenate([np.arange(pairs) // 2, pairs // 2 + np.arange(n - pairs)]),
+        "singletons": np.arange(n),
+    }[kind][rng.permutation(n)]
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    u = rng.standard_normal(n)
+    at = rng.permutation(n)[: n // 3 + 1]
+    u[at] = rng.choice([np.nan, -np.nan, 0.0, -0.0], at.size)
+    f = MFunction(rng.standard_normal(n) + (1j * rng.standard_normal(n) if f_kind == "complex" else 0))
+    with np.errstate(all="ignore"):
+        T = WeightedCondExpOperator(sp, Partition(atom_of), MFunction(u))
+        assert T.symbol.values.dtype == np.float64
+        parts = polar(T, 1e-8)
+        adjoint = np.multiply(np.conj(u), cond_exp(f, T.partition, sp).values)
+        modulus = np.multiply(np.conj(u), apply_isometry(T, parts, f).values)
+        for got, want in ((apply_adjoint(T, f).values, adjoint), (apply_modulus(T, parts, f).values, modulus)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        rep = classify(T, 1e-8)
+    imag = np.abs(np.conj(u).imag)
+    worst = int(np.argmax(imag))
+    assert np.array_equal(np.float64(rep.residuals["max_imag"]).view(np.uint64), imag[worst].view(np.uint64))
+    assert rep.witnesses["self_adjoint"] == (None if rep.self_adjoint else worst)
+
+
 @pytest.mark.parametrize("n", [2 * BLOCK + 1, 3 * BLOCK + 17])
 def test_max_imag_witness_is_the_first_maximum_or_the_first_nan(n):
     """Ties and NaNs in |Im u| across block edges: as ``np.argmax`` on the
