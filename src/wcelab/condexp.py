@@ -8,8 +8,9 @@ the point's own value, exactly, whatever its mass.  On any other partition
 the same holds on each atom of one point.
 
 Every average is of one term, formed by ``_term``: f, ``times * f`` for
-``times=t``, or |f - E(f)|^2 for ``center=E(f)``, which only
-``is_A_measurable`` passes.  An average sums mu * Re(term), and
+``times=t``, |f - E(f)|^2 for ``center=E(f)``, which only
+``is_A_measurable`` passes, or |f|^2 for ``center=0``, which only the
+operator's construction passes.  An average sums mu * Re(term), and
 mu * Im(term) for a complex term, per atom and divides by the atom mass;
 a real function (``MFunction`` keeps real input as float64) takes one sum.
 Up to ``BLOCK`` points the term is formed for the whole input and summed
@@ -18,8 +19,14 @@ complex one over the labels 2a and 2a + 1 of its interleaved products
 mu * Re and mu * Im, whose sums one divide by the atom masses, each
 twice, turns into the complex means.  ``bincount`` adds each bin's
 weights in index order, so the sums are those of one ``bincount`` per
-part, bit for bit.  A partition keeps the interleaved labels and masses
-(``_pairs``) from its first complex short average on a space.  At 64
+part, bit for bit.  A partition keeps one record for the space it was
+last averaged on (``_record``, under ``_pairs`` in its ``__dict__``):
+the atom masses, from one ``bincount`` over the points when the record
+is built, and from the first complex short average on that space the
+interleaved labels and masses (``_pairs``), whose pair masses are the
+atom masses repeated twice.  ``atom_masses`` hands out the kept array
+itself, read-only, so the operator's ``atom_mass`` and every average on
+that space read the masses of one pass.  At 64
 points a ``bincount`` costs about 0.5 us against 0.95 us for
 ``np.add.at``, and such short calls are most of what the CLI and
 ``realize`` make.  Longer inputs take the one block walk, ``_block_walk``,
@@ -35,7 +42,7 @@ epilogues take the walk too, at every length: conj(u) times E(f) or U f
 for T* and |T|, and max |Im u| for ``classify``.  A caller that averages
 several functions over the same partition may pass the atom masses as
 ``mass``; it must be exactly ``atom_masses(p, sp)``, which is then not
-recomputed (a complex short average reads the kept pair masses instead).
+looked up (a complex short average reads the kept pair masses instead).
 """
 from __future__ import annotations
 
@@ -79,10 +86,29 @@ def _block_walk(n: int):
     return zip((0, *stops), (*stops, n))
 
 
+def _record(p: Partition, sp: FiniteMeasureSpace) -> list:
+    """The record of (p, sp), kept in the partition's ``__dict__`` under
+    ``_pairs`` beside the space it was built for: [sp, atom masses, labels,
+    point masses twice, atom masses twice].  The atom masses come from one
+    ``bincount`` over the points when the record is built; the last three
+    entries stay None until ``_pairs`` fills them.  A call on another space
+    builds a new record and keeps only the labels, which depend on p alone."""
+    kept = p.__dict__.get("_pairs")
+    if kept is None or kept[0] is not sp:
+        p.check_aligned(sp)
+        mass = np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
+        mass.flags.writeable = False
+        labels = None if kept is None else kept[2]
+        kept = p.__dict__["_pairs"] = [sp, mass, labels, None, None]
+    return kept
+
+
 def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
-    """Total mass of each atom, shape (atom_count,)."""
-    p.check_aligned(sp)
-    return np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
+    """Total mass of each atom, shape (atom_count,): the sums of the
+    points' masses in index order, taken once per (partition, space) and
+    kept in the partition's record (``_record``).  Every call on the same
+    pair returns that same read-only array, not a copy."""
+    return _record(p, sp)[1]
 
 
 def _check_aligned(f: MFunction, p: Partition, sp: FiniteMeasureSpace, times=None) -> None:
@@ -94,35 +120,37 @@ def _check_aligned(f: MFunction, p: Partition, sp: FiniteMeasureSpace, times=Non
     raise DimensionMismatchError(f"times has shape {times.shape}, the function {f.values.shape}")
 
 
-def _pairs(p: Partition, sp: FiniteMeasureSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pairs(p: Partition, sp: FiniteMeasureSpace) -> list[np.ndarray]:
     """What one ``bincount`` of a complex term needs, interleaved: the
     labels 2a and 2a + 1 of each point's atom a, each point's mass twice,
-    and each atom's mass twice.  Built on first use and kept in the
-    partition's ``__dict__`` beside the space they were built for; a call
-    on another space keeps the labels and builds the masses anew.  The
-    atom masses are sums of the points' masses in index order, bit for bit
-    those of ``atom_masses``."""
+    and each atom's mass twice.  Filled into the record of (p, sp) on first
+    use.  The pair masses are ``atom_masses(p, sp)`` repeated, bit for bit
+    the sums of one ``bincount`` over the labels, which adds the same
+    masses in the same order."""
     kept = p.__dict__.get("_pairs")
-    if kept is None or kept[0] is not sp:
-        if kept is None:
+    if kept is None or kept[0] is not sp or kept[3] is None:
+        kept = _record(p, sp)
+        if kept[2] is None:
             labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
             odd = labels[1::2]
             odd += 1
-        else:
-            labels = kept[1]
-        masses = sp.masses.repeat(2)
-        kept = p.__dict__["_pairs"] = (sp, labels, masses, np.bincount(labels, weights=masses))
-    return kept[1:]
+            kept[2] = labels
+        kept[3] = sp.masses.repeat(2)
+        kept[4] = kept[1].repeat(2)
+    return kept[2:]
 
 
 def _term(values, times, center, atom_of, out=None):
-    """The averaged term on some points: ``values``, ``times * values`` or
-    |values - center[atom_of]|^2, written to ``out`` where one is given
-    (``values`` itself is returned as it is)."""
+    """The averaged term on some points: ``values``, ``times * values``,
+    |values - center[atom_of]|^2, or |values|^2 for the scalar center 0,
+    written to ``out`` where one is given (``values`` itself is returned as
+    it is)."""
     if times is not None:
         return np.multiply(times, values, out=out)
     if center is not None:
-        return np.square(np.abs(values - center[atom_of], out=out), out=out)
+        if isinstance(center, np.ndarray):
+            values = values - center[atom_of]
+        return np.square(np.abs(values, out=out), out=out)
     return values
 
 
@@ -145,9 +173,12 @@ def atom_averages(
     of one ``bincount`` per part over all points, bit for bit.  Up to
     ``BLOCK`` points they are taken in one pass, and a complex term's two
     parts in one ``bincount`` over the labels 2a and 2a + 1 and one
-    divide; beyond, in a walk of blocks.  ``center``, passed
-    only by ``is_A_measurable`` and never with ``times``, holds the atom
-    means of f: the call then averages |f - center[atom]|^2.
+    divide; beyond, in a walk of blocks.  ``center`` is never passed with
+    ``times``.  ``is_A_measurable`` passes the atom means of f, and the
+    call then averages |f - center[atom]|^2; the operator's construction
+    passes the scalar 0, and the call averages |f|^2 with the bits of
+    averaging ``np.square(np.abs(f))``, formed one block at a time on the
+    walk, so that no n-sized |f|^2 exists.
     """
     _check_aligned(f, p, sp, times)
     values, atom_of, lone = f.values, p.atom_of, p.singleton_points

@@ -74,10 +74,16 @@ class WeightedCondExpOperator:
     bit for bit to its recomputation from scratch: the atom masses
     ``atom_mass``, E(u) per atom (``atom_mean``, complex) and E(|u|^2) per
     atom (``atom_sq_mean``, float64), all of shape (atom_count,), and their
-    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.  On
-    singleton atoms those two are u itself (a complex copy) and |u|^2,
-    set directly rather than gathered back from atom order.  Every
-    average the operator takes later reuses ``atom_mass``.
+    point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.
+    ``atom_mass`` is ``atom_masses(partition, space)`` itself, the
+    read-only array the partition keeps for the space, so operators on
+    one (partition, space) pair share one mass pass.  Off singleton
+    partitions E(|u|^2) is averaged from |u|^2 formed one block at a time
+    (``atom_averages``' ``center=0``), and no n-sized |u|^2 exists.  On
+    singleton atoms ``symbol_mean`` and ``symbol_sq_mean`` are u itself
+    (a complex copy) and |u|^2, set directly rather than gathered back
+    from atom order.  Every average the operator takes later reuses
+    ``atom_mass``.
     """
 
     space: FiniteMeasureSpace
@@ -92,19 +98,20 @@ class WeightedCondExpOperator:
     def __post_init__(self):
         sp, p, u = self.space, self.partition, self.symbol
         mass = atom_masses(p, sp)
-        sq = np.abs(u.values)
-        sq = MFunction(np.square(sq, out=sq))
         mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
-        sq_mean = atom_averages(sq, p, sp, mass=mass)
+        if p.is_singletons:
+            sq = np.abs(u.values)
+            sq = MFunction(np.square(sq, out=sq))
+            sq_mean = atom_averages(sq, p, sp, mass=mass)
+            symbol_mean = MFunction(u.values.astype(complex))
+        else:
+            sq_mean = atom_averages(u, p, sp, mass=mass, center=0)
+            symbol_mean, sq = MFunction(mean[p.atom_of]), MFunction(sq_mean[p.atom_of])
         object.__setattr__(self, "atom_mass", mass)
         object.__setattr__(self, "atom_mean", mean)
         object.__setattr__(self, "atom_sq_mean", sq_mean)
-        if p.is_singletons:
-            object.__setattr__(self, "symbol_mean", MFunction(u.values.astype(complex)))
-            object.__setattr__(self, "symbol_sq_mean", sq)
-        else:
-            object.__setattr__(self, "symbol_mean", MFunction(mean[p.atom_of]))
-            object.__setattr__(self, "symbol_sq_mean", MFunction(sq_mean[p.atom_of]))
+        object.__setattr__(self, "symbol_mean", symbol_mean)
+        object.__setattr__(self, "symbol_sq_mean", sq)
 
     @property
     def n(self) -> int:
@@ -232,7 +239,7 @@ class PolarParts:
     U f = s E(u f) and |T| f = conj(u) s E(u f).  ``atom_scale`` holds s
     and ``atom_support`` the support mask, both of shape (atom_count,);
     ``support_set`` holds the support's point indices as a sorted integer
-    array.
+    array: ``np.arange(n)`` when every atom is in the support.
     """
 
     atom_scale: np.ndarray
@@ -242,7 +249,9 @@ class PolarParts:
 
 def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     """Polar factors from E(|u|^2): its support and 1/sqrt(E(|u|^2)) on the
-    atoms, in O(atom_count); only ``support_set`` is a point-level array."""
+    atoms, in O(atom_count); only ``support_set`` is a point-level array,
+    and it gathers and scans the points only when some atom is off the
+    support."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     atom_support = support(MFunction(T.atom_sq_mean), tol)
@@ -250,10 +259,14 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     # 0; unmasked passes run faster than a divide with ``where=``
     scale = np.where(atom_support, T.atom_sq_mean, np.inf)
     np.sqrt(scale, out=scale)
+    if atom_support.all():
+        support_set = np.arange(T.n)
+    else:
+        support_set = np.flatnonzero(atom_support[T.partition.atom_of])
     return PolarParts(
         atom_scale=np.divide(1.0, scale, out=scale),
         atom_support=atom_support,
-        support_set=np.flatnonzero(atom_support[T.partition.atom_of]),
+        support_set=support_set,
     )
 
 
@@ -350,8 +363,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
         tr = truncate(spec, tail_tol, weighted=True)
         p, sp, tail = tr.partition, tr.space, tr.discarded_mass_bound
         mass = atom_masses(p, sp)
-        sq = np.abs(tr.symbol.values)
-        sq_mean = atom_averages(MFunction(np.square(sq, out=sq)), p, sp, mass=mass)
+        sq_mean = atom_averages(tr.symbol, p, sp, mass=mass, center=0)
         for a, s, m, c in zip(tr.atom_ids, sq_mean.tolist(), mass.tolist(), p.atom_sizes.tolist()):
             if a not in per_atom:
                 per_atom[a] = AtomDomainVerdict(

@@ -19,7 +19,8 @@ both hold: soundness (every claimed value checks out) and completeness
 (every eigenvalue is claimed).  Matrices are kept at order <= 256: the
 oracle is O(n^3), the formula layer O(n).  ``_exponent`` alone picks the
 power of two that brings the residuals, M*M, ``psd_sqrt``'s H, ||M||_F
-and the witness residuals to unit scale; M stays at true scale.
+and the witness residuals to unit scale; M stays at true scale, and its
+exponent is taken once, when M is realized, and kept beside it.
 
 Above order _SPLIT_ORDER the two checks, the general eigensolve of the
 spectrum check (``_eig_checks``) and all of ``polar_check``, split their
@@ -116,16 +117,23 @@ def matrix_of(T: WeightedCondExpOperator) -> np.ndarray:
     """Matrix with entry (j, i) = <T e_i, e_j> in orthonormal coordinates.
 
     Realized on the first call and kept in T's ``__dict__``, the way
-    ``functools.cached_property`` stores values on frozen dataclasses;
-    every call on T returns that same read-only array.
+    ``functools.cached_property`` stores values on frozen dataclasses,
+    beside its ``_exponent``, which every check reads from there; every
+    call on T returns that same read-only array.
     """
     _check_order(T.n)
-    M = T.__dict__.get("_oracle_matrix")
-    if M is None:
+    memo = T.__dict__.get("_oracle_matrix")
+    if memo is None:
         M = realize(T.space, lambda f: apply(T, f))
         M.flags.writeable = False
-        T.__dict__["_oracle_matrix"] = M
-    return M
+        memo = T.__dict__["_oracle_matrix"] = (M, _exponent(M))
+    return memo[0]
+
+
+def _matrix_and_exponent(T: WeightedCondExpOperator) -> tuple[np.ndarray, int]:
+    """``matrix_of(T)`` and its ``_exponent``, read from the memo beside it."""
+    M = matrix_of(T)
+    return M, T.__dict__["_oracle_matrix"][1]
 
 
 def _exponent(A: np.ndarray) -> int:
@@ -279,7 +287,11 @@ class OracleResiduals:
     def of(cls, M: np.ndarray) -> OracleResiduals:
         """Formed at unit scale, where ||M||_F >= 0.5 unless M = 0 and no
         product or norm over- or underflows: M * 2^j gives the same ratios."""
-        k = _exponent(M)
+        return cls._of(M, _exponent(M))
+
+    @classmethod
+    def _of(cls, M: np.ndarray, k: int) -> OracleResiduals:
+        """``of(M)``, given k = ``_exponent(M)``."""
         M = M * np.ldexp(1.0, -k)
         Mh = M.conj().T
         G = Mh @ M  # |M|^2, no square root needed
@@ -315,14 +327,15 @@ class OracleResiduals:
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     """``OracleResiduals.of(matrix_of(T))``, the residuals backing each
     classification verdict, computed once per operator and kept beside M.
-    M is read from ``matrix_of``'s memo when it is there, with no call."""
+    M and its exponent are read from ``matrix_of``'s memo when it is
+    there, with no call."""
     # checked before the memos, which matrix_of is not called to read: a
     # memo made under a higher cap is not handed out under the real one
     _check_order(T.n)
     res = T.__dict__.get("_oracle_residuals")
     if res is None:
-        M = T.__dict__.get("_oracle_matrix")
-        res = T.__dict__["_oracle_residuals"] = OracleResiduals.of(matrix_of(T) if M is None else M)
+        memo = T.__dict__.get("_oracle_matrix") or _matrix_and_exponent(T)
+        res = T.__dict__["_oracle_residuals"] = OracleResiduals._of(*memo)
     return res
 
 
@@ -346,12 +359,11 @@ def polar_check(
     Frobenius sums leave it.  At order <= _SPLIT_ORDER, or when the
     pattern is connected, the same code runs on a stack of one block.
     """
-    M = matrix_of(T)
+    M, k = _matrix_and_exponent(T)
     on = parts.atom_support[T.partition.atom_of]
     U_mat = realize(T.space, lambda f: apply_isometry(T, parts, f))
     A_mat = realize(T.space, lambda f: apply_modulus(T, parts, f))
     # M*M and ||M||_F at unit scale, where no square over- or underflows
-    k = _exponent(M)
     s = np.ldexp(1.0, -k)
     recon_sq = off_sq = m_sq = 0.0
     moduli = []  # (P_S on the block, |T|_b, M_b*M_b at unit scale) per size
@@ -384,7 +396,7 @@ def polar_check(
 
 
 def _eig_checks(
-    M: np.ndarray, values: list[complex]
+    M: np.ndarray, k: int, values: list[complex]
 ) -> tuple[float, tuple[float, ...], tuple[float, ...]]:
     """||M||_F and, from one eigendecomposition of M, an upper bound on
     sigma_min(M - lam * I) for each claimed lam in values, at rounding
@@ -405,9 +417,10 @@ def _eig_checks(
     The eigenvalues are taken in stack order, unsorted, and column j of V,
     zero off its block, is the eigenvector of w[j]: a block's eigenpair
     padded with zeros is one of M.  The witness residuals are taken on the
-    whole M; their squares, like those of ||M||_F, are summed at unit scale.
+    whole M; their squares, like those of ||M||_F, are summed at unit scale
+    2^-k, with k = ``_exponent(M)``.
     """
-    s = np.ldexp(1.0, -_exponent(M))
+    s = np.ldexp(1.0, -k)
     norm = float(np.sqrt(_sq(M * s)) / s)
     lams = np.asarray(values, dtype=complex)
     try:
@@ -483,14 +496,19 @@ class SpectrumProbeResult:
         return max(self.eigenvalue_distances) <= _COMPLETE * self.matrix_norm
 
     def probes_ok(self, slack: float) -> bool:
-        """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 at
-        every probe, where it applies: it is a theorem for normal M only,
-        since for non-normal M the pseudospectrum reaches beyond the
-        spectrum.  Vacuously True elsewhere, and then no probe sigma_min is
-        computed.  Not part of ``ok``: completeness already fails a claim
-        that leaves a value out.  Outside the tests only perfbench reads it."""
+        """The floor sigma_min(M - lambda I) >= dist(lambda, spectrum) / 2 -
+        slack at every probe, where it applies: it is a theorem for normal
+        M only, since for non-normal M the pseudospectrum reaches beyond
+        the spectrum.  Normality is decided at TOLERANCES["oracle"], not at
+        ``slack``, so a loose slack does not apply the floor to a
+        non-normal M.  Vacuously True elsewhere, and then no probe
+        sigma_min is computed.  Not part of ``ok``: completeness already
+        fails a claim that leaves a value out.  Outside the tests only
+        perfbench reads it."""
         # not ... <=: a NaN residual skips the floor
-        if self.matrix_norm <= slack or not residuals(self.operator).normal_rel <= slack:
+        if self.matrix_norm <= slack or not (
+            residuals(self.operator).normal_rel <= TOLERANCES["oracle"]
+        ):
             return True
         return all(
             s >= d / 2.0 - slack
@@ -516,9 +534,9 @@ def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> 
     probes alike), and their distances to the claimed set; no verdict
     reads them.
     """
-    M = matrix_of(T)
+    M, k = _matrix_and_exponent(T)
     values = sorted(report.values, key=lambda z: (z.real, z.imag))
-    norm, cand_sigmas, eig_dists = _eig_checks(M, values)
+    norm, cand_sigmas, eig_dists = _eig_checks(M, k, values)
 
     probes: list[complex] = []
     for a, b in zip(values, values[1:]):

@@ -21,6 +21,7 @@ from wcelab.measure import (
     realize,
     weighted_inner_product,
 )
+from wcelab.operator import WeightedCondExpOperator
 
 
 def random_instance(rng, n=None, m=None):
@@ -433,3 +434,102 @@ def test_cond_exp_output_is_measurable():
     rng = np.random.default_rng(9)
     sp, p, f = random_instance(rng)
     assert is_A_measurable(cond_exp(f, p, sp), p, sp, 1e-10).measurable
+
+
+# ------------------------------------------------------- the (partition, space) record
+
+
+def test_kept_atom_masses_are_one_fresh_bincount_per_space():
+    """atom_masses keeps one read-only array per (partition, space): the
+    bits of a fresh bincount, for each of two spaces that alternate on one
+    partition, long and short, with complex averages read in between."""
+    rng = np.random.default_rng(12)
+    for n in (6, BLOCK + 1):
+        p = _blocked_instance(rng, n, 5)[1]
+        spaces = [_blocked_instance(rng, n, 5)[0] for _ in range(2)]
+        f = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for sp in spaces + spaces[::-1] + spaces:
+            fresh = np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
+            mass = atom_masses(p, sp)
+            assert mass.tobytes() == fresh.tobytes()
+            assert not mass.flags.writeable
+            assert atom_masses(p, sp) is mass
+            with pytest.raises(ValueError):
+                mass[0] = 1.0
+            assert atom_averages(f, p, sp).tobytes() == _full_array_reference(f.values, p, sp).tobytes()
+            assert atom_masses(p, sp) is mass
+
+
+def test_the_operator_shares_the_kept_atom_masses():
+    rng = np.random.default_rng(13)
+    sp, p = _blocked_instance(rng, 40, 6)
+    u = MFunction(rng.standard_normal(40) + 1j * rng.standard_normal(40))
+    T, T2 = WeightedCondExpOperator(sp, p, u), WeightedCondExpOperator(sp, p, MFunction(u.values.real))
+    assert T.atom_mass is atom_masses(p, sp) is T2.atom_mass
+    assert not T.atom_mass.flags.writeable
+
+
+def _special_at_block_edges(rng, n, dtype):
+    """A symbol of n points with ±0, ±subnormal, ±inf and NaN in its parts
+    at and beside every block edge, and at both ends."""
+    u = rng.standard_normal(n) + (1j * rng.standard_normal(n) if dtype == complex else 0.0)
+    edges = {0, n - 1}
+    for s in range(BLOCK, n, BLOCK):
+        edges |= {s - 1, s, s + 1}
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, np.inf, -np.inf, np.nan]
+    at = np.array(sorted(i for i in edges if 0 <= i < n))
+    u.real[at] = rng.choice(specials, at.size)
+    if dtype == complex:
+        u.imag[at] = rng.choice(specials, at.size)
+    return u
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 29, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1, 3 * BLOCK + 17]
+)
+@pytest.mark.parametrize("labels", ["singletons", "coarse", "mixed"])
+def test_mean_square_of_the_symbol_keeps_the_bits_of_averaging_its_square(n, labels):
+    """E(|u|^2) is formed a block at a time (center=0) with the bits of
+    averaging np.square(np.abs(u)), an n-sized array, on every length and
+    label kind, and the operator's atom_sq_mean is that average."""
+    rng = np.random.default_rng([n, len(labels)])
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    if labels == "singletons":
+        p = Partition(rng.permutation(n))
+    else:
+        # coarse: at least two points in every atom, but at n = 1; mixed:
+        # the last point alone in its atom beside coarse ones
+        k = n - (labels == "mixed" and n > 1)
+        m = max(1, min(16, k // 2))
+        atom_of = rng.permutation(np.arange(k) % m)
+        p = Partition(np.concatenate([atom_of, [m] * (n - k)]))
+    with np.errstate(all="ignore"):
+        for dtype in (complex, float):
+            u = MFunction(_special_at_block_edges(rng, n, dtype))
+            sq = np.square(np.abs(u.values))
+            want = atom_averages(MFunction(sq), p, sp)
+            assert want.tobytes() == _full_array_reference(sq, p, sp).tobytes()
+            assert atom_averages(u, p, sp, center=0).tobytes() == want.tobytes()
+            T = WeightedCondExpOperator(sp, p, u)
+            assert T.atom_sq_mean.tobytes() == want.tobytes()
+            assert T.symbol_sq_mean.values.tobytes() == want[p.atom_of].tobytes()
+
+
+def test_construction_forms_no_point_sized_square():
+    """Off singleton partitions the operator averages |u|^2 one block at a
+    time: at 8 * BLOCK points an n-sized float64 |u|^2 takes 2 MiB, and
+    construction holds no more than its point-level fields, symbol_mean
+    and symbol_sq_mean, plus the walk's buffers."""
+    n = 8 * BLOCK
+    rng = np.random.default_rng(14)
+    sp, p = _blocked_instance(rng, n, 16)
+    u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    WeightedCondExpOperator(sp, p, u)  # the record of (p, sp) is built here
+    tracemalloc.start()
+    try:
+        T = WeightedCondExpOperator(sp, p, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    fields = T.symbol_mean.values.nbytes + T.symbol_sq_mean.values.nbytes
+    assert peak - fields < 2**20

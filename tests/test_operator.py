@@ -488,6 +488,28 @@ def test_polar_symbols_vanish_off_support():
         assert g.values[0] != 0
 
 
+@pytest.mark.parametrize("n", [1, 7, BLOCK + 1])
+@pytest.mark.parametrize("shape", ["singletons", "coarse"])
+@pytest.mark.parametrize("support", ["full", "partial"])
+def test_polar_support_set_is_the_points_of_the_supported_atoms(n, shape, support):
+    """support_set is np.flatnonzero(atom_support[atom_of]), the same bits
+    and dtype, whether every atom is in the support (then no point is
+    gathered or scanned) or only some are."""
+    rng = np.random.default_rng([n, len(shape), len(support)])
+    m = n if shape == "singletons" else max(1, n // 3)
+    atom_of = rng.permutation(np.arange(n) % m)
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if support == "partial":
+        u[atom_of == m - 1] = 0.0  # E(|u|^2) = 0 on the last atom
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    T = WeightedCondExpOperator(sp, Partition(atom_of), MFunction(u))
+    parts = polar(T, 1e-8)
+    assert parts.atom_support.all() == (support == "full")
+    want = np.flatnonzero(parts.atom_support[atom_of])
+    assert parts.support_set.dtype == want.dtype
+    assert _bits(parts.support_set) == _bits(want)
+
+
 @pytest.mark.parametrize("shape", ["singletons", "one-atom", "coarse"])
 def test_polar_parts_live_on_the_atoms(shape):
     rng = np.random.default_rng(5)

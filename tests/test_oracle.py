@@ -251,7 +251,7 @@ def _assert_split_matches_dense(M, values):
     """The split eigen check against the dense one on M, and
     hermitian_eig and psd_sqrt, which solve whole, against numpy on M*M."""
     norm = np.linalg.norm(M)
-    got_norm, sigmas, dists = oracle._eig_checks(M, values)
+    got_norm, sigmas, dists = oracle._eig_checks(M, oracle._exponent(M), values)
     assert got_norm == norm
     ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
     assert np.abs(np.array(sigmas) - ref_sigmas).max(initial=0.0) <= 1e-12 * norm
@@ -306,7 +306,7 @@ def test_unsplit_eig_checks_are_the_dense_ones(seed):
     assert oracle._blocks(M) is None
     values = sorted(spectrum_formula(T).values, key=lambda z: (z.real, z.imag))
     norm = float(np.linalg.norm(M))
-    got_norm, sigmas, dists = oracle._eig_checks(M, values)
+    got_norm, sigmas, dists = oracle._eig_checks(M, oracle._exponent(M), values)
     assert got_norm == norm
     ref_sigmas, ref_dists = _dense_eig_checks(M, values, norm)
     assert sigmas == tuple(ref_sigmas.tolist())
@@ -610,10 +610,12 @@ def test_polar_check_holds_no_order_n_product():
 
 def test_oracle_check_forms_the_residuals_once_per_operator(monkeypatch, capsys):
     # classify's dense fallback and oracle-check's residuals(T) share one
-    # OracleResiduals.of per operator
-    of = OracleResiduals.of
+    # set of residuals per operator, formed by OracleResiduals._of
+    of = OracleResiduals._of
     calls = []
-    monkeypatch.setattr(OracleResiduals, "of", classmethod(lambda cls, M: calls.append(M.shape) or of(M)))
+    monkeypatch.setattr(
+        OracleResiduals, "_of", classmethod(lambda cls, M, k: calls.append(M.shape) or of(M, k))
+    )
     assert main(["oracle-check", "--seeds", "100"]) == 0
     assert "100/100 instances consistent" in capsys.readouterr().out
     assert len(calls) == 100
@@ -759,8 +761,9 @@ def _reference_verdicts(T, claim, probe, tol):
     M = matrix_of(T)
     norm = np.linalg.norm(M)
     cand = all(min_singular_value(M, v) <= tol * norm for v in claim.values)
-    # only the probe floor keeps an absolute cut for the zero operator
-    if norm <= tol or residuals(T).normal_rel > tol:
+    # only the probe floor keeps an absolute cut for the zero operator;
+    # normality is decided at the oracle tolerance, whatever tol is
+    if norm <= tol or residuals(T).normal_rel > TOLERANCES["oracle"]:
         return cand, True
     floor = all(
         min_singular_value(M, p) >= d / 2.0 - tol
@@ -942,8 +945,38 @@ def test_probe_sigmas_are_computed_only_where_the_floor_applies(monkeypatch):
     ok, calls, probe, T = _count_probe_svds(monkeypatch, build_full_algebra(8), 1e-8)
     assert ok and residuals(T).normal_rel <= 1e-8
     assert calls == len(probe.probe_points)
-    # at slack 1 the floor applies to symmetric-interval too, and is evaluated
+    # normality is decided at the oracle tolerance: at slack 1 the floor
+    # still does not apply to symmetric-interval, and no SVD runs
     ok, calls, probe, T = _count_probe_svds(monkeypatch, build_symmetric_interval(64), 1.0)
-    assert residuals(T).normal_rel <= 1.0
-    assert calls == len(probe.probe_points)
-    assert ok == _reference_verdicts(T, spectrum_formula(T), probe, 1.0)[1]
+    assert ok and residuals(T).normal_rel <= 1.0
+    assert calls == 0
+
+
+_SLACKS = (1e-12, 1e-8, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.15, 0.2, 0.5, 1.0, 10.0)
+
+
+def test_probe_floor_reads_normality_at_the_oracle_tolerance_at_every_slack():
+    # seed 55 gives a non-normal operator (n = 47, normal_rel about 0.05)
+    # with a probe where sigma_min is 0.1289 and d/2 - 0.1 is 0.1290: a
+    # floor applied whenever normal_rel <= slack failed its own true claim
+    # at slack 0.1 and passed it at 1e-3 and 0.2.  The floor is a theorem
+    # for normal M only, so the claim passes at every slack
+    T = random_operator(np.random.default_rng(55), max_n=64)
+    probe = spectrum_probe_check(T, spectrum_formula(T))
+    assert 1e-2 < residuals(T).normal_rel < 0.1
+    assert all(probe.probes_ok(slack) for slack in _SLACKS)
+    # on a normal operator the floor applies at every slack and loosens
+    # with it: once it holds it holds at every larger slack
+    sc = build_full_algebra(8)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    assert residuals(T).normal_rel <= TOLERANCES["oracle"]
+    bogus = SpectrumReport(values=(1.0 + 0j, 8.0 + 0j), includes_zero=False)
+    for claim in (spectrum_formula(T), bogus):
+        probe = spectrum_probe_check(T, claim)
+        verdicts = [probe.probes_ok(slack) for slack in _SLACKS]
+        assert verdicts == sorted(verdicts)
+        assert [
+            all(s >= d / 2.0 - slack for s, d in zip(probe.probe_sigmas, probe.probe_distances))
+            for slack in _SLACKS
+        ] == verdicts
+    assert not verdicts[0] and verdicts[-1]
