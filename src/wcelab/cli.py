@@ -147,9 +147,12 @@ def cmd_polar(args) -> int:
     sc = _resolve_scenario(args)
     T = _operator_of(sc)
     parts = polar(T, TOL)
-    recon, sqrt_err, ok = polar_check(T, parts, TOL)
     print(f"scenario: {sc.name}  (n={T.n})")
     print(f"support size of mean-square symbol: {len(parts.support_set)} of {T.n}")
+    if T.n > MATRIX_ORDER_CAP:  # the factors above are the formula layer's alone
+        print(f"oracle check: n/a (n > {MATRIX_ORDER_CAP})")
+        return 0
+    recon, sqrt_err, ok = polar_check(T, parts, TOL)
     print(f"reconstruction residual ||U|T| - P_S T||_F:   {recon:.3e}")
     print(f"modulus residual || |T| - P_S sqrt(T*T) ||_F: {sqrt_err:.3e}")
     print(f"verdict: {'pass' if ok else 'FAIL'}")

@@ -34,15 +34,13 @@ so that a block's labels and terms stay in cache and no n-sized array is
 formed: the block's term and then its products with mu go to a buffer of
 one block, and one ``np.add.at`` adds it into sums that start at +0.0.
 Each atom's terms are then added in index order, as one ``bincount`` per
-part over all points adds them, and every bit is the same.  ``cond_exp``'s
-``scale=s`` multiplies the m atom values by s before they are gathered;
-on singleton atoms, where nothing is averaged, it multiplies the points
-in place by ``s[atom_of]`` on the same walk.  The operator's point-level
-epilogues take the walk too, at every length: conj(u) times E(f) or U f
-for T* and |T|, and max |Im u| for ``classify``.  A caller that averages
-several functions over the same partition may pass the atom masses as
-``mass``; it must be exactly ``atom_masses(p, sp)``, which is then not
-looked up (a complex short average reads the kept pair masses instead).
+part over all points adds them, and every bit is the same.  The
+operator's point-level work takes the walk too, at every length: the
+scale and conj(u) of its actions, and max |Im u| for ``classify``.  A
+caller that averages several functions over the same partition may pass
+the atom masses as ``mass``; it must be exactly ``atom_masses(p, sp)``,
+which is then not looked up (a complex short average reads the kept pair
+masses instead).
 """
 from __future__ import annotations
 
@@ -229,37 +227,14 @@ def atom_averages(
     return out
 
 
-def cond_exp(
-    f: MFunction,
-    p: Partition,
-    sp: FiniteMeasureSpace,
-    *,
-    mass: np.ndarray | None = None,
-    times: np.ndarray | None = None,
-    scale: np.ndarray | None = None,
-) -> MFunction:
-    """Atom-wise averaging projection of f, or of ``times * f``; constant
-    on each atom.  ``scale``, a real array of shape (atom_count,),
-    multiplies each atom's value: the m atom averages are scaled before
-    they are gathered into point order.  On singleton atoms it is the
-    identity and returns a copy of f, or the product ``times * f``, times
-    ``scale[atom_of]`` when a scale is given.  The result is always a
-    fresh array."""
-    if scale is not None and scale.shape != (p.atom_count,):
-        raise DimensionMismatchError(
-            f"scale has shape {scale.shape}, the partition {p.atom_count} atoms"
-        )
+def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:
+    """Atom-wise averaging projection of f; constant on each atom.  On
+    singleton atoms it is the identity and returns a copy of f.  The
+    result is always a fresh array."""
     if p.is_singletons:
-        _check_aligned(f, p, sp, times)
-        out = f.values.copy() if times is None else times * f.values
-        if scale is not None:
-            for s, e in _block_walk(out.size):
-                out[s:e] *= scale[p.atom_of[s:e]]
-        return MFunction(out)
-    avg = atom_averages(f, p, sp, mass=mass, times=times)
-    if scale is not None:
-        avg *= scale
-    return MFunction(avg[p.atom_of])
+        _check_aligned(f, p, sp)
+        return MFunction(f.values.copy())
+    return MFunction(atom_averages(f, p, sp)[p.atom_of])
 
 
 @dataclass(frozen=True)

@@ -199,28 +199,31 @@ def weighted_inner_product(f: MFunction, g: MFunction, sp: FiniteMeasureSpace) -
 def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) -> np.ndarray:
     """Matrix of a linear map on L^2(mu) in the orthonormal coordinates
     e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>, in a
-    C-ordered complex array.  The action is applied once per basis vector
-    and must not keep its input, since every basis vector is the same
-    array: it is set at point i for column i and reset to zero once column
-    i is written.  Column i is written as row i of one buffer, a contiguous
-    write, and the buffer's transpose is copied out once at the end."""
+    C-ordered complex array.  The action is applied once per point, to
+    delta_i, and must not keep its input: one array is set to 1 at point i
+    and reset once column i, times sqrt(mu), is written as row i of a
+    buffer.  The buffer's transpose is copied once and its column i divided
+    by sqrt(mu_i) in real arithmetic, so no 1/sqrt(mu_i), which overflows
+    on a subnormal mass, is formed."""
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
-    inv_sqrt_m = (1.0 / sqrt_m).tolist()
     # numpy multiplies complex by real only after casting the real to
     # complex, which this cast does once and exactly
-    sqrt_m = sqrt_m.astype(complex)
+    sqrt_mc = sqrt_m.astype(complex)
     rows = np.empty((n, n), dtype=complex)
     basis = MFunction(np.zeros(n, dtype=complex))
     e = basis.values
     for i in range(n):
-        e[i] = inv_sqrt_m[i]
+        e[i] = 1.0
         col = action(basis)
         if col.values.size != n:
             col.check_aligned(sp)
-        np.multiply(col.values, sqrt_m, out=rows[i])
+        np.multiply(col.values, sqrt_mc, out=rows[i])
         e[i] = 0.0
-    return rows.T.copy()
+    mat = rows.T.copy()
+    parts = mat.view(float).reshape(n, 2 * n)
+    np.divide(parts, sqrt_m.repeat(2), out=parts)
+    return mat
 
 
 def support(f: MFunction, tol: float) -> np.ndarray:

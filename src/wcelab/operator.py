@@ -15,7 +15,7 @@ from typing import Hashable
 
 import numpy as np
 
-from .condexp import _block_walk, atom_averages, atom_masses, cond_exp, is_A_measurable
+from .condexp import _block_walk, atom_averages, atom_masses, is_A_measurable
 from .measure import (
     ROUNDING_GAP,
     SMALLEST_SUBNORMAL,
@@ -118,31 +118,48 @@ class WeightedCondExpOperator:
         return self.space.n
 
 
+def _act(
+    T: WeightedCondExpOperator, f: MFunction, *, times=None, scale=None, conj=False
+) -> MFunction:
+    """w E(v f), the one map behind T, T*, U and |T|: v is ``times`` or 1,
+    and w is the atom scale ``scale`` or 1, times conj(u) with ``conj``.
+    The atom averages are scaled before they are gathered.  On singleton
+    atoms v f is scaled in place, and conj(u) is multiplied in, one block
+    of ``condexp._block_walk`` at a time (no block of conj(u) for a real
+    u), into the result itself when it has the product's dtype and more
+    than one point: numpy forms a one-element product in place in another
+    loop, which can round otherwise.  Each output has the bits of the
+    whole-array expression."""
+    p, u = T.partition, T.symbol.values
+    if p.is_singletons:
+        f.check_aligned(T.space)
+        g = f.values.copy() if times is None else times * f.values
+        if scale is not None:
+            for s, e in _block_walk(g.size):
+                g[s:e] *= scale[p.atom_of[s:e]]
+    else:
+        avg = atom_averages(f, p, T.space, mass=T.atom_mass, times=times)
+        if scale is not None:
+            avg *= scale
+        g = avg[p.atom_of]
+    if conj:
+        dtype = np.result_type(u, g)
+        out = g if g.dtype == dtype and g.size > 1 else np.empty(g.shape, dtype)
+        real = u.dtype.kind != "c"
+        for s, e in _block_walk(g.size):
+            np.multiply(u[s:e] if real else np.conj(u[s:e]), g[s:e], out=out[s:e])
+        g = out
+    return MFunction(g)
+
+
 def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T f = E(u f)."""
-    return cond_exp(f, T.partition, T.space, mass=T.atom_mass, times=T.symbol.values)
+    return _act(T, f, times=T.symbol.values)
 
 
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T* f = conj(u) E(f)."""
-    g = cond_exp(f, T.partition, T.space, mass=T.atom_mass).values
-    return MFunction(_conj_times(T.symbol.values, g))
-
-
-def _conj_times(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """conj(u) * g with the bits of ``np.multiply(np.conj(u), g)``, formed
-    block by block (``condexp._block_walk``) in g's own array when g has
-    the product's dtype, else in one fresh array; only one block of
-    conj(u) is formed at a time, and none for a real u, which is its own
-    conjugate.  numpy forms a one-element product in place in another
-    loop, which can round otherwise, so a g of one point also takes a
-    fresh array."""
-    dtype = np.result_type(u, g)
-    out = g if g.dtype == dtype and g.size > 1 else np.empty(g.shape, dtype)
-    real = u.dtype.kind != "c"
-    for s, e in _block_walk(u.size):
-        np.multiply(u[s:e] if real else np.conj(u[s:e]), g[s:e], out=out[s:e])
-    return out
+    return _act(T, f, conj=True)
 
 
 def _max_abs_imag(u: np.ndarray) -> tuple[int, float]:
@@ -272,15 +289,12 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """|T| f = conj(u) s E(u f), with s = ``parts.atom_scale``."""
-    return MFunction(_conj_times(T.symbol.values, apply_isometry(T, parts, f).values))
+    return _act(T, f, times=T.symbol.values, scale=parts.atom_scale, conj=True)
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
-    """U f = s E(u f), with s = ``parts.atom_scale`` applied to the atom
-    values before they are gathered: it costs what ``apply`` costs."""
-    return cond_exp(
-        f, T.partition, T.space, mass=T.atom_mass, times=T.symbol.values, scale=parts.atom_scale
-    )
+    """U f = s E(u f), with s = ``parts.atom_scale``."""
+    return _act(T, f, times=T.symbol.values, scale=parts.atom_scale)
 
 
 @dataclass(frozen=True)

@@ -427,7 +427,6 @@ FULL = ["--scenario", "full-algebra"]
             for v in ("0", "-1", "nan", "inf")
         ),
         # above the oracle's order cap of 256
-        ["polar", *FULL, "--params", "n=300"],
         ["spectrum", "--oracle", *FULL, "--params", "n=300"],
     ],
     ids=" ".join,
@@ -492,6 +491,18 @@ def test_classify_above_the_order_cap(tmp_path, capsys, scenario, verdict):
     assert [line.split()[1] for line in out.splitlines()[1:4]] == [verdict] * 3
     assert f"quasinormal:  {verdict}  (via formula)" in out.splitlines()
     assert "  oracle residuals: n/a (n > 256)" in out
+
+
+def test_polar_above_the_order_cap(capsys):
+    # the factors come from the formula layer alone; only the dense check
+    # needs the matrix, and above the cap it is reported as not run
+    code, out, err = run(capsys, "polar", *FULL, "--params", "n=300")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "scenario: full-algebra  (n=300)",
+        "support size of mean-square symbol: 300 of 300",
+        "oracle check: n/a (n > 256)",
+    ]
 
 
 # Each patch makes the formula layer's claim wrong in the way one dense check

@@ -222,7 +222,6 @@ def test_passing_the_atom_masses_changes_no_bit(seed, shape):
     mass = atom_masses(p, sp)
     for g in (f, MFunction(np.abs(f.values) ** 2)):
         assert atom_averages(g, p, sp, mass=mass).tobytes() == atom_averages(g, p, sp).tobytes()
-        assert cond_exp(g, p, sp, mass=mass).values.tobytes() == cond_exp(g, p, sp).values.tobytes()
         assert is_A_measurable(g, p, sp, 1e-8, mass=mass) == is_A_measurable(g, p, sp, 1e-8)
 
 
@@ -377,9 +376,8 @@ def test_times_must_match_the_function(n, atom_of):
     sp = FiniteMeasureSpace(np.ones(n))
     p = Partition(np.arange(n) if atom_of == "singletons" else np.arange(n) // 2)
     f = MFunction(np.ones(n))
-    for call in (atom_averages, cond_exp):
-        with pytest.raises(DimensionMismatchError):
-            call(f, p, sp, times=np.ones(n - 1))
+    with pytest.raises(DimensionMismatchError):
+        atom_averages(f, p, sp, times=np.ones(n - 1))
 
 
 def test_one_atom_partition_is_global_mean():

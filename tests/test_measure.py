@@ -151,14 +151,17 @@ def test_realize_in_orthonormal_coordinates():
 
 
 def _reference_realize(sp, action):
-    # a fresh basis vector per column and a fresh product per column
+    # a fresh delta_i per column, a fresh product per column, and column i
+    # divided by sqrt(mu_i) one real part at a time
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
     mat = np.empty((n, n), dtype=complex)
     for i in range(n):
         basis = np.zeros(n, dtype=complex)
-        basis[i] = 1.0 / sqrt_m[i]
-        mat[:, i] = action(MFunction(basis)).values * sqrt_m
+        basis[i] = 1.0
+        col = action(MFunction(basis)).values * sqrt_m
+        mat[:, i].real = col.real / sqrt_m[i]
+        mat[:, i].imag = col.imag / sqrt_m[i]
     return mat
 
 

@@ -589,22 +589,25 @@ def _walk_labels(rng, n, labels):
 
 
 def _whole_array_epilogues(T, parts, f):
-    """T* f, U f and |T| f as whole-array expressions: conj(u) E(f), the
+    """T f, T* f, U f and |T| f as whole-array expressions: u f on
+    singletons, else the gathered atom averages of u f; conj(u) E(f); the
     gathered scaled atom averages, or u f times the gathered scale in place
-    on singletons, and conj(u) U f.  Each product's second operand is
+    on singletons; and conj(u) U f.  Each product's second operand is
     named: numpy elides a temporary operand of 256 KiB or more into the
     output, and for a real u it would swap the operands of conj(u) * g,
     which changes the sign of an underflowed zero or of a NaN."""
     sp, p, u = T.space, T.partition, T.symbol.values
     if p.is_singletons:
-        iso = u * f.values
+        tf = u * f.values
+        iso = tf.copy()
         iso *= parts.atom_scale[p.atom_of]
     else:
+        tf = atom_averages(f, p, sp, times=u)[p.atom_of]
         avg = atom_averages(f, p, sp, times=u)
         avg *= parts.atom_scale
         iso = avg[p.atom_of]
     g = cond_exp(f, p, sp).values
-    return np.conj(u) * g, iso, np.conj(u) * iso
+    return tf, np.conj(u) * g, iso, np.conj(u) * iso
 
 
 @pytest.mark.parametrize("n", _WALK_LENGTHS)
@@ -612,16 +615,17 @@ def _whole_array_epilogues(T, parts, f):
 @pytest.mark.parametrize("u_kind", ["real", "complex"])
 @pytest.mark.parametrize("f_kind", ["real", "complex"])
 def test_blocked_epilogues_keep_the_bits_of_whole_array_ones(n, labels, u_kind, f_kind):
-    """T*, U, |T| and classify's max |Im u| walk u in blocks; each output
-    is the whole-array one bit for bit, signed zeros, infinities and NaNs
-    included, at every length around the block edges."""
+    """T*, U, |T| and classify's max |Im u| walk u in blocks; each output,
+    and T f, is the whole-array one bit for bit, signed zeros, infinities
+    and NaNs included, at every length around the block edges."""
     rng = np.random.default_rng([n, len(labels), len(u_kind), len(f_kind)])
     sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
     u, f = _with_specials(rng, n, u_kind), MFunction(_with_specials(rng, n, f_kind))
     with np.errstate(all="ignore"):
         T = WeightedCondExpOperator(sp, Partition(_walk_labels(rng, n, labels)), MFunction(u))
         parts = polar(T, 1e-8)
-        adjoint, iso, modulus = _whole_array_epilogues(T, parts, f)
+        tf, adjoint, iso, modulus = _whole_array_epilogues(T, parts, f)
+        assert _bits(apply(T, f).values) == _bits(tf)
         assert _bits(apply_adjoint(T, f).values) == _bits(adjoint)
         assert _bits(apply_isometry(T, parts, f).values) == _bits(iso)
         assert _bits(apply_modulus(T, parts, f).values) == _bits(modulus)

@@ -66,14 +66,10 @@ def test_matrix_of_by_hand():
     assert np.allclose(M, expected, atol=1e-14)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=RuntimeWarning,
-    reason="realize applies the action to delta_i / sqrt(mu_i), which overflows on a subnormal mass",
-)
 def test_realize_overflows_on_a_subnormal_mass():
-    # every |M[j, i]| = |u_i| sqrt(mu_i mu_j) / mu(atom) is at most max|u|,
-    # but the basis vector of point 0 is 1e160 delta_0
+    # every |M[j, i]| = |u_i| sqrt(mu_i mu_j) / mu(atom) is at most max|u|;
+    # realize applies T to delta_0 itself, not to the 1e160 delta_0 that
+    # delta_0 / sqrt(mu_0) would be, and divides by sqrt(mu_0) last
     u = MFunction(np.array([-2 + 1e150j, 1e60 + 1e60j]))
     sp = FiniteMeasureSpace(np.array([1e-320, 1e150]))
     T = WeightedCondExpOperator(sp, Partition(np.zeros(2, dtype=int)), u)
@@ -81,6 +77,30 @@ def test_realize_overflows_on_a_subnormal_mass():
         warnings.simplefilter("error", RuntimeWarning)
         M = matrix_of(T)
     assert np.isfinite(M).all() and np.abs(M).max() <= np.abs(u.values).max()
+
+
+def test_realize_stays_finite_on_a_huge_mass_and_a_large_symbol():
+    # the one regime where applying T to delta_i rather than to
+    # delta_i / sqrt(mu_i) could overflow: |u_0| sqrt(mu_0) = 1e304 is
+    # formed before the division by sqrt(mu_0), and it is still finite.
+    # Only singleton atoms hold it: on a larger atom mu_0 u_0 overflows
+    # in construction already
+    sp = FiniteMeasureSpace(np.array([1e300, 0.25, 0.75]))
+    u = MFunction(np.array([1e154, 2.0, 1.0 + 1.0j]))
+    T = WeightedCondExpOperator(sp, Partition(np.arange(3)), u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        parts = polar(T, TOLERANCES["oracle"])
+        for action in (
+            lambda f: apply_adjoint(T, f),
+            lambda f: apply_isometry(T, parts, f),
+            lambda f: apply_modulus(T, parts, f),
+        ):
+            assert np.isfinite(realize(sp, action)).all()
+        M = matrix_of(T)
+        assert polar_check(T, parts, TOLERANCES["oracle"])[2]
+    assert np.isfinite(M).all()
+    assert M[0, 0] == pytest.approx(1e154, rel=1e-15) and not M[0, 1:].any() and not M[1:, 0].any()
 
 
 def test_adjoint_matrix_is_conjugate_transpose():
