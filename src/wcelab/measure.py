@@ -200,21 +200,24 @@ def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) ->
     """Matrix of a linear map on L^2(mu) in the orthonormal coordinates
     e_i = delta_i / sqrt(mu_i): entry (j, i) is <action(e_i), e_j>, in a
     C-ordered complex array.  The action is applied once per point, to
-    delta_i, and must not keep its input: one array is set to 1 at point i
-    and reset once column i, times sqrt(mu), is written as row i of a
-    buffer.  The buffer's transpose is copied once and its column i divided
-    by sqrt(mu_i) in real arithmetic, so no 1/sqrt(mu_i), which overflows
-    on a subnormal mass, is formed."""
+    c_i delta_i, and must not keep its input: one array is set to c_i at
+    point i and reset once column i, times sqrt(mu), is written as row i of
+    a buffer, whose transpose is copied once and its column i divided by
+    c_i sqrt(mu_i) in real arithmetic.  c_i, the power of two that brings
+    c_i sqrt(mu_i) into [1/2, 1), clipped to [1, 2^504], keeps mu_i c_i u_i
+    normal on a tiny mass, c_i |u| finite for every finite |u|^2, and a
+    tiny u nonzero on a huge mass; elsewhere the bits are those of delta_i."""
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
+    c = np.ldexp(1.0, np.minimum(np.maximum(-np.frexp(sqrt_m)[1], 0), 504))
     # numpy multiplies complex by real only after casting the real to
     # complex, which this cast does once and exactly
     sqrt_mc = sqrt_m.astype(complex)
     rows = np.empty((n, n), dtype=complex)
     basis = MFunction(np.zeros(n, dtype=complex))
     e = basis.values
-    for i in range(n):
-        e[i] = 1.0
+    for i, c_i in enumerate(c.tolist()):
+        e[i] = c_i
         col = action(basis)
         if col.values.size != n:
             col.check_aligned(sp)
@@ -222,7 +225,7 @@ def realize(sp: FiniteMeasureSpace, action: Callable[[MFunction], MFunction]) ->
         e[i] = 0.0
     mat = rows.T.copy()
     parts = mat.view(float).reshape(n, 2 * n)
-    np.divide(parts, sqrt_m.repeat(2), out=parts)
+    np.divide(parts, np.multiply(c, sqrt_m, out=c).repeat(2), out=parts)
     return mat
 
 

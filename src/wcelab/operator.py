@@ -119,26 +119,26 @@ class WeightedCondExpOperator:
 
 
 def _act(
-    T: WeightedCondExpOperator, f: MFunction, *, times=None, scale=None, conj=False
+    T: WeightedCondExpOperator, f: MFunction, *, times_u=False, scale=None, conj=False
 ) -> MFunction:
-    """w E(v f), the one map behind T, T*, U and |T|: v is ``times`` or 1,
-    and w is the atom scale ``scale`` or 1, times conj(u) with ``conj``.
-    The atom averages are scaled before they are gathered.  On singleton
-    atoms v f is scaled in place, and conj(u) is multiplied in, one block
-    of ``condexp._block_walk`` at a time (no block of conj(u) for a real
-    u), into the result itself when it has the product's dtype and more
-    than one point: numpy forms a one-element product in place in another
-    loop, which can round otherwise.  Each output has the bits of the
-    whole-array expression."""
+    """w E(v f), the one map behind T, T*, U and |T|: v is u with
+    ``times_u``, else 1, and w is the atom scale ``scale`` or 1, times
+    conj(u) with ``conj``.  The atom averages are scaled before they are
+    gathered.  On singleton atoms v f is scaled in place, and conj(u) is
+    multiplied in, one block of ``condexp._block_walk`` at a time (no block
+    of conj(u) for a real u), into the result itself when it has the
+    product's dtype and more than one point: numpy forms a one-element
+    product in place in another loop, which can round otherwise.  Each
+    output has the bits of the whole-array expression."""
     p, u = T.partition, T.symbol.values
     if p.is_singletons:
         f.check_aligned(T.space)
-        g = f.values.copy() if times is None else times * f.values
+        g = u * f.values if times_u else f.values.copy()
         if scale is not None:
             for s, e in _block_walk(g.size):
                 g[s:e] *= scale[p.atom_of[s:e]]
     else:
-        avg = atom_averages(f, p, T.space, mass=T.atom_mass, times=times)
+        avg = atom_averages(f, p, T.space, mass=T.atom_mass, times=u if times_u else None)
         if scale is not None:
             avg *= scale
         g = avg[p.atom_of]
@@ -154,7 +154,7 @@ def _act(
 
 def apply(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
     """T f = E(u f)."""
-    return _act(T, f, times=T.symbol.values)
+    return _act(T, f, times_u=True)
 
 
 def apply_adjoint(T: WeightedCondExpOperator, f: MFunction) -> MFunction:
@@ -289,12 +289,12 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
 
 def apply_modulus(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """|T| f = conj(u) s E(u f), with s = ``parts.atom_scale``."""
-    return _act(T, f, times=T.symbol.values, scale=parts.atom_scale, conj=True)
+    return _act(T, f, times_u=True, scale=parts.atom_scale, conj=True)
 
 
 def apply_isometry(T: WeightedCondExpOperator, parts: PolarParts, f: MFunction) -> MFunction:
     """U f = s E(u f), with s = ``parts.atom_scale``."""
-    return _act(T, f, times=T.symbol.values, scale=parts.atom_scale)
+    return _act(T, f, times_u=True, scale=parts.atom_scale)
 
 
 @dataclass(frozen=True)

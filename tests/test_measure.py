@@ -152,7 +152,8 @@ def test_realize_in_orthonormal_coordinates():
 
 def _reference_realize(sp, action):
     # a fresh delta_i per column, a fresh product per column, and column i
-    # divided by sqrt(mu_i) one real part at a time
+    # divided by sqrt(mu_i) one real part at a time; realize's power-of-two
+    # scale c_i of delta_i changes no bit at these masses
     n = sp.n
     sqrt_m = np.sqrt(sp.masses)
     mat = np.empty((n, n), dtype=complex)

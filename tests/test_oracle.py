@@ -1,7 +1,9 @@
 import dataclasses
 import tracemalloc
 import warnings
+from fractions import Fraction
 
+import exact_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,10 +68,13 @@ def test_matrix_of_by_hand():
     assert np.allclose(M, expected, atol=1e-14)
 
 
-def test_realize_overflows_on_a_subnormal_mass():
+def test_realize_stays_finite_on_a_subnormal_mass():
     # every |M[j, i]| = |u_i| sqrt(mu_i mu_j) / mu(atom) is at most max|u|;
-    # realize applies T to delta_0 itself, not to the 1e160 delta_0 that
-    # delta_0 / sqrt(mu_0) would be, and divides by sqrt(mu_0) last
+    # realize applies T to 2^504 delta_0, not to the 1e160 delta_0 that
+    # delta_0 / sqrt(mu_0) would be, and divides by 2^504 sqrt(mu_0) last.
+    # M[1, 0] = -2 sqrt(1e-320 1e150) / 1e150 passes through the subnormal
+    # -2e-320 2^504 / 1e150 and keeps about 7 digits; applied to delta_0
+    # itself it flushes to 0
     u = MFunction(np.array([-2 + 1e150j, 1e60 + 1e60j]))
     sp = FiniteMeasureSpace(np.array([1e-320, 1e150]))
     T = WeightedCondExpOperator(sp, Partition(np.zeros(2, dtype=int)), u)
@@ -77,6 +82,31 @@ def test_realize_overflows_on_a_subnormal_mass():
         warnings.simplefilter("error", RuntimeWarning)
         M = matrix_of(T)
     assert np.isfinite(M).all() and np.abs(M).max() <= np.abs(u.values).max()
+    assert M[1, 0].real == pytest.approx(-2 * np.sqrt(1e-320 * 1e150) / 1e150, rel=1e-6, abs=0)
+
+
+def test_dense_verdicts_on_subnormal_masses_match_the_exact_ones():
+    # masses u_i mu_i of 5e-324 and 1.25 * 5e-324 round to the same
+    # subnormal, so T applied to delta_i itself reads u as constant; realize
+    # applies it to 2^504 delta_i, where mu_i 2^504 u_i is a normal number
+    masses, atom_of, u = [Fraction(5e-324)] * 2, [0, 0], [(Fraction(1), Fraction(0)), (Fraction(5, 4), Fraction(0))]
+    sp = FiniteMeasureSpace(np.array([float(m) for m in masses]))
+    T = WeightedCondExpOperator(sp, Partition(np.array(atom_of)), MFunction(np.array([1.0, 1.25])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        M = matrix_of(T)
+        assert residuals(T).verdicts(1e-8) == exact_oracle.verdicts(masses, atom_of, u) == (False, False, False)
+    assert M.tolist() == [[0.5, 0.625], [0.5, 0.625]]
+
+
+def test_realize_keeps_a_tiny_symbol_on_huge_masses():
+    # M = u_i sqrt(mu_i mu_j) / mu(atom) = u_i / 2 here; delta_i / sqrt(mu_i)
+    # = 1e-150 delta_i times u_i = 1e-200 underflows to 0, and realize
+    # applies T to delta_i itself on a mass above 1
+    sp = FiniteMeasureSpace(np.array([1e300, 1e300]))
+    T = WeightedCondExpOperator(sp, Partition(np.zeros(2, dtype=int)), MFunction(np.array([1e-200, 3e-200])))
+    M = matrix_of(T)
+    assert np.allclose(M, [[0.5e-200, 1.5e-200], [0.5e-200, 1.5e-200]], rtol=1e-15, atol=0)
 
 
 def test_realize_stays_finite_on_a_huge_mass_and_a_large_symbol():
