@@ -119,7 +119,9 @@ def cmd_classify(args) -> int:
         f"  oracle residuals: self-adjoint {res.self_adjoint_rel:.3e}, "
         f"normal {res.normal_rel:.3e}, quasinormal {res.quasinormal_rel:.3e}"
     )
-    return 0
+    ok = res.agrees(rep, TOL)
+    print(f"oracle verdict: {'pass' if ok else 'FAIL'}")
+    return 0 if ok else 1
 
 
 def cmd_spectrum(args) -> int:

@@ -36,7 +36,8 @@ one block, and one ``np.add.at`` adds it into sums that start at +0.0.
 Each atom's terms are then added in index order, as one ``bincount`` per
 part over all points adds them, and every bit is the same.  The
 operator's point-level work takes the walk too, at every length: the
-scale and conj(u) of its actions, and max |Im u| for ``classify``.  A
+scale gathered through permuted singleton labels and conj(u) of its
+actions, and max |Im u| for ``classify``.  A
 caller that averages several functions over the same partition may pass
 the atom masses as ``mass``; it must be exactly ``atom_masses(p, sp)``,
 which is then not looked up (a complex short average reads the kept pair

@@ -156,6 +156,17 @@ class Partition:
     def is_singletons(self) -> bool:
         return self.atom_count == self.atom_of.size
 
+    @cached_property
+    def in_point_order(self) -> bool:
+        """Whether every atom is one point and ``atom_of[i] == i``, so that
+        atom order is point order and a function's atom values are its
+        point values.  Decided on the first read and kept: the labels of a
+        singleton partition are a permutation of range(n), which is the
+        identity iff it is strictly increasing, so one comparison of
+        neighbouring labels decides it."""
+        a = self.atom_of
+        return self.is_singletons and bool((a[1:] > a[:-1]).all())
+
     @property
     def atom_sizes(self) -> np.ndarray:
         """Number of points in each atom, shape (atom_count,)."""

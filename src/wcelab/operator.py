@@ -80,10 +80,13 @@ class WeightedCondExpOperator:
     one (partition, space) pair share one mass pass.  Off singleton
     partitions E(|u|^2) is averaged from |u|^2 formed one block at a time
     (``atom_averages``' ``center=0``), and no n-sized |u|^2 exists.  On
-    singleton atoms ``symbol_mean`` and ``symbol_sq_mean`` are u itself
-    (a complex copy) and |u|^2, set directly rather than gathered back
-    from atom order.  Every average the operator takes later reuses
-    ``atom_mass``.
+    singleton atoms E is the identity: ``symbol_mean`` is u itself, a
+    read-only view of a complex u or the one complex copy of a real u, and
+    ``symbol_sq_mean`` is |u|^2, read-only too.  When the atoms are also in
+    point order (``Partition.in_point_order``) ``atom_mean`` and
+    ``atom_sq_mean`` are those same arrays, and nothing is averaged or
+    scattered; permuted singletons scatter them into atom order.  Every
+    average the operator takes later reuses ``atom_mass``.
     """
 
     space: FiniteMeasureSpace
@@ -98,13 +101,21 @@ class WeightedCondExpOperator:
     def __post_init__(self):
         sp, p, u = self.space, self.partition, self.symbol
         mass = atom_masses(p, sp)
-        mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
         if p.is_singletons:
+            # the caller's u is held by reference (``symbol``), so a
+            # read-only view of it adds no way to write into it
+            values = u.values.view() if u.values.dtype.kind == "c" else u.values.astype(complex)
             sq = np.abs(u.values)
-            sq = MFunction(np.square(sq, out=sq))
-            sq_mean = atom_averages(sq, p, sp, mass=mass)
-            symbol_mean = MFunction(u.values.astype(complex))
+            np.square(sq, out=sq)
+            values.flags.writeable = sq.flags.writeable = False
+            if p.in_point_order:
+                mean, sq_mean = values, sq
+            else:
+                mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
+                sq_mean = atom_averages(MFunction(sq), p, sp, mass=mass)
+            symbol_mean, sq = MFunction(values), MFunction(sq)
         else:
+            mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
             sq_mean = atom_averages(u, p, sp, mass=mass, center=0)
             symbol_mean, sq = MFunction(mean[p.atom_of]), MFunction(sq_mean[p.atom_of])
         object.__setattr__(self, "atom_mass", mass)
@@ -124,17 +135,21 @@ def _act(
     """w E(v f), the one map behind T, T*, U and |T|: v is u with
     ``times_u``, else 1, and w is the atom scale ``scale`` or 1, times
     conj(u) with ``conj``.  The atom averages are scaled before they are
-    gathered.  On singleton atoms v f is scaled in place, and conj(u) is
-    multiplied in, one block of ``condexp._block_walk`` at a time (no block
-    of conj(u) for a real u), into the result itself when it has the
-    product's dtype and more than one point: numpy forms a one-element
-    product in place in another loop, which can round otherwise.  Each
-    output has the bits of the whole-array expression."""
+    gathered.  On singleton atoms v f is scaled in place: by ``scale``
+    itself when the atoms are in point order, so no scale is gathered,
+    and otherwise by its gather through the labels one block of
+    ``condexp._block_walk`` at a time.  conj(u) is multiplied in one block
+    at a time too (no block of conj(u) for a real u), into the result
+    itself when it has the product's dtype and more than one point: numpy
+    forms a one-element product in place in another loop, which can round
+    otherwise.  Each output has the bits of the whole-array expression."""
     p, u = T.partition, T.symbol.values
     if p.is_singletons:
         f.check_aligned(T.space)
         g = u * f.values if times_u else f.values.copy()
-        if scale is not None:
+        if scale is not None and p.in_point_order:
+            g *= scale
+        elif scale is not None:
             for s, e in _block_walk(g.size):
                 g[s:e] *= scale[p.atom_of[s:e]]
     else:
@@ -267,8 +282,9 @@ class PolarParts:
 def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     """Polar factors from E(|u|^2): its support and 1/sqrt(E(|u|^2)) on the
     atoms, in O(atom_count); only ``support_set`` is a point-level array,
-    and it gathers and scans the points only when some atom is off the
-    support."""
+    and it scans the points only when some atom is off the support, and
+    gathers the support mask through the labels only when the atoms are
+    not in point order."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     atom_support = support(MFunction(T.atom_sq_mean), tol)
@@ -278,6 +294,8 @@ def polar(T: WeightedCondExpOperator, tol: float) -> PolarParts:
     np.sqrt(scale, out=scale)
     if atom_support.all():
         support_set = np.arange(T.n)
+    elif T.partition.in_point_order:
+        support_set = np.flatnonzero(atom_support)
     else:
         support_set = np.flatnonzero(atom_support[T.partition.atom_of])
     return PolarParts(

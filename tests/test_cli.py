@@ -571,6 +571,15 @@ def test_polar_fails_on_factors_cut_too_high(capsys, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_BUILDERS))
+def test_classify_checks_its_verdicts_against_the_oracle(capsys, monkeypatch, scenario):
+    code, out, _ = run(capsys, "classify", "--scenario", scenario)
+    assert (code, out.splitlines()[-1]) == (0, "oracle verdict: pass")
+    monkeypatch.setattr(cli, "classify", _classify_normality_flipped)
+    code, out, _ = run(capsys, "classify", "--scenario", scenario)
+    assert (code, out.splitlines()[-1]) == (1, "oracle verdict: FAIL")
+
+
 @pytest.mark.parametrize(
     "name, patch, reason",
     [

@@ -531,3 +531,25 @@ def test_construction_forms_no_point_sized_square():
         tracemalloc.stop()
     fields = T.symbol_mean.values.nbytes + T.symbol_sq_mean.values.nbytes
     assert peak - fields < 2**20
+
+
+def test_point_order_singletons_keep_u_and_its_square_once():
+    """On singletons in point order E is the identity and atom order is
+    point order: construction forms |u|^2, 8 bytes a point, and nothing
+    else point-sized.  A complex u is viewed, not copied, and neither mean
+    is scattered into atom order, each of which would add 16 bytes a
+    point."""
+    n = 8 * BLOCK
+    rng = np.random.default_rng(15)
+    sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
+    p = Partition(np.arange(n))
+    u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    WeightedCondExpOperator(sp, p, u)  # the record of (p, sp) is built here
+    tracemalloc.start()
+    try:
+        T = WeightedCondExpOperator(sp, p, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.partition.in_point_order
+    assert peak <= 8 * n + 2**20

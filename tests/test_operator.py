@@ -66,14 +66,17 @@ def test_apply_by_hand():
 
 
 def _shaped_operator(rng, shape, n=40):
-    """A random operator on permuted singletons, one atom, or a random
-    coarse partition, with a complex Gaussian symbol."""
+    """A random operator on permuted singletons, singletons in point order,
+    one atom, or a random coarse partition, with a complex Gaussian
+    symbol."""
     atom_of = {
         "singletons": rng.permutation(n),
+        "point-order": np.arange(n),
         "one-atom": np.zeros(n, dtype=int),
         "coarse": np.concatenate([np.arange(5), rng.integers(0, 5, size=n - 5)]),
     }[shape]
-    rng.shuffle(atom_of)
+    if shape != "point-order":
+        rng.shuffle(atom_of)
     sp = FiniteMeasureSpace(np.exp(rng.uniform(np.log(1e-3), 0.0, size=n)))
     u = MFunction(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     return WeightedCondExpOperator(sp, Partition(atom_of), u)
@@ -81,7 +84,7 @@ def _shaped_operator(rng, shape, n=40):
 
 def test_cached_means_match_recompute():
     rng = np.random.default_rng(0)
-    for shape in ("singletons", "one-atom", "coarse"):
+    for shape in ("singletons", "one-atom", "coarse", "point-order"):
         complex_symbol = _shaped_operator(rng, shape)
         p, sp = complex_symbol.partition, complex_symbol.space
         real_symbol = WeightedCondExpOperator(sp, p, MFunction(complex_symbol.symbol.values.real))
@@ -94,11 +97,41 @@ def test_cached_means_match_recompute():
             np.testing.assert_array_equal(T.symbol_sq_mean.values, cond_exp(sq, p, sp).values)
             assert T.atom_mean.dtype == complex and T.atom_sq_mean.dtype == float
             assert T.atom_sq_mean.flags.owndata
-            if shape == "singletons":
-                # labels in random order; the point-level means are u and |u|^2
+            if shape in ("singletons", "point-order"):
+                # the point-level means are u and |u|^2
                 assert _bits(T.symbol_mean.values) == _bits(T.symbol.values.astype(complex))
                 assert _bits(T.symbol_sq_mean.values) == _bits(sq.values)
-                assert not np.shares_memory(T.symbol_mean.values, T.symbol.values)
+            if shape == "point-order":
+                # atom order is point order: one array each, nothing scattered,
+                # with the bits of permuted labels' fields put back in point order
+                assert T.atom_mean is T.symbol_mean.values
+                assert T.atom_sq_mean is T.symbol_sq_mean.values
+                perm = rng.permutation(T.n)
+                P = WeightedCondExpOperator(sp, Partition(perm), T.symbol)
+                assert _bits(T.atom_mean) == _bits(P.atom_mean[perm])
+                assert _bits(T.atom_sq_mean) == _bits(P.atom_sq_mean[perm])
+
+
+@pytest.mark.parametrize("shape", ["singletons", "point-order"])
+@pytest.mark.parametrize("u_kind", ["real", "complex"])
+def test_singleton_means_cannot_write_into_u(shape, u_kind):
+    """On singletons symbol_mean is u itself, a view of a complex u, and in
+    point order atom_mean is that same array: the point-level means, and
+    the atom-level ones that share them, are read-only, so no write through
+    the operator reaches the caller's u."""
+    rng = np.random.default_rng(1)
+    T = _shaped_operator(rng, shape)
+    if u_kind == "real":
+        T = WeightedCondExpOperator(T.space, T.partition, MFunction(T.symbol.values.real))
+    u_before = _bits(T.symbol.values)
+    fields = [T.symbol_mean.values, T.symbol_sq_mean.values]
+    if shape == "point-order":
+        fields += [T.atom_mean, T.atom_sq_mean]
+    for field in fields:
+        with pytest.raises(ValueError, match="read-only"):
+            field[0] = 7.0
+    assert _bits(T.symbol.values) == u_before
+    assert np.shares_memory(T.symbol_mean.values, T.symbol.values) == (u_kind == "complex")
 
 
 def _bits(a):
@@ -220,7 +253,7 @@ def _classify_reference(T, tol):
 
 @given(
     seed=seeds,
-    shape=st.sampled_from(["random", "singletons", "one-atom", "coarse"]),
+    shape=st.sampled_from(["random", "singletons", "point-order", "one-atom", "coarse"]),
     kind=st.sampled_from(SPECIAL_KINDS),
     tol=st.sampled_from([1e-12, 1e-8, 0.3, 2.0]),
 )
@@ -489,15 +522,16 @@ def test_polar_symbols_vanish_off_support():
 
 
 @pytest.mark.parametrize("n", [1, 7, BLOCK + 1])
-@pytest.mark.parametrize("shape", ["singletons", "coarse"])
+@pytest.mark.parametrize("shape", ["singletons", "point-order", "coarse"])
 @pytest.mark.parametrize("support", ["full", "partial"])
 def test_polar_support_set_is_the_points_of_the_supported_atoms(n, shape, support):
     """support_set is np.flatnonzero(atom_support[atom_of]), the same bits
     and dtype, whether every atom is in the support (then no point is
-    gathered or scanned) or only some are."""
+    gathered or scanned) or only some are, and whether singleton labels are
+    in point order (then the mask is not gathered) or permuted."""
     rng = np.random.default_rng([n, len(shape), len(support)])
-    m = n if shape == "singletons" else max(1, n // 3)
-    atom_of = rng.permutation(np.arange(n) % m)
+    m = max(1, n // 3) if shape == "coarse" else n
+    atom_of = np.arange(n) if shape == "point-order" else rng.permutation(np.arange(n) % m)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     if support == "partial":
         u[atom_of == m - 1] = 0.0  # E(|u|^2) = 0 on the last atom
@@ -510,7 +544,7 @@ def test_polar_support_set_is_the_points_of_the_supported_atoms(n, shape, suppor
     assert _bits(parts.support_set) == _bits(want)
 
 
-@pytest.mark.parametrize("shape", ["singletons", "one-atom", "coarse"])
+@pytest.mark.parametrize("shape", ["singletons", "point-order", "one-atom", "coarse"])
 def test_polar_parts_live_on_the_atoms(shape):
     rng = np.random.default_rng(5)
     T = _shaped_operator(rng, shape)
@@ -526,7 +560,7 @@ def test_polar_parts_live_on_the_atoms(shape):
     )
 
 
-@pytest.mark.parametrize("shape", ["singletons", "coarse"])
+@pytest.mark.parametrize("shape", ["singletons", "point-order", "coarse"])
 @pytest.mark.parametrize("u_kind", ["real", "complex"])
 @pytest.mark.parametrize("f_kind", ["real", "complex"])
 def test_actions_leave_f_and_u_unchanged(shape, u_kind, f_kind):
