@@ -96,7 +96,10 @@ def _operator_of(sc: Scenario) -> WeightedCondExpOperator:
 
 
 def _fmt_complex(z: complex) -> str:
-    if abs(z.imag) < 1e-15:
+    """z to 12 significant digits.  An imaginary part at most 1e-15 |z|
+    is dropped: the cut is relative, so a spectrum prints the same parts
+    in any units."""
+    if abs(z.imag) <= 1e-15 * abs(z):
         return f"{z.real:.12g}"
     return f"{z.real:.12g}{z.imag:+.12g}i"
 

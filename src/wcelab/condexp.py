@@ -7,6 +7,17 @@ is the identity and no average is computed: the mean of a point's atom is
 the point's own value, exactly, whatever its mass.  On any other partition
 the same holds on each atom of one point.
 
+E's only data are the atom masses of a (partition, space) pair, and one
+record owns them (``_record``): the immutable tuple (space, atom masses,
+pairs), built once per pair and kept in the partition's ``__dict__`` for
+the space it was last averaged on.  The atom masses are one ``bincount``
+over the points, read-only; ``atom_masses`` hands out that array itself,
+so the operator's ``atom_mass`` and every average on the pair read the
+masses of one pass.  ``pairs`` is what a complex short average reads: up
+to ``BLOCK`` points off singleton partitions, the labels 2a and 2a + 1 of
+each point's atom a, each point mass twice and each atom mass twice;
+otherwise None.
+
 Every average is of one term, formed by ``_term``: f, ``times * f`` for
 ``times=t``, |f - E(f)|^2 for ``center=E(f)``, which only
 ``is_A_measurable`` passes, or |f|^2 for ``center=0``, which only the
@@ -15,33 +26,20 @@ mu * Im(term) for a complex term, per atom and divides by the atom mass;
 a real function (``MFunction`` keeps real input as float64) takes one sum.
 Up to ``BLOCK`` points the term is formed for the whole input and summed
 with one ``bincount``: over the atom labels for a real term, and for a
-complex one over the labels 2a and 2a + 1 of its interleaved products
-mu * Re and mu * Im, whose sums one divide by the atom masses, each
-twice, turns into the complex means.  ``bincount`` adds each bin's
-weights in index order, so the sums are those of one ``bincount`` per
-part, bit for bit.  A partition keeps one record for the space it was
-last averaged on (``_record``, under ``_pairs`` in its ``__dict__``):
-the atom masses, from one ``bincount`` over the points when the record
-is built, and from the first complex short average on that space the
-interleaved labels and masses (``_pairs``), whose pair masses are the
-atom masses repeated twice.  ``atom_masses`` hands out the kept array
-itself, read-only, so the operator's ``atom_mass`` and every average on
-that space read the masses of one pass.  At 64
-points a ``bincount`` costs about 0.5 us against 0.95 us for
-``np.add.at``, and such short calls are most of what the CLI and
-``realize`` make.  Longer inputs take the one block walk, ``_block_walk``,
-so that a block's labels and terms stay in cache and no n-sized array is
-formed: the block's term and then its products with mu go to a buffer of
-one block, and one ``np.add.at`` adds it into sums that start at +0.0.
-Each atom's terms are then added in index order, as one ``bincount`` per
-part over all points adds them, and every bit is the same.  The
-operator's point-level work takes the walk too, at every length: the
-scale gathered through permuted singleton labels and conj(u) of its
-actions, and max |Im u| for ``classify``.  A
-caller that averages several functions over the same partition may pass
-the atom masses as ``mass``; it must be exactly ``atom_masses(p, sp)``,
-which is then not looked up (a complex short average reads the kept pair
-masses instead).
+complex one over the record's interleaved labels, whose sums one divide
+by the pair masses turns into the complex means.  ``bincount`` adds each
+bin's weights in index order, so the sums are those of one ``bincount``
+per part, bit for bit.  At 64 points a ``bincount`` costs about 0.5 us
+against 0.95 us for ``np.add.at``, and such short calls are most of what
+the CLI and ``realize`` make.  Longer inputs take the one block walk,
+``_block_walk``, so that a block's labels and terms stay in cache and no
+n-sized array is formed: the block's term and then its products with mu
+go to a buffer of one block, and one ``np.add.at`` adds it into sums that
+start at +0.0.  Each atom's terms are then added in index order, as one
+``bincount`` per part over all points adds them, and every bit is the
+same.  The operator's point-level work takes the walk too, at every
+length: the scale gathered through permuted singleton labels and conj(u)
+of its actions, and max |Im u| for ``classify``.
 """
 from __future__ import annotations
 
@@ -85,28 +83,36 @@ def _block_walk(n: int):
     return zip((0, *stops), (*stops, n))
 
 
-def _record(p: Partition, sp: FiniteMeasureSpace) -> list:
-    """The record of (p, sp), kept in the partition's ``__dict__`` under
-    ``_pairs`` beside the space it was built for: [sp, atom masses, labels,
-    point masses twice, atom masses twice].  The atom masses come from one
-    ``bincount`` over the points when the record is built; the last three
-    entries stay None until ``_pairs`` fills them.  A call on another space
-    builds a new record and keeps only the labels, which depend on p alone."""
-    kept = p.__dict__.get("_pairs")
+def _record(p: Partition, sp: FiniteMeasureSpace) -> tuple:
+    """The record of (p, sp): (sp, atom masses, pairs), built once and
+    kept in the partition's ``__dict__`` until a call on another space
+    replaces it.  The atom masses are one ``bincount`` over the points,
+    read-only.  ``pairs`` is None on singleton partitions and beyond
+    ``BLOCK`` points; otherwise it holds what one ``bincount`` of a complex
+    term reads, interleaved: the labels 2a and 2a + 1 of each point's atom
+    a, each point mass twice and each atom mass twice.  The pair masses
+    are the atom masses repeated, bit for bit the sums of one ``bincount``
+    over those labels, which adds the same masses in the same order."""
+    kept = p.__dict__.get("_record")
     if kept is None or kept[0] is not sp:
         p.check_aligned(sp)
         mass = np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
         mass.flags.writeable = False
-        labels = None if kept is None else kept[2]
-        kept = p.__dict__["_pairs"] = [sp, mass, labels, None, None]
+        pairs = None
+        if not p.is_singletons and p.n <= BLOCK:
+            labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
+            odd = labels[1::2]
+            odd += 1
+            pairs = labels, sp.masses.repeat(2), mass.repeat(2)
+        kept = p.__dict__["_record"] = (sp, mass, pairs)
     return kept
 
 
 def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
     """Total mass of each atom, shape (atom_count,): the sums of the
-    points' masses in index order, taken once per (partition, space) and
-    kept in the partition's record (``_record``).  Every call on the same
-    pair returns that same read-only array, not a copy."""
+    points' masses in index order, kept in the record of (p, sp)
+    (``_record``).  Every call on the same pair returns that same
+    read-only array, not a copy."""
     return _record(p, sp)[1]
 
 
@@ -117,26 +123,6 @@ def _check_aligned(f: MFunction, p: Partition, sp: FiniteMeasureSpace, times=Non
     f.check_aligned(sp)
     p.check_aligned(sp)
     raise DimensionMismatchError(f"times has shape {times.shape}, the function {f.values.shape}")
-
-
-def _pairs(p: Partition, sp: FiniteMeasureSpace) -> list[np.ndarray]:
-    """What one ``bincount`` of a complex term needs, interleaved: the
-    labels 2a and 2a + 1 of each point's atom a, each point's mass twice,
-    and each atom's mass twice.  Filled into the record of (p, sp) on first
-    use.  The pair masses are ``atom_masses(p, sp)`` repeated, bit for bit
-    the sums of one ``bincount`` over the labels, which adds the same
-    masses in the same order."""
-    kept = p.__dict__.get("_pairs")
-    if kept is None or kept[0] is not sp or kept[3] is None:
-        kept = _record(p, sp)
-        if kept[2] is None:
-            labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
-            odd = labels[1::2]
-            odd += 1
-            kept[2] = labels
-        kept[3] = sp.masses.repeat(2)
-        kept[4] = kept[1].repeat(2)
-    return kept[2:]
 
 
 def _term(values, times, center, atom_of, out=None):
@@ -158,7 +144,6 @@ def atom_averages(
     p: Partition,
     sp: FiniteMeasureSpace,
     *,
-    mass: np.ndarray | None = None,
     times: np.ndarray | None = None,
     center: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -171,31 +156,32 @@ def atom_averages(
     the term itself, unrounded, placed in atom order.  The sums are those
     of one ``bincount`` per part over all points, bit for bit.  Up to
     ``BLOCK`` points they are taken in one pass, and a complex term's two
-    parts in one ``bincount`` over the labels 2a and 2a + 1 and one
-    divide; beyond, in a walk of blocks.  ``center`` is never passed with
-    ``times``.  ``is_A_measurable`` passes the atom means of f, and the
-    call then averages |f - center[atom]|^2; the operator's construction
-    passes the scalar 0, and the call averages |f|^2 with the bits of
-    averaging ``np.square(np.abs(f))``, formed one block at a time on the
-    walk, so that no n-sized |f|^2 exists.
+    parts in one ``bincount`` over the record's labels 2a and 2a + 1 and
+    one divide; beyond, in a walk of blocks.  Every call reads the atom
+    masses of the record of (p, sp), except on singleton partitions, which
+    read none.  ``center`` is never passed with ``times``.
+    ``is_A_measurable`` passes the atom means of f, and the call then
+    averages |f - center[atom]|^2; the operator's construction passes the
+    scalar 0, and the call averages |f|^2 with the bits of averaging
+    ``np.square(np.abs(f))``, formed one block at a time on the walk, so
+    that no n-sized |f|^2 exists.
     """
     _check_aligned(f, p, sp, times)
     values, atom_of, lone = f.values, p.atom_of, p.singleton_points
-    singletons = p.is_singletons
-    short = singletons or values.size <= BLOCK
+    if p.is_singletons:
+        v = _term(values, times, center, atom_of)
+        out = np.empty(p.atom_count, v.dtype)
+        out[atom_of] = v
+        return out
+    _, mass, pairs = _record(p, sp)
+    short = values.size <= BLOCK
     if short:
         v = _term(values, times, center, atom_of)
-        if singletons:
-            out = np.empty(p.atom_count, v.dtype)
-            out[atom_of] = v
-            return out
         if v.dtype.kind == "c":
-            labels, masses, pair_mass = _pairs(p, sp)
+            labels, masses, pair_mass = pairs
             sums = np.bincount(labels, weights=masses * np.ascontiguousarray(v).view(np.float64))
             out = np.divide(sums, pair_mass, out=sums).view(complex)
         else:
-            if mass is None:
-                mass = atom_masses(p, sp)
             sums = np.bincount(atom_of, weights=sp.masses * v, minlength=p.atom_count)
             out = np.divide(sums, mass, out=sums)
     else:
@@ -213,8 +199,6 @@ def atom_averages(
             if dtype.kind == "c":
                 np.multiply(mu, v.imag, out=w.imag)
             np.add.at(sums, labels, w)
-        if mass is None:
-            mass = atom_masses(p, sp)
         np.divide(sums.real, mass, out=out.real)
         if dtype.kind == "c":
             np.divide(sums.imag, mass, out=out.imag)
@@ -229,12 +213,10 @@ def atom_averages(
 
 
 def cond_exp(f: MFunction, p: Partition, sp: FiniteMeasureSpace) -> MFunction:
-    """Atom-wise averaging projection of f; constant on each atom.  On
-    singleton atoms it is the identity and returns a copy of f.  The
-    result is always a fresh array."""
-    if p.is_singletons:
-        _check_aligned(f, p, sp)
-        return MFunction(f.values.copy())
+    """Atom-wise averaging projection of f: its atom averages gathered to
+    the points, a fresh array constant on each atom.  On singleton atoms
+    it is the identity: each atom's average is the point's value itself,
+    so the gather gives f's bits back."""
     return MFunction(atom_averages(f, p, sp)[p.atom_of])
 
 
@@ -250,8 +232,6 @@ def is_A_measurable(
     p: Partition,
     sp: FiniteMeasureSpace,
     tol: float,
-    *,
-    mass: np.ndarray | None = None,
 ) -> MeasurabilityVerdict:
     """Whether f is (numerically) constant on every atom.
 
@@ -270,8 +250,8 @@ def is_A_measurable(
     if p.is_singletons:
         _check_aligned(f, p, sp)
         return MeasurabilityVerdict(measurable=True, max_deviation=0.0, worst_atom=0)
-    mean = atom_averages(f, p, sp, mass=mass)
-    dev = np.sqrt(atom_averages(f, p, sp, mass=mass, center=mean))
+    mean = atom_averages(f, p, sp)
+    dev = np.sqrt(atom_averages(f, p, sp, center=mean))
     worst = int(np.argmax(dev))
     return MeasurabilityVerdict(
         measurable=bool(dev[worst] <= tol),

@@ -76,8 +76,9 @@ class WeightedCondExpOperator:
     atom (``atom_sq_mean``, float64), all of shape (atom_count,), and their
     point-level gathers ``symbol_mean`` and ``symbol_sq_mean``.
     ``atom_mass`` is ``atom_masses(partition, space)`` itself, the
-    read-only array the partition keeps for the space, so operators on
-    one (partition, space) pair share one mass pass.  Off singleton
+    read-only array of the (partition, space) record that every average
+    on the pair reads, so operators on one pair share one mass pass and
+    ``atom_mass`` is the public read of that record.  Off singleton
     partitions E(|u|^2) is averaged from |u|^2 formed one block at a time
     (``atom_averages``' ``center=0``), and no n-sized |u|^2 exists.  On
     singleton atoms E is the identity: ``symbol_mean`` is u itself, a
@@ -85,8 +86,7 @@ class WeightedCondExpOperator:
     ``symbol_sq_mean`` is |u|^2, read-only too.  When the atoms are also in
     point order (``Partition.in_point_order``) ``atom_mean`` and
     ``atom_sq_mean`` are those same arrays, and nothing is averaged or
-    scattered; permuted singletons scatter them into atom order.  Every
-    average the operator takes later reuses ``atom_mass``.
+    scattered; permuted singletons scatter them into atom order.
     """
 
     space: FiniteMeasureSpace
@@ -100,7 +100,7 @@ class WeightedCondExpOperator:
 
     def __post_init__(self):
         sp, p, u = self.space, self.partition, self.symbol
-        mass = atom_masses(p, sp)
+        object.__setattr__(self, "atom_mass", atom_masses(p, sp))
         if p.is_singletons:
             # the caller's u is held by reference (``symbol``), so a
             # read-only view of it adds no way to write into it
@@ -111,14 +111,13 @@ class WeightedCondExpOperator:
             if p.in_point_order:
                 mean, sq_mean = values, sq
             else:
-                mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
-                sq_mean = atom_averages(MFunction(sq), p, sp, mass=mass)
+                mean = atom_averages(u, p, sp).astype(complex, copy=False)
+                sq_mean = atom_averages(MFunction(sq), p, sp)
             symbol_mean, sq = MFunction(values), MFunction(sq)
         else:
-            mean = atom_averages(u, p, sp, mass=mass).astype(complex, copy=False)
-            sq_mean = atom_averages(u, p, sp, mass=mass, center=0)
+            mean = atom_averages(u, p, sp).astype(complex, copy=False)
+            sq_mean = atom_averages(u, p, sp, center=0)
             symbol_mean, sq = MFunction(mean[p.atom_of]), MFunction(sq_mean[p.atom_of])
-        object.__setattr__(self, "atom_mass", mass)
         object.__setattr__(self, "atom_mean", mean)
         object.__setattr__(self, "atom_sq_mean", sq_mean)
         object.__setattr__(self, "symbol_mean", symbol_mean)
@@ -153,7 +152,7 @@ def _act(
             for s, e in _block_walk(g.size):
                 g[s:e] *= scale[p.atom_of[s:e]]
     else:
-        avg = atom_averages(f, p, T.space, mass=T.atom_mass, times=u if times_u else None)
+        avg = atom_averages(f, p, T.space, times=u if times_u else None)
         if scale is not None:
             avg *= scale
         g = avg[p.atom_of]
@@ -221,7 +220,7 @@ def classify(T: WeightedCondExpOperator, tol: float) -> ClassificationReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    meas = is_A_measurable(T.symbol, T.partition, T.space, tol, mass=T.atom_mass)
+    meas = is_A_measurable(T.symbol, T.partition, T.space, tol)
     normal = quasinormal = meas.measurable
     worst_imag, max_imag = _max_abs_imag(T.symbol.values)
     self_adjoint = normal and max_imag <= tol
@@ -395,7 +394,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
         tr = truncate(spec, tail_tol, weighted=True)
         p, sp, tail = tr.partition, tr.space, tr.discarded_mass_bound
         mass = atom_masses(p, sp)
-        sq_mean = atom_averages(tr.symbol, p, sp, mass=mass, center=0)
+        sq_mean = atom_averages(tr.symbol, p, sp, center=0)
         for a, s, m, c in zip(tr.atom_ids, sq_mean.tolist(), mass.tolist(), p.atom_sizes.tolist()):
             if a not in per_atom:
                 per_atom[a] = AtomDomainVerdict(

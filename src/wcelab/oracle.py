@@ -284,14 +284,11 @@ class OracleResiduals:
     matrix_norm: float
 
     @classmethod
-    def of(cls, M: np.ndarray) -> OracleResiduals:
-        """Formed at unit scale, where ||M||_F >= 0.5 unless M = 0 and no
-        product or norm over- or underflows: M * 2^j gives the same ratios."""
-        return cls._of(M, _exponent(M))
-
-    @classmethod
-    def _of(cls, M: np.ndarray, k: int) -> OracleResiduals:
-        """``of(M)``, given k = ``_exponent(M)``."""
+    def of(cls, M: np.ndarray, k: int) -> OracleResiduals:
+        """The residuals of M, given k = ``_exponent(M)`` as ``matrix_of``'s
+        memo keeps it.  Formed at unit scale, from M * 2^-k, where
+        ||M||_F >= 0.5 unless M = 0 and no product or norm over- or
+        underflows: M * 2^j gives the same ratios."""
         M = M * np.ldexp(1.0, -k)
         Mh = M.conj().T
         G = Mh @ M  # |M|^2, no square root needed
@@ -325,17 +322,17 @@ class OracleResiduals:
 
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
-    """``OracleResiduals.of(matrix_of(T))``, the residuals backing each
-    classification verdict, computed once per operator and kept beside M.
-    M and its exponent are read from ``matrix_of``'s memo when it is
-    there, with no call."""
+    """``OracleResiduals.of(M, k)`` for M = ``matrix_of(T)``: the residuals
+    backing each classification verdict, computed once per operator and
+    kept beside M.  M and its exponent k are read from ``matrix_of``'s
+    memo when it is there, with no call."""
     # checked before the memos, which matrix_of is not called to read: a
     # memo made under a higher cap is not handed out under the real one
     _check_order(T.n)
     res = T.__dict__.get("_oracle_residuals")
     if res is None:
         memo = T.__dict__.get("_oracle_matrix") or _matrix_and_exponent(T)
-        res = T.__dict__["_oracle_residuals"] = OracleResiduals._of(*memo)
+        res = T.__dict__["_oracle_residuals"] = OracleResiduals.of(*memo)
     return res
 
 
@@ -481,7 +478,7 @@ class SpectrumProbeResult:
         bound = tol * self.matrix_norm
         return all(s <= bound for s in self.candidate_sigmas)
 
-    def eigenvalues_ok(self, tol: float) -> bool:
+    def eigenvalues_ok(self) -> bool:
         """Completeness: every computed eigenvalue of M lies within
         _COMPLETE * ||M||_F of a claimed value, so a claim that leaves a
         value out fails.  The bound is loose because a zero-mean atom makes
@@ -518,7 +515,7 @@ class SpectrumProbeResult:
     def ok(self, tol: float) -> bool:
         """The spectrum verdict: every claimed value checks out (soundness)
         and every eigenvalue is claimed (completeness)."""
-        return self.candidates_ok(tol) and self.eigenvalues_ok(tol)
+        return self.candidates_ok(tol) and self.eigenvalues_ok()
 
 
 def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> SpectrumProbeResult:

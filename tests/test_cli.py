@@ -200,6 +200,30 @@ def test_classify_on_a_large_symbol_takes_the_residuals_at_unit_scale(tmp_path, 
         assert "  residual quasinormal_rel: 3.162e-02" in out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "c, lines",
+    [(1.0, ["  0+1e-16i", "  2e-20+3e-17i"]), (1e32, ["  0+1e+16i", "  2e+12+3e+15i"])],
+)
+def test_spectrum_prints_the_same_parts_in_any_units(tmp_path, capsys, c, lines):
+    # u = c (1e-16i, 2e-20 + 3e-17i) on two singletons: an imaginary part
+    # is dropped only when it is at most 1e-15 |z|, so both values keep
+    # theirs at c = 1 as at c = 1e32; an absolute cut printed 0 and 2e-20
+    doc = {
+        "points": [{"weight": 1}, {"weight": 1}],
+        "atoms": [[0], [1]],
+        "u": {"values": [[0.0, 1e-16 * c], [2e-20 * c, 3e-17 * c]]},
+    }
+    path = tmp_path / "units.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "spectrum", "--oracle", "--space-file", str(path))
+    assert code == 0
+    printed = out.splitlines()
+    assert printed[2:4] == lines
+    assert "oracle verdict: pass" in printed
+    for z in (1 + 1e-16j, 0j):
+        assert cli._fmt_complex(z * c) == f"{(z * c).real:.12g}"
+
+
 def test_domain_poisson(capsys):
     code, out, _ = run(capsys, "domain", "--scenario", "poisson-parity")
     assert code == 0

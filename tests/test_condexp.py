@@ -183,14 +183,33 @@ def singleton_instance(rng, n=30):
     return sp, p, f
 
 
-@given(instance_seeds)
+#: ±0, ±inf, NaNs with payloads and signs, and subnormals, as float64
+_SPECIAL_BITS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310]
+    + np.array([0x7FF8000000000123, 0xFFF0000000000001], dtype=np.uint64).view(float).tolist()
+)
+
+
+@pytest.mark.parametrize("n", [30, 1, 29, BLOCK + 1])
+@pytest.mark.parametrize("order", ["permuted", "point-order"])
+@given(seed=instance_seeds)
 @settings(max_examples=30, deadline=None)
-def test_singleton_partition_is_identity(seed):
-    sp, p, f = singleton_instance(np.random.default_rng(seed))
-    np.testing.assert_array_equal(atom_averages(f, p, sp)[p.atom_of], f.values)
-    ef = cond_exp(f, p, sp)
-    np.testing.assert_array_equal(ef.values, f.values)
-    assert not np.shares_memory(ef.values, f.values)
+def test_singleton_partition_is_identity(n, order, seed):
+    """E is the identity on singleton atoms: cond_exp returns f's bits,
+    signed zeros and NaN payloads too, in a fresh array."""
+    rng = np.random.default_rng(seed)
+    sp, p, f = singleton_instance(rng, n)
+    if order == "point-order":
+        p = Partition(np.arange(n))
+    for part in (f.values.real, f.values.imag):
+        at = rng.integers(0, n, n // 3 + 1)
+        part[at] = rng.choice(_SPECIAL_BITS, at.size)
+    for g in (f, MFunction(f.values.real.copy())):
+        np.testing.assert_array_equal(atom_averages(g, p, sp)[p.atom_of], g.values)
+        eg = cond_exp(g, p, sp)
+        assert eg.values.dtype == g.values.dtype
+        assert eg.values.tobytes() == g.values.tobytes()
+        assert not np.shares_memory(eg.values, g.values)
 
 
 @given(instance_seeds)
@@ -212,17 +231,6 @@ def test_real_function_averages_as_its_complex_copy(seed, shape):
     avg = atom_averages(real, p, sp)
     assert avg.dtype == float
     np.testing.assert_array_equal(avg, atom_averages(MFunction(real.values.astype(complex)), p, sp))
-
-
-@given(instance_seeds, st.sampled_from(["random", "singletons"]))
-@settings(max_examples=40, deadline=None)
-def test_passing_the_atom_masses_changes_no_bit(seed, shape):
-    rng = np.random.default_rng(seed)
-    sp, p, f = singleton_instance(rng) if shape == "singletons" else random_instance(rng)
-    mass = atom_masses(p, sp)
-    for g in (f, MFunction(np.abs(f.values) ** 2)):
-        assert atom_averages(g, p, sp, mass=mass).tobytes() == atom_averages(g, p, sp).tobytes()
-        assert is_A_measurable(g, p, sp, 1e-8, mass=mass) == is_A_measurable(g, p, sp, 1e-8)
 
 
 def _blocked_instance(rng, n, m):
@@ -263,14 +271,13 @@ def test_blocked_averages_equal_one_full_array_bincount(n, m):
     constant = MFunction((rng.standard_normal(m) + 1j * rng.standard_normal(m))[p.atom_of])
     real = MFunction(f.values.real.copy())
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    mass = atom_masses(p, sp)
     for g in (f, zero_mean, constant, real):
         avg = atom_averages(g, p, sp)
         assert avg.tobytes() == _full_array_reference(g.values, p, sp).tobytes()
-        assert avg.tobytes() == atom_averages(g, p, sp, mass=mass).tobytes()
+        assert avg.tobytes() == atom_averages(g, p, sp).tobytes()
         for times in (u, u.real.copy()):
             product = atom_averages(MFunction(times * g.values), p, sp)
-            assert atom_averages(g, p, sp, mass=mass, times=times).tobytes() == product.tobytes()
+            assert atom_averages(g, p, sp, times=times).tobytes() == product.tobytes()
         var = _full_array_reference(np.abs(g.values - avg[p.atom_of]) ** 2, p, sp)
         assert atom_averages(g, p, sp, center=avg).tobytes() == var.tobytes()
         dev = np.sqrt(np.maximum(var, 0.0))
@@ -297,26 +304,28 @@ def test_short_complex_averages_keep_the_bits_of_one_bincount_per_part(n, m):
         at = rng.integers(0, n, n // 3 + 1)
         part[at] = rng.choice([0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan], at.size)
     u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    mass = atom_masses(p, sp)
     with np.errstate(all="ignore"):
         for g in (MFunction(values), MFunction(values[::-1])):
             want = _full_array_reference(g.values, p, sp).tobytes()
             assert atom_averages(g, p, sp).tobytes() == want
-            assert atom_averages(g, p, sp, mass=mass).tobytes() == want
             product = _full_array_reference(u * g.values, p, sp).tobytes()
-            assert atom_averages(g, p, sp, mass=mass, times=u).tobytes() == product
+            assert atom_averages(g, p, sp, times=u).tobytes() == product
 
 
 def test_short_complex_averages_read_the_masses_of_each_call():
-    """The interleaved labels and masses of a complex short average are
-    kept on the partition for one space: a call on another space over the
-    same partition reads that space's masses."""
+    """The record of (partition, space) holds the interleaved labels and
+    masses of a complex short average beside the atom masses: a record
+    that a real average built serves the complex call after it, and a
+    call on another space over the same partition reads that space's
+    masses, with the bits of a fresh bincount, as three spaces alternate."""
     rng = np.random.default_rng(5)
     p = Partition(np.array([0, 1, 0, 2, 1, 0]))
     f = MFunction(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    spaces = [FiniteMeasureSpace(rng.uniform(0.1, 1.0, 6)) for _ in range(2)]
-    for sp in spaces + spaces[::-1]:
-        assert atom_averages(f, p, sp).tobytes() == _full_array_reference(f.values, p, sp).tobytes()
+    real = MFunction(f.values.real.copy())
+    spaces = [FiniteMeasureSpace(rng.uniform(0.1, 1.0, 6)) for _ in range(3)]
+    for sp in spaces + spaces[::-1] + spaces:
+        for g in (real, f):
+            assert atom_averages(g, p, sp).tobytes() == _full_array_reference(g.values, p, sp).tobytes()
 
 
 def test_blocked_sums_keep_an_infinite_part_to_itself():

@@ -660,11 +660,11 @@ def test_polar_check_holds_no_order_n_product():
 
 def test_oracle_check_forms_the_residuals_once_per_operator(monkeypatch, capsys):
     # classify's dense fallback and oracle-check's residuals(T) share one
-    # set of residuals per operator, formed by OracleResiduals._of
-    of = OracleResiduals._of
+    # set of residuals per operator, formed by OracleResiduals.of
+    of = OracleResiduals.of
     calls = []
     monkeypatch.setattr(
-        OracleResiduals, "_of", classmethod(lambda cls, M, k: calls.append(M.shape) or of(M, k))
+        OracleResiduals, "of", classmethod(lambda cls, M, k: calls.append(M.shape) or of(M, k))
     )
     assert main(["oracle-check", "--seeds", "100"]) == 0
     assert "100/100 instances consistent" in capsys.readouterr().out
@@ -787,14 +787,14 @@ def test_probe_check_rejects_a_claim_that_leaves_out_a_value(name):
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
     rep = spectrum_formula(T)
     probe = spectrum_probe_check(T, rep)
-    assert probe.ok(1e-8) and probe.eigenvalues_ok(1e-8)
+    assert probe.ok(1e-8) and probe.eigenvalues_ok()
     assert max(probe.eigenvalue_distances) <= 1e-12 * probe.matrix_norm
     largest = max(rep.values, key=abs)
     partial = SpectrumReport(
         values=tuple(v for v in rep.values if v != largest), includes_zero=rep.includes_zero
     )
     probe = spectrum_probe_check(T, partial)
-    assert not probe.eigenvalues_ok(1e-8)
+    assert not probe.eigenvalues_ok()
     assert not probe.ok(1e-8)
 
 
@@ -803,7 +803,7 @@ def test_probe_check_rejects_a_claim_that_leaves_out_a_value(name):
 def test_true_claims_are_complete(seed, kind):
     T = random_operator(np.random.default_rng(seed), max_n=32, kind=kind)
     probe = spectrum_probe_check(T, spectrum_formula(T))
-    assert probe.eigenvalues_ok(1e-8)
+    assert probe.eigenvalues_ok()
 
 
 def _reference_verdicts(T, claim, probe, tol):
@@ -884,7 +884,7 @@ def test_probe_check_takes_a_large_norm_at_unit_scale():
     assert probe.matrix_norm == 1e200
     assert probe.ok(1e-8)
     probe = spectrum_probe_check(T, SpectrumReport(values=(0j, 5 + 5j), includes_zero=True))
-    assert not probe.eigenvalues_ok(1e-8)
+    assert not probe.eigenvalues_ok()
     assert not probe.ok(1e-8)
     off = SpectrumReport(values=rep.values + (5e199 + 5e199j,), includes_zero=True)
     assert not spectrum_probe_check(T, off).candidates_ok(1e-8)
@@ -903,7 +903,7 @@ def test_probe_check_passes_no_claim_when_the_norm_overflows():
     for probe in probes:
         assert probe.matrix_norm == np.inf
         assert not probe.candidates_ok(1e-8)
-        assert not probe.eigenvalues_ok(1e-8)
+        assert not probe.eigenvalues_ok()
         assert not probe.ok(1e-8)
 
 
@@ -925,7 +925,7 @@ def test_spectrum_verdicts_do_not_depend_on_the_scale_of_u(seed, j):
     assert not extra.candidates_ok(1e-8)
     largest = max(rep.values, key=abs)
     partial = SpectrumReport(tuple(v for v in rep.values if v != largest), rep.includes_zero)
-    assert not spectrum_probe_check(S, partial).eigenvalues_ok(1e-8)
+    assert not spectrum_probe_check(S, partial).eigenvalues_ok()
 
 
 def test_bogus_value_reports_the_svd():
@@ -967,7 +967,7 @@ def test_failed_eigensolve_reports_the_svd(monkeypatch):
     assert probe.candidate_sigmas == tuple(min_singular_value(M, v) for v in values)
     assert probe.candidates_ok(1e-8)
     # no eigenvalues, no completeness check: the claim does not pass
-    assert not probe.eigenvalues_ok(1e-8)
+    assert not probe.eigenvalues_ok()
 
 
 def _count_probe_svds(monkeypatch, scenario, slack):
