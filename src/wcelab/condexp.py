@@ -13,10 +13,11 @@ pairs), built once per pair and kept in the partition's ``__dict__`` for
 the space it was last averaged on.  The atom masses are one ``bincount``
 over the points, read-only; ``atom_masses`` hands out that array itself,
 so the operator's ``atom_mass`` and every average on the pair read the
-masses of one pass.  ``pairs`` is what a complex short average reads: up
-to ``BLOCK`` points off singleton partitions, the labels 2a and 2a + 1 of
-each point's atom a, each point mass twice and each atom mass twice;
-otherwise None.
+masses of one pass.  ``pairs`` is what a complex short average reads:
+the labels 2a and 2a + 1 of each point's atom a, each point mass twice
+and each atom mass twice.  It is None until the first complex average of
+up to ``BLOCK`` points off singleton partitions builds it (``_pairs``),
+so a pair that only real or long averages read never holds it.
 
 Every average is of one term, formed by ``_term``: f, ``times * f`` for
 ``times=t``, |f - E(f)|^2 for ``center=E(f)``, which only
@@ -87,25 +88,29 @@ def _record(p: Partition, sp: FiniteMeasureSpace) -> tuple:
     """The record of (p, sp): (sp, atom masses, pairs), built once and
     kept in the partition's ``__dict__`` until a call on another space
     replaces it.  The atom masses are one ``bincount`` over the points,
-    read-only.  ``pairs`` is None on singleton partitions and beyond
-    ``BLOCK`` points; otherwise it holds what one ``bincount`` of a complex
-    term reads, interleaved: the labels 2a and 2a + 1 of each point's atom
-    a, each point mass twice and each atom mass twice.  The pair masses
-    are the atom masses repeated, bit for bit the sums of one ``bincount``
-    over those labels, which adds the same masses in the same order."""
+    read-only.  ``pairs`` is None until ``_pairs`` builds it."""
     kept = p.__dict__.get("_record")
     if kept is None or kept[0] is not sp:
         p.check_aligned(sp)
         mass = np.bincount(p.atom_of, weights=sp.masses, minlength=p.atom_count)
         mass.flags.writeable = False
-        pairs = None
-        if not p.is_singletons and p.n <= BLOCK:
-            labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
-            odd = labels[1::2]
-            odd += 1
-            pairs = labels, sp.masses.repeat(2), mass.repeat(2)
-        kept = p.__dict__["_record"] = (sp, mass, pairs)
+        kept = p.__dict__["_record"] = (sp, mass, None)
     return kept
+
+
+def _pairs(p: Partition, sp: FiniteMeasureSpace, mass: np.ndarray) -> tuple:
+    """What one ``bincount`` of a complex term on (p, sp) reads,
+    interleaved: the labels 2a and 2a + 1 of each point's atom a, each
+    point mass twice and each atom mass twice, kept in the record of
+    (p, sp) beside its atom masses ``mass``.  The pair masses are the atom
+    masses repeated, bit for bit the sums of one ``bincount`` over those
+    labels, which adds the same masses in the same order."""
+    labels = (p.atom_of + p.atom_of).repeat(2)  # the cheapest calls at short lengths
+    odd = labels[1::2]
+    odd += 1
+    pairs = labels, sp.masses.repeat(2), mass.repeat(2)
+    p.__dict__["_record"] = (sp, mass, pairs)
+    return pairs
 
 
 def atom_masses(p: Partition, sp: FiniteMeasureSpace) -> np.ndarray:
@@ -178,7 +183,7 @@ def atom_averages(
     if short:
         v = _term(values, times, center, atom_of)
         if v.dtype.kind == "c":
-            labels, masses, pair_mass = pairs
+            labels, masses, pair_mass = pairs or _pairs(p, sp, mass)
             sums = np.bincount(labels, weights=masses * np.ascontiguousarray(v).view(np.float64))
             out = np.divide(sums, pair_mass, out=sums).view(complex)
         else:

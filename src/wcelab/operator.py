@@ -100,6 +100,7 @@ class WeightedCondExpOperator:
 
     def __post_init__(self):
         sp, p, u = self.space, self.partition, self.symbol
+        u.check_aligned(sp)
         object.__setattr__(self, "atom_mass", atom_masses(p, sp))
         if p.is_singletons:
             # the caller's u is held by reference (``symbol``), so a
@@ -356,6 +357,12 @@ class AtomDomainVerdict:
 
 @dataclass(frozen=True)
 class DomainReport:
+    """``densely_defined``'s verdict and its atoms.  f -> E(u f) is densely
+    defined iff E(|u|^2) < inf a.e. iff E(|u|^2) dmu is sigma-finite on the
+    sub-algebra, whose minimal sets are the atoms: so
+    ``sigma_finite_restriction`` is ``densely_defined`` itself, and
+    ``verdicts_agree`` holds by construction."""
+
     densely_defined: bool
     per_atom: dict[Hashable, AtomDomainVerdict]
     sigma_finite_restriction: bool
@@ -378,8 +385,7 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
     E(|u|^2) and mass taken on that cut; its ``discarded_mass_bound`` is
     their tail bound and covers every atom the cut drops.  Raises
     ``NotSummableError`` if the weighted bound never reaches ``tail_tol``.
-    The sigma-finiteness of the measure with density E(|u|^2) restricted to
-    the sub-algebra is read off the same per-atom verdicts.
+    The sigma-finite verdict is this one (``DomainReport``).
     """
     if not tail_tol > 0:
         raise ValueError("tail_tol must be positive")
@@ -389,7 +395,6 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
         )
     per_atom = {a: _verify_divergence(spec, a, w) for a, w in spec.divergent_atoms.items()}
 
-    tail = None
     if spec.weighted_tail_bound is not None:
         tr = truncate(spec, tail_tol, weighted=True)
         p, sp, tail = tr.partition, tr.space, tr.discarded_mass_bound
@@ -401,11 +406,8 @@ def densely_defined(spec: CountableSpaceSpec, tail_tol: float) -> DomainReport:
                     converges=True, sq_mean=s, partial_sum=s * m, tail_bound=tail, terms_used=c
                 )
 
-    return DomainReport(
-        densely_defined=all(v.converges for v in per_atom.values()),
-        per_atom=per_atom,
-        sigma_finite_restriction=_sigma_finite_restriction(per_atom, tail),
-    )
+    dense = all(v.converges for v in per_atom.values())
+    return DomainReport(densely_defined=dense, per_atom=per_atom, sigma_finite_restriction=dense)
 
 
 def _verify_divergence(spec, atom, witness) -> AtomDomainVerdict:
@@ -431,19 +433,6 @@ def _verify_divergence(spec, atom, witness) -> AtomDomainVerdict:
         partial_sum=float(partial[-1]),
         tail_bound=None,
         terms_used=partial.size,
-    )
-
-
-def _sigma_finite_restriction(per_atom, tail) -> bool:
-    """Sigma-finiteness of the E(|u|^2)-density measure on the sub-algebra.
-
-    The minimal sub-algebra sets are the atoms, so an exhaustion by sets of
-    finite measure exists iff every atom carries finite weighted mass:
-    an atom of infinite mass can never be covered.
-    """
-    return all(
-        v.converges and (tail is None or np.isfinite(v.partial_sum + tail))
-        for v in per_atom.values()
     )
 
 

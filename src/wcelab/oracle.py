@@ -47,7 +47,8 @@ numpy 2.4.6, 1 BLAS thread).
 Every formula-vs-oracle verdict is decided here: ``polar_check``,
 ``OracleResiduals.agrees`` and ``SpectrumProbeResult.ok``.  Each takes the
 formula layer's output (polar factors, a classification, a claimed
-spectrum) as the claim under test, never as truth.
+spectrum) as the claim under test, never as truth, and judges it at
+``TOLERANCES["oracle"]``, which no caller sets.
 """
 from __future__ import annotations
 
@@ -316,9 +317,10 @@ class OracleResiduals:
             self.quasinormal_rel <= tol,
         )
 
-    def agrees(self, report: ClassificationReport, tol: float) -> bool:
-        """Whether a formula-layer classification matches these verdicts at tol."""
-        return (report.self_adjoint, report.normal, report.quasinormal) == self.verdicts(tol)
+    def agrees(self, report: ClassificationReport) -> bool:
+        """Whether a formula-layer classification matches these verdicts."""
+        claim = (report.self_adjoint, report.normal, report.quasinormal)
+        return claim == self.verdicts(TOLERANCES["oracle"])
 
 
 def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
@@ -336,16 +338,16 @@ def residuals(T: WeightedCondExpOperator) -> OracleResiduals:
     return res
 
 
-def polar_check(
-    T: WeightedCondExpOperator, parts: PolarParts, tol: float
-) -> tuple[float, float, bool]:
-    """Dense check of polar factors cut at tolerance tol.
+def polar_check(T: WeightedCondExpOperator, parts: PolarParts) -> tuple[float, float, bool]:
+    """Dense check of polar factors, judged at TOLERANCES["oracle"].
 
-    The factors vanish off S = supp E(|u|^2) > tol, so U|T| = P_S M and
-    |T| = P_S sqrt(M*M) with P_S the projection onto S.  Each atom a off S
-    adds exactly E_a(|u|^2) to ||(I - P_S) M||_F^2, so that is at most tol
-    per atom off S; this fails when the factors were cut too high.
-    Returns the two residuals and the verdict.
+    The factors vanish off S, the points of the atoms in
+    ``parts.atom_support``, so U|T| = P_S M and |T| = P_S sqrt(M*M) with
+    P_S the projection onto S.
+    Each atom a off S adds exactly E_a(|u|^2) to ||(I - P_S) M||_F^2, so
+    that is at most TOLERANCES["oracle"] per atom off S; this fails when
+    the factors were cut too high.  Returns the two residuals and the
+    verdict.
 
     The check runs per connected component of the joint nonzero pattern of
     M and the realized U and |T| (``_blocks``), one stacked pass per
@@ -387,7 +389,7 @@ def polar_check(
     ok = (
         recon <= TOLERANCES["identity"] * norm
         and sqrt_err <= TOLERANCES["oracle"] * norm
-        and off_sq <= tol * atoms_off
+        and off_sq <= TOLERANCES["oracle"] * atoms_off
     )
     return recon, sqrt_err, ok
 
@@ -512,10 +514,10 @@ class SpectrumProbeResult:
             for s, d in zip(self.probe_sigmas, self.probe_distances)
         )
 
-    def ok(self, tol: float) -> bool:
+    def ok(self) -> bool:
         """The spectrum verdict: every claimed value checks out (soundness)
         and every eigenvalue is claimed (completeness)."""
-        return self.candidates_ok(tol) and self.eigenvalues_ok()
+        return self.candidates_ok(TOLERANCES["oracle"]) and self.eigenvalues_ok()
 
 
 def spectrum_probe_check(T: WeightedCondExpOperator, report: SpectrumReport) -> SpectrumProbeResult:

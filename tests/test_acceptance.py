@@ -77,7 +77,7 @@ def test_criterion_2_interval_spectrum_with_probes():
     )
     probe = spectrum_probe_check(T, rep)
     elapsed = time.perf_counter() - t0
-    ok = match and probe.ok(1e-8) and elapsed < 5.0
+    ok = match and probe.ok() and elapsed < 5.0
     report(
         2,
         ok,

@@ -328,6 +328,25 @@ def test_short_complex_averages_read_the_masses_of_each_call():
             assert atom_averages(g, p, sp).tobytes() == _full_array_reference(g.values, p, sp).tobytes()
 
 
+def test_real_short_averages_build_no_pairs():
+    """A real average up to BLOCK points, the record's first call
+    included, holds |f|^2 and its products with mu, two float64 arrays of
+    n: the interleaved labels and masses, four such arrays, are built only
+    for a complex short average."""
+    n = 27_600
+    rng = np.random.default_rng(17)
+    sp = FiniteMeasureSpace(rng.uniform(0.5, 1.5, n))
+    p = Partition(np.arange(n) % 3)
+    f = MFunction(rng.standard_normal(n))
+    tracemalloc.start()
+    try:
+        atom_averages(f, p, sp, center=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * n
+
+
 def test_blocked_sums_keep_an_infinite_part_to_itself():
     """mu * Re(f) and mu * Im(f) are real products, so an infinite part
     puts no 0 * inf into the other part's sum."""

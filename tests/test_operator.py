@@ -210,6 +210,18 @@ def test_construction_rejects_a_misaligned_symbol_or_partition(atoms, n):
             WeightedCondExpOperator(sp, bad, MFunction(np.ones(n)))
 
 
+@pytest.mark.parametrize("labels", ["point-order", "permuted", "coarse"])
+@pytest.mark.parametrize("m", [1, 4])
+def test_construction_rejects_a_symbol_of_the_wrong_length(labels, m):
+    """Point-order singletons average nothing, so the length of u is
+    checked apart from any average: a u of one value would otherwise act
+    as a scalar by broadcasting."""
+    atom_of = {"point-order": [0, 1, 2], "permuted": [2, 0, 1], "coarse": [0, 1, 0]}[labels]
+    sp, p = FiniteMeasureSpace(np.ones(3)), Partition(np.array(atom_of))
+    with pytest.raises(DimensionMismatchError):
+        WeightedCondExpOperator(sp, p, MFunction(np.full(m, 2.0)))
+
+
 def _polar_reference(T, tol):
     """polar from cond_exp and support at the points, placed in atom order:
     the atom scale, the atom support mask and the support's points."""

@@ -128,7 +128,7 @@ def test_realize_stays_finite_on_a_huge_mass_and_a_large_symbol():
         ):
             assert np.isfinite(realize(sp, action)).all()
         M = matrix_of(T)
-        assert polar_check(T, parts, TOLERANCES["oracle"])[2]
+        assert polar_check(T, parts)[2]
     assert np.isfinite(M).all()
     assert M[0, 0] == pytest.approx(1e154, rel=1e-15) and not M[0, 1:].any() and not M[1:, 0].any()
 
@@ -185,7 +185,7 @@ def test_oracle_checks_share_one_realization(monkeypatch):
     res = residuals(T)
     assert residuals(T) is res
     spectrum_probe_check(T, spectrum_formula(T))
-    polar_check(T, polar(T, 1e-8), 1e-8)
+    polar_check(T, polar(T, 1e-8))
     assert len(calls) == T.n
 
 
@@ -328,7 +328,7 @@ def _assert_split_check_matches_dense(T):
     ref = dataclasses.replace(
         probe, candidate_sigmas=tuple(ref_sigmas), eigenvalue_distances=tuple(ref_dists)
     )
-    assert probe.ok(1e-8) == ref.ok(1e-8)
+    assert probe.ok() == ref.ok()
 
 
 @pytest.mark.parametrize("seed", _SPLIT_SEEDS)
@@ -413,7 +413,7 @@ def test_failed_block_eigensolve_reports_the_svd(monkeypatch):
     monkeypatch.undo()
     assert probe.candidate_sigmas == tuple(min_singular_value(M, v) for v in values)
     assert probe.eigenvalue_distances == (np.inf,)
-    assert not probe.ok(1e-8)
+    assert not probe.ok()
 
 
 # -------------------------------------------------------- min_singular_value
@@ -499,11 +499,11 @@ def test_residual_verdicts_match_formula_classification(seed):
 def test_agrees_compares_every_verdict():
     T = random_operator(np.random.default_rng(3), max_n=16)
     rep, res = classify(T, 1e-8), residuals(T)
-    assert res.agrees(rep, 1e-8)
+    assert res.agrees(rep)
     flipped = dataclasses.replace(
         rep, self_adjoint=False, normal=not rep.normal, quasinormal=not rep.normal
     )
-    assert not res.agrees(flipped, 1e-8)
+    assert not res.agrees(flipped)
 
 
 @given(seeds)
@@ -538,11 +538,22 @@ def test_polar_check_rejects_factors_cut_too_high():
     # at tol 1e-8 must reject even though U|T| = P_S T holds
     sc = build_block_partition(8, 3)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
-    recon, sqrt_err, ok = polar_check(T, polar(T, 10.0), 1e-8)
+    recon, sqrt_err, ok = polar_check(T, polar(T, 10.0))
     assert recon <= 1e-12 and sqrt_err <= 1e-12
     assert not ok
-    assert polar_check(T, polar(T, 10.0), 10.0)[2]
-    assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
+    assert polar_check(T, polar(T, 1e-8))[2]
+
+
+def test_polar_check_judges_the_off_support_mass_at_the_oracle_tolerance(monkeypatch):
+    # the factors cut at 10 leave the first atom's 2.5 off the support:
+    # the check reads TOLERANCES["oracle"] itself, so those factors pass
+    # only when the table, not the caller, allows that mass
+    sc = build_block_partition(8, 3)
+    T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
+    parts = polar(T, 10.0)
+    assert TOLERANCES["oracle"] == 1e-8 and not polar_check(T, parts)[2]
+    monkeypatch.setitem(TOLERANCES, "oracle", 10.0)
+    assert polar_check(T, parts)[2]
 
 
 @pytest.mark.parametrize("c", [1e80, 1e100])
@@ -554,10 +565,10 @@ def test_polar_check_accepts_correct_factors_of_a_large_symbol(c):
     T = WeightedCondExpOperator(sp, Partition(np.array([0, 0, 1])), MFunction(c * np.array([1.0, 2.0, 3.0])))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert polar_check(T, polar(T, 1e-8), 1e-8)[2]
+        assert polar_check(T, polar(T, 1e-8))[2]
 
 
-def _dense_polar_check(T, parts, tol):
+def _dense_polar_check(T, parts):
     """polar_check on whole matrices: U|T| - P_S M, the root of M*M at unit
     scale with psd_sqrt's noise floor, |T| - P_S root, and the verdict;
     also the realized U and |T|"""
@@ -576,15 +587,15 @@ def _dense_polar_check(T, parts, tol):
     ok = bool(
         recon <= TOLERANCES["identity"] * norm
         and sqrt_err <= TOLERANCES["oracle"] * norm
-        and off_sq <= tol * np.unique(T.partition.atom_of[~on]).size
+        and off_sq <= TOLERANCES["oracle"] * np.unique(T.partition.atom_of[~on]).size
     )
     return (recon, sqrt_err, ok), U, A
 
 
 def _assert_split_polar_check_matches_dense(T):
     parts = polar(T, 1e-8)
-    got = polar_check(T, parts, 1e-8)
-    ref, U, A = _dense_polar_check(T, parts, 1e-8)
+    got = polar_check(T, parts)
+    ref, U, A = _dense_polar_check(T, parts)
     M = matrix_of(T)
     if oracle._blocks(M, U, A) is None:
         assert got == ref
@@ -626,7 +637,7 @@ def test_polar_check_fails_an_isometry_that_leaks_across_atoms(monkeypatch, n, m
     sc = build_block_partition(n, m)
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
     parts = polar(T, 1e-8)
-    assert polar_check(T, parts, 1e-8)[2]
+    assert polar_check(T, parts)[2]
 
     def leaky(T, parts, f):
         v = apply_isometry(T, parts, f).values.copy()
@@ -634,7 +645,7 @@ def test_polar_check_fails_an_isometry_that_leaks_across_atoms(monkeypatch, n, m
         return MFunction(v)
 
     monkeypatch.setattr(oracle, "apply_isometry", leaky)
-    recon, _, ok = polar_check(T, parts, 1e-8)
+    recon, _, ok = polar_check(T, parts)
     assert not ok and recon > TOLERANCES["identity"] * np.linalg.norm(matrix_of(T))
     if n > 32:
         U = realize(T.space, lambda f: leaky(T, parts, f))
@@ -651,7 +662,7 @@ def test_polar_check_holds_no_order_n_product():
     matrix_of(T)
     tracemalloc.start()
     try:
-        assert polar_check(T, parts, 1e-8)[2]
+        assert polar_check(T, parts)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -699,7 +710,7 @@ def test_probe_check_rejects_bogus_value():
     )
     probe = spectrum_probe_check(T, bogus)
     assert not probe.candidates_ok(1e-8)
-    assert not probe.ok(1e-8)
+    assert not probe.ok()
 
 
 def test_probe_check_is_deterministic_per_seed():
@@ -764,7 +775,7 @@ def test_probe_floor_rejects_missing_value_on_normal_operator():
     assert probe.candidates_ok(1e-8)
     assert residuals(T).normal_rel <= 1e-8
     assert not probe.probes_ok(1e-8)
-    assert not probe.ok(1e-8)
+    assert not probe.ok()
 
 
 def test_probe_floor_skipped_on_non_normal_operator():
@@ -787,7 +798,7 @@ def test_probe_check_rejects_a_claim_that_leaves_out_a_value(name):
     T = WeightedCondExpOperator(sc.space, sc.partition, sc.symbol)
     rep = spectrum_formula(T)
     probe = spectrum_probe_check(T, rep)
-    assert probe.ok(1e-8) and probe.eigenvalues_ok()
+    assert probe.ok() and probe.eigenvalues_ok()
     assert max(probe.eigenvalue_distances) <= 1e-12 * probe.matrix_norm
     largest = max(rep.values, key=abs)
     partial = SpectrumReport(
@@ -795,7 +806,7 @@ def test_probe_check_rejects_a_claim_that_leaves_out_a_value(name):
     )
     probe = spectrum_probe_check(T, partial)
     assert not probe.eigenvalues_ok()
-    assert not probe.ok(1e-8)
+    assert not probe.ok()
 
 
 @given(seeds, st.sampled_from(SPECIAL_KINDS))
@@ -861,12 +872,12 @@ def test_probe_check_on_the_zero_operator():
     probe = spectrum_probe_check(T, rep)
     assert probe.matrix_norm == 0.0
     assert probe.candidate_sigmas == (0.0,)
-    assert probe.ok(1e-8)
+    assert probe.ok()
     assert probe.probes_ok(1e-8)
     for values in ((5 + 5j,), (0j, 5 + 5j)):
         probe = spectrum_probe_check(T, SpectrumReport(values=values, includes_zero=0j in values))
         assert not probe.candidates_ok(1e-8)
-        assert not probe.ok(1e-8)
+        assert not probe.ok()
 
 
 def test_probe_check_takes_a_large_norm_at_unit_scale():
@@ -882,10 +893,10 @@ def test_probe_check_takes_a_large_norm_at_unit_scale():
         rep = spectrum_formula(T)
     probe = spectrum_probe_check(T, rep)
     assert probe.matrix_norm == 1e200
-    assert probe.ok(1e-8)
+    assert probe.ok()
     probe = spectrum_probe_check(T, SpectrumReport(values=(0j, 5 + 5j), includes_zero=True))
     assert not probe.eigenvalues_ok()
-    assert not probe.ok(1e-8)
+    assert not probe.ok()
     off = SpectrumReport(values=rep.values + (5e199 + 5e199j,), includes_zero=True)
     assert not spectrum_probe_check(T, off).candidates_ok(1e-8)
 
@@ -904,7 +915,7 @@ def test_probe_check_passes_no_claim_when_the_norm_overflows():
         assert probe.matrix_norm == np.inf
         assert not probe.candidates_ok(1e-8)
         assert not probe.eigenvalues_ok()
-        assert not probe.ok(1e-8)
+        assert not probe.ok()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -919,7 +930,7 @@ def test_spectrum_verdicts_do_not_depend_on_the_scale_of_u(seed, j):
     T = random_operator(np.random.default_rng(seed), max_n=32)
     S = WeightedCondExpOperator(T.space, T.partition, MFunction(T.symbol.values * 2.0**j))
     rep = spectrum_formula(S)
-    assert spectrum_probe_check(S, rep).ok(1e-8)
+    assert spectrum_probe_check(S, rep).ok()
     beyond = max(abs(v) for v in rep.values) + 0.3 * 2.0**j
     extra = spectrum_probe_check(S, SpectrumReport(rep.values + (beyond,), rep.includes_zero))
     assert not extra.candidates_ok(1e-8)

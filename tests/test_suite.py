@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -122,6 +123,18 @@ def test_spectrum_is_range_fails_when_a_value_is_left_out(monkeypatch):
             monkeypatch.setattr(module, "ess_range", drops_largest)
     [e] = [e for e in suite._case1_entries() if e.claim_id == "full-algebra.spectrum-is-range"]
     assert e.status == "fail"
+
+
+def test_densely_defined_claim_fails_when_the_verdict_does(monkeypatch):
+    # sigma-finiteness is the same verdict, so the claim rests on it alone
+    def not_dense(spec, tail_tol):
+        rep = operator.densely_defined(spec, tail_tol)
+        return dataclasses.replace(rep, densely_defined=False, sigma_finite_restriction=False)
+
+    monkeypatch.setattr(suite, "densely_defined", not_dense)
+    [e] = [e for e in suite._poisson_entries() if e.claim_id == "poisson-parity.densely-defined"]
+    assert e.status == "fail"
+    assert e.computed["densely_defined"] is False
 
 
 # ------------------------------------------------------- claim-kind helpers
